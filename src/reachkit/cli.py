@@ -25,6 +25,7 @@ from .errors import (
     EmptyBoundary,
     EmptyPolyhedron,
     ModelError,
+    NonFiniteState,
     NumericRange,
     PreconditionViolated,
     ReachkitError,
@@ -32,7 +33,7 @@ from .errors import (
 )
 from .facelift import GridRegion, reach_bounded_time, reach_invariant
 from .geometry import Empty2D, Polyhedron, TooFewPoints, Unbounded2D, vertices_2d
-from .hybrid import PostParams, RegionSet, post, replay_witness, semi_decide_reach
+from .hybrid import PostParams, RegionSet, replay_witness, semi_decide_reach
 from .modelfile import ModelFile, load_model
 from .polyapprox import overapproximate_step
 
@@ -48,6 +49,7 @@ _ASSUMPTION_ERRORS = (
     BadDeltaOrder,
     EmptyBoundary,
     EmptyPolyhedron,
+    NonFiniteState,
     NumericRange,
     PreconditionViolated,
     StepTooCoarse,
@@ -360,11 +362,7 @@ def _run_hybrid(m: ModelFile, args, out: str):
     dt, cell, tau, max_k, params, s1, s2 = _hybrid_setup(m, args)
     H = m.system
     verdict = semi_decide_reach(H, s1, s2, max_k, params)
-    # rebuild the final region set; post is deterministic so the replayed
-    # generations match the ones the loop saw
-    reached = RegionSet.from_init(H, cell)
-    for _ in range(verdict.k if verdict.kind == "yes" else max_k):
-        reached = post(H, reached, params)
+    reached = verdict.reached
 
     report = RunReport(
         command="hybrid-reach",
@@ -391,8 +389,8 @@ def _run_hybrid(m: ModelFile, args, out: str):
         "capped_locations": sorted(reached.capped),
     }
     if verdict.kind == "yes":
-        rep = replay_witness(H, RegionSet.from_init(H, cell), verdict, params)
-        rep.validate(H)
+        # replay_witness validates its trajectory (invalid_steps) on success
+        rep = replay_witness(H, s1, verdict, params)
         diagnostics["replay"] = {
             "success": bool(rep.success),
             "distance": float(rep.distance),

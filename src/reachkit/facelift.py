@@ -22,10 +22,11 @@ from .errors import (
     EmptyBoundary,
     EmptyPolyhedron,
     InfeasibleFace,
+    NonFiniteState,
     PreconditionViolated,
     StepTooCoarse,
 )
-from .flow import LinearDynamics, flow
+from .flow import LinearDynamics, trajectory
 from .geometry import (
     Face,
     Halfspace,
@@ -773,7 +774,10 @@ def _max_speed(dyn, pts):
     if pts.shape[0] == 0:
         return 0.0
     f = dyn.evaluate(pts)
-    return float(np.max(np.linalg.norm(f, axis=1)))
+    speed = float(np.max(np.linalg.norm(f, axis=1)))
+    if not math.isfinite(speed):
+        raise NonFiniteState("the vector field is not finite at a sample point")
+    return speed
 
 
 def _substeps(delta, speed, h):
@@ -783,21 +787,25 @@ def _substeps(delta, speed, h):
 def _advect(dyn, pts, delta, nsub, h, tol):
     """Substepped flow over [0, delta]: (m, nsub+1, dim) trajectories.
     Raises StepTooCoarse when one substep moves a sample further than 2h."""
-    traj = np.empty((pts.shape[0], nsub + 1, pts.shape[1]))
-    traj[:, 0] = pts
-    dt = delta / nsub
-    cur = pts
-    for s in range(nsub):
-        nxt = flow(dyn, cur, dt, tol=tol)
-        move = np.linalg.norm(nxt - cur, axis=1)
-        if np.any(move > 2.0 * h):
-            raise StepTooCoarse(
-                f"a front sample moved {float(np.max(move)):.3g} in one substep "
-                f"(limit {2.0 * h:.3g}); refine the time grid"
-            )
-        traj[:, s + 1] = nxt
-        cur = nxt
+    try:
+        traj = trajectory(dyn, pts, delta, nsub, tol)
+    except NonFiniteState as exc:
+        # a too-coarse substep before the blow-up is the error to report
+        _check_substeps(exc.partial, h)
+        raise
+    _check_substeps(traj, h)
     return traj
+
+
+def _check_substeps(traj, h):
+    move = np.linalg.norm(np.diff(traj, axis=1), axis=2)  # (m, nsub)
+    coarse = np.any(move > 2.0 * h, axis=0)
+    if coarse.any():
+        s = int(np.argmax(coarse))
+        raise StepTooCoarse(
+            f"a front sample moved {float(np.max(move[:, s])):.3g} in one substep "
+            f"(limit {2.0 * h:.3g}); refine the time grid"
+        )
 
 
 def _resample_chain(dyn, pre, pts, closed, h_b, delta, h, tol, max_rounds=6):

@@ -4,6 +4,13 @@ Linear dynamics flow exactly through the matrix exponential (scaling and
 squaring with a degree-13 Pade approximant); expression dynamics advect
 with fixed-step RK4. Both paths are deterministic: step counts derive
 from the requested tolerance, never from adaptive error control.
+
+Two entry points share those numerics. ``flow`` maps a batch over one
+interval of length |t| in ceil(|t| / min(tol^(1/4), |t|/32)) RK4 steps,
+so never fewer than 32. ``trajectory`` records a batch at the nsub+1
+even lattice times on [0, t] and integrates it once: linear dynamics
+apply one e^{A dt} per lattice step dt = t/nsub, and expression dynamics
+take ceil(|dt| / tol^(1/4)) RK4 steps per lattice step, with no floor.
 """
 
 from __future__ import annotations
@@ -152,16 +159,6 @@ class ExpressionDynamics:
 Dynamics = LinearDynamics | ExpressionDynamics
 
 
-@dataclass(frozen=True)
-class FlowSample:
-    """A recorded flow evaluation: value = flow(origin, time) within tol."""
-
-    origin: np.ndarray
-    time: float
-    value: np.ndarray
-    tol: float
-
-
 # ---------------------------------------------------------------------------
 # integration
 
@@ -208,9 +205,48 @@ def reverse_flow(dyn: Dynamics, x, t: float, tol: float = 1e-8) -> np.ndarray:
     return flow(dyn, x, -t, tol=tol)
 
 
-def sample_flow(dyn: Dynamics, origin, t: float, tol: float = 1e-8) -> FlowSample:
-    origin = np.asarray(origin, float)
-    return FlowSample(origin=origin, time=float(t), value=flow(dyn, origin, t, tol=tol), tol=tol)
+def trajectory(dyn: Dynamics, x0, t: float, nsub: int, tol: float = 1e-8) -> np.ndarray:
+    """Positions of a batch x0 (m, n) at the nsub+1 even lattice times on
+    [0, t], as an (m, nsub+1, n) array whose row 0 is x0.
+
+    The batch is integrated once across the lattice: linear dynamics apply
+    one e^{A t/nsub} per step (the same floats as chained flow calls);
+    expression dynamics take ceil(|dt| / tol^(1/4)) RK4 steps per lattice
+    step dt. Negative t integrates the reversed field for |t|. When a
+    step goes non-finite the NonFiniteState raised carries the positions
+    up to that lattice time as its ``partial`` attribute.
+    """
+    x0 = np.asarray(x0, float)
+    if not np.all(np.isfinite(x0)):
+        raise NonFiniteState("trajectory start is not finite")
+    out = np.empty((x0.shape[0], nsub + 1, x0.shape[1]))
+    out[:, 0] = x0
+    dt = t / nsub
+    if dt == 0.0:
+        out[:, 1:] = x0[:, None]
+        return out
+    if isinstance(dyn, LinearDynamics):
+        step_map = expm(dyn.matrix, dt).T
+
+        def step(x):
+            return x @ step_map
+
+    else:
+        field = dyn if t > 0 else dyn.negated()
+        nsteps = max(1, int(math.ceil(abs(dt) / tol**0.25)))
+
+        def step(x):
+            return rk4(field, x, abs(dt), nsteps)
+
+    cur = x0
+    for s in range(nsub):
+        try:
+            cur = step(cur)
+        except NonFiniteState as exc:
+            exc.partial = out[:, : s + 1]  # the finite positions reached so far
+            raise
+        out[:, s + 1] = cur
+    return out
 
 
 # ---------------------------------------------------------------------------

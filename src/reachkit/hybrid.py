@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimMismatch, ModelError, PreconditionViolated
 from .facelift import GridRegion, reach_invariant
-from .flow import flow
+from .flow import trajectory
 from .geometry import Polyhedron, is_empty
 
 __all__ = [
@@ -319,6 +319,8 @@ class Verdict:
     kind: str  # "yes" | "unknown"
     k: int
     witness: tuple = None  # (location, cell center) when kind == "yes"
+    # the region set after k successor steps; not part of the summary
+    reached: RegionSet = field(default=None, repr=False, compare=False)
 
     def summary(self) -> dict:
         wit_q, wit_x = (self.witness if self.witness else (None, None))
@@ -336,7 +338,8 @@ def semi_decide_reach(
     """Iterate the successor operator from s1 until it meets s2.
 
     Returns yes(k) with the first common cell as witness, or unknown
-    after max_k iterations. A yes only certifies possible reachability
+    after max_k iterations; either way the verdict carries the region set
+    reached after its k steps. A yes only certifies possible reachability
     (the regions over-approximate); unknown is never a no.
     """
     if s1.count() == 0 or s2.count() == 0:
@@ -344,13 +347,13 @@ def semi_decide_reach(
     S = s1.copy()
     wit = S.intersection_witness(s2)
     if wit is not None:
-        return Verdict("yes", 0, wit)
+        return Verdict("yes", 0, wit, S)
     for k in range(1, max_k + 1):
         S = post(H, S, params)
         wit = S.intersection_witness(s2)
         if wit is not None:
-            return Verdict("yes", k, wit)
-    return Verdict("unknown", max_k)
+            return Verdict("yes", k, wit, S)
+    return Verdict("unknown", max_k, reached=S)
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +389,7 @@ def classify_step(H: HybridSystem, c1, c2, t_or_edge, tol: float = 1e-6):
     if t == 0.0:
         ok = np.allclose(x1, x2, atol=tol * scale) and bool(G.contains(x1, tol=tol))
         return "time-step" if ok else "none"
-    times = np.linspace(0.0, t, 33)
-    path = np.stack([x1] + [flow(dyn, x1, s) for s in times[1:]])
+    path = trajectory(dyn, x1[None], t, 32)[0]
     if not np.all(G.contains(path, tol=tol)):
         return "none"
     if np.linalg.norm(path[-1] - x2) > tol * scale:
@@ -430,14 +432,7 @@ def _sim_paths(dyn, starts, tau, step, tol):
     """Incrementally integrate a start batch: (m, k+1, n) path samples
     plus the shared sample times."""
     n = max(1, int(math.ceil(tau / step)))
-    dt = tau / n
-    out = np.empty((starts.shape[0], n + 1, starts.shape[1]))
-    out[:, 0] = starts
-    cur = starts
-    for i in range(n):
-        cur = flow(dyn, cur, dt, tol=tol)
-        out[:, i + 1] = cur
-    return out, np.linspace(0.0, tau, n + 1)
+    return trajectory(dyn, starts, tau, n, tol), np.linspace(0.0, tau, n + 1)
 
 
 def _greedy_replay(H, q, starts, witness, jumps, params, h, best):

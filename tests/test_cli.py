@@ -129,6 +129,23 @@ def test_initial_outside_invariant_exits_3(tmp_path):
     assert run(["reach-inv", path, "--out", str(tmp_path / "o")]) == 3
 
 
+def test_nonfinite_field_exits_3_without_traceback(tmp_path, capfd):
+    path = write_model(
+        tmp_path,
+        {
+            "schema": 1,
+            "kind": "reach",
+            "dynamics": {"expressions": ["1/(x1-x1)", "1"]},
+            "initial": {"box": [[0.0, 0.0], [1.0, 1.0]]},
+            "grid": {"cell": 0.05, "dt": 0.5, "tau": 1.0},
+        },
+    )
+    assert run(["reach", path, "--out", str(tmp_path / "o")]) == 3
+    err = capfd.readouterr().err
+    assert "NonFiniteState" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # reach-inv
 

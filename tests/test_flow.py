@@ -1,12 +1,14 @@
 """Flow-layer tests: the matrix exponential against a long Taylor sum and
 scipy, RK4 against closed-form orbits and an order check, operator norm
-against the SVD."""
+against the SVD, and the trajectory kernel against chained flow calls
+and closed-form orbits."""
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from reachkit.errors import NonFiniteState, NumericRange, UnboundedFace
+from reachkit.errors import NonFiniteState, NumericRange, StepTooCoarse, UnboundedFace
+from reachkit.facelift import _advect
 from reachkit.flow import (
     ExpressionDynamics,
     LinearDynamics,
@@ -16,6 +18,7 @@ from reachkit.flow import (
     operator_norm,
     reverse_flow,
     rk4,
+    trajectory,
 )
 from reachkit.geometry import Face
 
@@ -122,6 +125,57 @@ def test_reverse_flow_inverts_forward_flow():
 def test_flow_rejects_nonfinite_start():
     with pytest.raises(NonFiniteState):
         flow(LinearDynamics(ROT), np.array([np.inf, 0.0]), 1.0)
+
+
+def test_trajectory_linear_matches_chained_flow_bitwise():
+    rng = np.random.default_rng(5)
+    dyn = LinearDynamics(rng.normal(size=(3, 3)))
+    x0 = rng.normal(size=(7, 3))
+    for t, nsub in [(0.8, 9), (-0.5, 4)]:
+        traj = trajectory(dyn, x0, t, nsub)
+        cur = x0
+        for s in range(nsub):
+            cur = flow(dyn, cur, t / nsub)
+            assert np.array_equal(traj[:, s + 1], cur)
+
+
+def test_trajectory_rotation_matches_closed_form_both_signs():
+    dyn = ExpressionDynamics.parse(["-x2", "x1"])
+    x0 = np.array([[1.0, 0.0], [0.3, -0.7]])
+    for t in (1.3, -1.3):
+        nsub = 40
+        traj = trajectory(dyn, x0, t, nsub, tol=1e-8)
+        for s in range(nsub + 1):
+            th = t * s / nsub
+            rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+            assert np.max(np.abs(traj[:, s] - x0 @ rot.T)) <= 1e-7
+
+
+def test_trajectory_constant_field_moves_exactly():
+    dyn = ExpressionDynamics.parse(["1", "-0.5"])
+    x0 = np.array([[0.0, 0.0], [1.0, 2.0]])
+    t, nsub = 0.75, 12
+    traj = trajectory(dyn, x0, t, nsub)
+    for s in range(nsub + 1):
+        want = x0 + (t * s / nsub) * np.array([1.0, -0.5])
+        assert np.max(np.abs(traj[:, s] - want)) <= 1e-12
+
+
+def test_trajectory_shape_and_start_row():
+    x0 = np.array([[0.5, 1.0], [2.0, -1.0], [0.0, 0.0]])
+    for dyn in (LinearDynamics(ROT), ExpressionDynamics.parse(["x1*x2", "cos(x1)"])):
+        traj = trajectory(dyn, x0, 0.6, 5)
+        assert traj.shape == (3, 6, 2)
+        assert np.array_equal(traj[:, 0], x0)
+    assert np.array_equal(trajectory(LinearDynamics(ROT), x0, 0.0, 3), np.repeat(x0[:, None], 4, axis=1))
+
+
+def test_advect_rejects_coarse_substep():
+    dyn = ExpressionDynamics.parse(["1", "0"])
+    pts = np.array([[0.0, 0.0], [0.0, 1.0]])
+    assert _advect(dyn, pts, 1.0, 20, 0.05, 1e-8).shape == (2, 21, 2)
+    with pytest.raises(StepTooCoarse, match="moved 0.25 in one substep"):
+        _advect(dyn, pts, 1.0, 4, 0.05, 1e-8)
 
 
 def test_max_norm_over_face_2d_exact():
