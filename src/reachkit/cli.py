@@ -1,6 +1,7 @@
 """Batch front end: run a model file, dump the results, plot them.
 
-Exit codes: 0 clean run, 2 unusable model or arguments, 3 violated
+Exit codes: 0 clean run, 2 unusable model or arguments (also any other
+reachkit error, such as an unbounded initial set), 3 violated
 assumption (the computation refused to start or step), 4 the run hit an
 iteration cap before settling. report.json is written with sorted keys
 and no timing data, so repeated runs of the same model are byte
@@ -580,13 +581,20 @@ def _run_plot(m: ModelFile, args, out: str):
 # argument parsing and dispatch
 
 
+def _positive_float(text):
+    v = float(text)
+    if not 0.0 < v < np.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return v
+
+
 def _add_common(sub, *names):
     if "tau" in names:
         sub.add_argument("--tau", type=float, default=None, help="time horizon")
     if "dt" in names:
-        sub.add_argument("--dt", type=float, default=None, help="time step")
+        sub.add_argument("--dt", type=_positive_float, default=None, help="time step")
     if "cell" in names:
-        sub.add_argument("--cell", type=float, default=None, help="grid cell size")
+        sub.add_argument("--cell", type=_positive_float, default=None, help="grid cell size")
     if "under" in names:
         sub.add_argument(
             "--under", action="store_true", help="compute the under-approximation flavor"
@@ -623,8 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
     model_sub("hybrid-reach", "hybrid semi-decision run", "dt", "cell", "tau", "max-iters")
     plot = model_sub("plot", "render a model's result geometry", "tau", "dt", "cell", "under", "bounds", "max-iters")
     plot.add_argument("--format", choices=("csv", "svg"), default="svg")
-    golden = subs.add_parser("golden", help="run the acceptance-value suite")
-    golden.add_argument("--fast", action="store_true", help=argparse.SUPPRESS)
+    subs.add_parser("golden", help="run the acceptance-value suite")
     return parser
 
 
@@ -644,7 +651,7 @@ def run(argv=None) -> int:
     if args.command == "golden":
         from .golden import run_golden_suite
 
-        return run_golden_suite(fast=getattr(args, "fast", False))
+        return run_golden_suite()
     try:
         model = load_model(args.model)
         out = _outdir(args)
@@ -658,6 +665,9 @@ def run(argv=None) -> int:
     except _ASSUMPTION_ERRORS as exc:
         print(f"assumption violated: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ASSUMPTION
+    except ReachkitError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_MODEL
     for name in report.outputs:
         print(os.path.join(out, name))
     print(f"{args.command}: done in {report.elapsed:.3f}s (exit {code})")

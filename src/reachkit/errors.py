@@ -49,10 +49,6 @@ class ExpressionError(ReachkitError):
     """Expression string does not conform to the supported grammar."""
 
 
-class GradientUndefined(ReachkitError):
-    """Gradient is NaN/inf or vanishes at a boundary sample."""
-
-
 class EmptyBoundary(ReachkitError):
     """Boundary sampling produced no usable samples."""
 

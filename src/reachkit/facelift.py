@@ -31,8 +31,8 @@ from .geometry import (
     Face,
     Halfspace,
     Polyhedron,
+    grid_points,
     is_empty,
-    lp_maximize,
     normalize_and_orthogonalize,
     vertices_2d,
 )
@@ -123,7 +123,7 @@ def _facet_interior_lattice(face: Face, h_b: float):
     lo, hi = P.bounding_box()
     axes = [np.arange(lo[j] + h_b / 2.0, hi[j] + 1e-12, h_b) for j in range(face.dim)]
     axes = [a if a.size else np.array([(lo[j] + hi[j]) / 2.0]) for j, a in enumerate(axes)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, face.dim)
+    mesh = grid_points(axes)
     ak, bk = face.base_normal, face.base_offset
     mesh = mesh - np.outer(mesh @ ak - bk, ak)
     keep = np.ones(mesh.shape[0], bool)
@@ -191,8 +191,7 @@ def _levelset_boundary_2d(ls: LevelSet, h_b: float):
 
 
 def _levelset_boundary_nd(ls: LevelSet, h_b: float):
-    axes = [np.arange(ls.lo[j], ls.hi[j] + 1e-12, h_b) for j in range(ls.dim)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, ls.dim)
+    mesh = grid_points([np.arange(ls.lo[j], ls.hi[j] + 1e-12, h_b) for j in range(ls.dim)])
     dropped = 0
     keep = []
     for p in mesh:
@@ -218,6 +217,14 @@ def _levelset_boundary_nd(ls: LevelSet, h_b: float):
     key = np.round(pts / (h_b / 2.0)).astype(int)
     _, first = np.unique(key, axis=0, return_index=True)
     return pts[np.sort(first)], dropped
+
+
+def _levelset_boundary(ls: LevelSet, h_b: float):
+    """(zero-set samples, samples dropped): one closed chain in 2D,
+    unordered points in higher dimensions."""
+    if ls.dim == 2:
+        return _levelset_boundary_2d(ls, h_b)
+    return _levelset_boundary_nd(ls, h_b)
 
 
 def _split_runs(m, closed, keep):
@@ -309,12 +316,8 @@ def classify_boundary(init, dyn, h_b: float) -> BoundaryFront:
     chains = []
     dropped = 0
     if isinstance(init, LevelSet):
-        if init.dim == 2:
-            pts, dropped = _levelset_boundary_2d(init, h_b)
-            closed = True
-        else:
-            pts, dropped = _levelset_boundary_nd(init, h_b)
-            closed = None
+        pts, dropped = _levelset_boundary(init, h_b)
+        closed = True if init.dim == 2 else None
         normals = init.gradient(pts)
         finite = np.all(np.isfinite(normals), axis=1) & (
             np.linalg.norm(normals, axis=1) > 1e-12
@@ -461,28 +464,16 @@ class GridRegion:
         )
         if np.any(i1 <= i0):
             return None
-        grids = np.meshgrid(*[np.arange(i0[j], i1[j]) for j in range(self.dim)], indexing="ij")
-        return np.stack(grids, axis=-1).reshape(-1, self.dim)
-
-    @staticmethod
-    def _box_rows(lo, hi):
-        dim = len(lo)
-        rows = []
-        for j in range(dim):
-            e = np.zeros(dim)
-            e[j] = 1.0
-            rows.append(Halfspace(e.copy(), hi[j]))
-            rows.append(Halfspace(-e, -lo[j]))
-        return rows
+        return grid_points([np.arange(i0[j], i1[j]) for j in range(self.dim)])
 
     def _cell_box_rows(self, idx):
         lo = self.lo + idx * self.h
-        return self._box_rows(lo, lo + self.h)
+        return Polyhedron.box(lo, lo + self.h).ineqs
 
     def _poly_window(self, P: Polyhedron):
         """Cell-index window covering the part of P inside the grid box.
         Clipping first keeps unbounded polyhedra (strips, halfplanes) legal."""
-        clipped = Polyhedron(P.ineqs + tuple(self._box_rows(self.lo, self.hi)), P.eqs)
+        clipped = Polyhedron(P.ineqs + Polyhedron.box(self.lo, self.hi).ineqs, P.eqs)
         try:
             lo, hi = clipped.bounding_box()
         except EmptyPolyhedron:
@@ -517,7 +508,7 @@ class GridRegion:
             near &= np.all(eresid <= half_diag + 1e-9, axis=1)
         mask[tuple(idx[inside].T)] = True
         for i in np.nonzero(near)[0]:
-            probe = Polyhedron(P.ineqs + tuple(self._cell_box_rows(idx[i])), P.eqs)
+            probe = Polyhedron(P.ineqs + self._cell_box_rows(idx[i]), P.eqs)
             if not is_empty(probe):
                 mask[tuple(idx[i])] = True
         return mask
@@ -780,13 +771,12 @@ def _max_speed(dyn, pts):
     return speed
 
 
-def _substeps(delta, speed, h):
-    return max(1, int(math.ceil(abs(delta) * speed / (0.5 * h))))
-
-
-def _advect(dyn, pts, delta, nsub, h, tol):
-    """Substepped flow over [0, delta]: (m, nsub+1, dim) trajectories.
-    Raises StepTooCoarse when one substep moves a sample further than 2h."""
+def _advect(dyn, pts, delta, h, tol):
+    """Substepped flow over [0, delta]: (m, nsub+1, dim) trajectories, with
+    nsub set so the fastest sample at the start covers at most h/2 per
+    substep. Raises StepTooCoarse when one substep moves a sample further
+    than 2h (the field sped up along the way)."""
+    nsub = max(1, int(math.ceil(abs(delta) * _max_speed(dyn, pts) / (0.5 * h))))
     try:
         traj = trajectory(dyn, pts, delta, nsub, tol)
     except NonFiniteState as exc:
@@ -823,8 +813,7 @@ def _resample_chain(dyn, pre, pts, closed, h_b, delta, h, tol, max_rounds=6):
         if wide.size == 0:
             return pts
         mids = np.array([0.5 * (pre[i] + pre[(i + 1) % pre.shape[0]]) for i in wide])
-        nsub = _substeps(delta, _max_speed(dyn, mids), h)
-        moved = _advect(dyn, mids, delta, nsub, h, tol)[:, -1]
+        moved = _advect(dyn, mids, delta, h, tol)[:, -1]
         pos = {int(i): j for j, i in enumerate(wide)}
         new_pts, new_pre = [], []
         for i in range(pts.shape[0]):
@@ -856,8 +845,7 @@ def _default_box(init, dyn, horizon, h):
     pad = 3.0 * h
     for _ in range(2):
         axes = [np.linspace(lo[j] - pad, hi[j] + pad, 9) for j in range(lo.size)]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, lo.size)
-        pad = horizon * _max_speed(dyn, mesh) + 3.0 * h
+        pad = horizon * _max_speed(dyn, grid_points(axes)) + 3.0 * h
     return lo - pad, hi + pad
 
 
@@ -892,49 +880,48 @@ def _interior_lattice(init, spacing):
         lo, hi = init.bounding_box()
     axes = [np.arange(lo[j] + spacing / 2.0, hi[j] + 1e-12, spacing) for j in range(lo.size)]
     axes = [a if a.size else np.array([(lo[j] + hi[j]) / 2.0]) for j, a in enumerate(axes)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, lo.size)
+    mesh = grid_points(axes)
     if isinstance(init, LevelSet):
         return mesh[init.value(mesh) < 0.0]
     return mesh[init.contains(mesh, tol=0.0)]
 
 
+def _advance_front(advected, cum, init, dyn, h_b, delta, h, flow_tol):
+    """Next front from (pre-image, advected end, closed) chains: ends that
+    fell into cum (swept before this step) or strictly inside init are
+    pruned, chains split at the pruned samples, ordered runs resampled."""
+    nxt = []
+    for pre, ends, closed in advected:
+        keep = ~(cum.contains_points(ends) | _inside_init_strict(init, ends))
+        for idxs, rclosed in _split_runs(pre.shape[0], closed, keep):
+            if rclosed is None:
+                run = ends[idxs]
+            else:
+                run = _resample_chain(
+                    dyn, pre[idxs], ends[idxs], rclosed, h_b, delta, h, flow_tol
+                )
+            nxt.append((run, rclosed))
+    return [c for c in nxt if c[0].shape[0]]
+
+
 def _front_sweep(chains, init, dyn, intervals, cum, h, h_b, flow_tol):
-    """Shared advect/prune/resample loop. Marks swept cells into cum and
-    returns (segments, final chains, iterations, collapsed)."""
+    """Advect the front over each interval, marking swept cells into cum.
+    Returns (segments, collapsed); collapsed means the front emptied."""
     segments = []
-    collapsed = False
-    iterations = 0
     for t0, t1 in intervals:
         if not chains:
-            collapsed = True
             break
         delta = t1 - t0
         seg = cum.blank()
         advected = []
         for pts, closed in chains:
-            nsub = _substeps(delta, _max_speed(dyn, pts), h)
-            traj = _advect(dyn, pts, delta, nsub, h, flow_tol)
+            traj = _advect(dyn, pts, delta, h, flow_tol)
             seg.mark_points(traj.reshape(-1, pts.shape[1]))
             advected.append((pts, traj[:, -1], closed))
-        nxt = []
-        for pre, ends, closed in advected:
-            keep = ~(cum.contains_points(ends) | _inside_init_strict(init, ends))
-            for idxs, rclosed in _split_runs(pre.shape[0], closed, keep):
-                if rclosed is None:
-                    run = ends[idxs]
-                else:
-                    run = _resample_chain(
-                        dyn, pre[idxs], ends[idxs], rclosed, h_b, delta, h, flow_tol
-                    )
-                nxt.append((run, rclosed))
+        chains = _advance_front(advected, cum, init, dyn, h_b, delta, h, flow_tol)
         cum.include(seg)
         segments.append((t0, t1, seg))
-        chains = [c for c in nxt if c[0].shape[0]]
-        iterations += 1
-    else:
-        if not chains:
-            collapsed = True
-    return segments, chains, iterations, collapsed
+    return segments, not chains
 
 
 # ---------------------------------------------------------------------------
@@ -950,15 +937,8 @@ def _linear_poly_reach(init, dyn, tau, grid, bounds):
     for i, face in _polyhedron_faces(init):
         c = A.T @ face.base_normal
         FP = face.as_polyhedron()
-        A_ub, b_ub, A_eq, b_eq = FP.matrices()
-        args = (
-            A_ub if len(b_ub) else None,
-            b_ub if len(b_ub) else None,
-            A_eq if len(b_eq) else None,
-            b_eq if len(b_eq) else None,
-        )
-        up = lp_maximize(c, *args)
-        dn = lp_maximize(-c, *args)
+        up = FP.maximize(c)
+        dn = FP.maximize(-c)
         if up.status != "optimal" or dn.status != "optimal":
             raise AssumptionA2Violated(
                 -math.inf, f"face {i} has unbounded outward derivative"
@@ -1056,7 +1036,7 @@ def reach_bounded_time(
     _mark_initial(init, init_over)
 
     front = classify_boundary(init, dyn, h_b)
-    segments, _, iterations, collapsed = _front_sweep(
+    segments, collapsed = _front_sweep(
         front.front_chains(), init, dyn, grid.intervals(tau), cum, h, h_b, flow_tol
     )
     tube = ReachTube(
@@ -1067,7 +1047,7 @@ def reach_bounded_time(
         initial_region=init_over,
         occupancy=cum,
         front_collapse=collapsed,
-        iterations=iterations,
+        iterations=len(segments),
     )
     if mode == "over":
         return tube
@@ -1083,15 +1063,9 @@ def reach_bounded_time(
         prefix.include(seg)
         useg = under_cum.blank()
         if samples.shape[0]:
-            delta = t1 - t0
-            nsub = _substeps(delta, _max_speed(dyn, samples), h)
-            traj = _advect(dyn, samples, delta, nsub, h, flow_tol)
+            traj = _advect(dyn, samples, t1 - t0, h, flow_tol)
             flat = traj.reshape(-1, samples.shape[1])
-            idx, inbox = useg._indices(flat)
-            ok = inbox.copy()
-            ok[inbox] = prefix.occupancy[tuple(idx[inbox].T)]
-            if ok.any():
-                useg.occupancy[tuple(idx[ok].T)] = True
+            useg.mark_points(flat[prefix.contains_points(flat)])
             samples = traj[:, -1]
         under_cum.include(useg)
         under_segments.append((t0, t1, useg))
@@ -1114,19 +1088,12 @@ def _check_inside_invariant(init, invariant, h_b):
                 "initial region has cells outside the invariant"
             )
     elif isinstance(init, Polyhedron):
-        A_ub, b_ub, A_eq, b_eq = init.matrices()
-        args = (
-            A_ub if len(b_ub) else None,
-            b_ub if len(b_ub) else None,
-            A_eq if len(b_eq) else None,
-            b_eq if len(b_eq) else None,
-        )
         rows = list(invariant.ineqs)
         for e in invariant.eqs:
             rows.append(e)
             rows.append(Halfspace(-e.normal, -e.offset))
         for row in rows:
-            res = lp_maximize(row.normal, *args)
+            res = init.maximize(row.normal)
             if res.status == "infeasible":
                 raise PreconditionViolated("initial polyhedron is empty")
             if res.status != "optimal" or res.value > row.offset + 1e-8:
@@ -1134,10 +1101,7 @@ def _check_inside_invariant(init, invariant, h_b):
                     "initial set is not contained in the invariant"
                 )
     else:
-        if init.dim == 2:
-            bnd, _ = _levelset_boundary_2d(init, h_b)
-        else:
-            bnd, _ = _levelset_boundary_nd(init, h_b)
+        bnd, _ = _levelset_boundary(init, h_b)
         pts = np.vstack([bnd, _interior_lattice(init, h_b)])
         if not np.all(invariant.contains(pts, tol=1e-8)):
             raise PreconditionViolated("initial set samples leave the invariant")
@@ -1152,8 +1116,7 @@ def _invariant_box(init, invariant, dyn, grid, h):
     lo = np.minimum(lo_q, lo0)
     hi = np.maximum(hi_q, hi0)
     dmax = float(np.max(np.diff(grid.times)))
-    axes = [np.linspace(lo[j], hi[j], 9) for j in range(lo.size)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, lo.size)
+    mesh = grid_points([np.linspace(lo[j], hi[j], 9) for j in range(lo.size)])
     pad = dmax * _max_speed(dyn, mesh) + 4.0 * h
     return lo - pad, hi + pad
 
@@ -1234,15 +1197,13 @@ def reach_invariant(
     t_accum = 0.0
     for it in range(max_iters):
         if not chains:
-            tube.front_collapse = True
             break
         delta = grid.delta(it)
 
         trajs = []
         t_full = cum.blank()
         for pts, _ in chains:
-            nsub = _substeps(delta, _max_speed(dyn, pts), h)
-            traj = _advect(dyn, pts, delta, nsub, h, flow_tol)
+            traj = _advect(dyn, pts, delta, h, flow_tol)
             t_full.mark_points(traj.reshape(-1, pts.shape[1]))
             trajs.append(traj)
         flat = np.vstack([t.reshape(-1, t.shape[2]) for t in trajs])
@@ -1256,8 +1217,7 @@ def reach_invariant(
             u = u[np.sort(first)]
             if u.shape[0] > 2000:
                 u = u[:: int(math.ceil(u.shape[0] / 2000.0))]
-            nsub = _substeps(delta, _max_speed(dyn, u), h)
-            v_pts = _advect(dyn, u, -delta, nsub, h, flow_tol).reshape(-1, u.shape[1])
+            v_pts = _advect(dyn, u, -delta, h, flow_tol).reshape(-1, u.shape[1])
 
         t_prime = cum.blank()
         survivors = []
@@ -1278,18 +1238,7 @@ def reach_invariant(
         over_add = cum.blank()
         over_add.occupancy = t_prime.occupancy | (t_full.occupancy & touch_q)
         over_add.out_of_box = t_full.out_of_box
-
-        nxt = []
-        for pre, ends, closed in survivors:
-            keep = ~(cum.contains_points(ends) | _inside_init_strict(init, ends))
-            for idxs, rclosed in _split_runs(pre.shape[0], closed, keep):
-                if rclosed is None:
-                    run = ends[idxs]
-                else:
-                    run = _resample_chain(
-                        dyn, pre[idxs], ends[idxs], rclosed, h_b, delta, h, flow_tol
-                    )
-                nxt.append((run, rclosed))
+        chains = _advance_front(survivors, cum, init, dyn, h_b, delta, h, flow_tol)
         cum.include(over_add)
 
         payload = over_add
@@ -1305,11 +1254,8 @@ def reach_invariant(
         tube.segments.append((t_accum, t_accum + delta, payload))
         t_accum += delta
         tube.iterations = it + 1
-        chains = [c for c in nxt if c[0].shape[0]]
-    if chains:
-        tube.iteration_cap = True
-    elif not tube.front_collapse:
-        tube.front_collapse = True
+    tube.iteration_cap = bool(chains)
+    tube.front_collapse = not chains
     return tube
 
 
@@ -1349,9 +1295,7 @@ def check_boundary_equivalence(
     full = init_over.copy()
     pts = np.vstack([_interior_lattice(init, h_b), front.points])
     for t0, t1 in intervals:
-        delta = t1 - t0
-        nsub = _substeps(delta, _max_speed(dyn, pts), h)
-        traj = _advect(dyn, pts, delta, nsub, h, flow_tol)
+        traj = _advect(dyn, pts, t1 - t0, h, flow_tol)
         full.mark_points(traj.reshape(-1, pts.shape[1]))
         pts = traj[:, -1]
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import expr as _expr
 from .errors import NonFiniteState, NumericRange, UnboundedFace
-from .geometry import Face, is_bounded, lp_maximize, vertices_2d
+from .geometry import Face, is_bounded, vertices_2d
 
 _PADE13 = (
     64764752532480000.0,
@@ -266,13 +266,12 @@ def max_norm_over_face(face: Face) -> float:
     if face.dim == 2:
         verts = vertices_2d(P)
         return float(np.max(np.linalg.norm(verts, axis=1)))
-    A_ub, b_ub, A_eq, b_eq = P.matrices()
     n = face.dim
     m = np.zeros(n)
     for j in range(n):
         e = np.zeros(n)
         e[j] = 1.0
-        hi = lp_maximize(e, A_ub, b_ub, A_eq, b_eq)
-        lo = lp_maximize(-e, A_ub, b_ub, A_eq, b_eq)
+        hi = P.maximize(e)
+        lo = P.maximize(-e)
         m[j] = max(abs(hi.value), abs(lo.value))
     return float(np.linalg.norm(m))

@@ -235,6 +235,10 @@ class Polyhedron:
         b_eq = np.array([h.offset for h in self.eqs], float)
         return A_ub, b_ub, A_eq, b_eq
 
+    def maximize(self, c) -> LPResult:
+        """Maximize ``c.x`` over the polyhedron (see lp_maximize)."""
+        return lp_maximize(c, *self.matrices())
+
     def contains(self, points, tol=TIGHT_TOL):
         """Membership of one point (bool) or an (m, n) batch (bool array)."""
         pts = np.asarray(points, float)
@@ -252,13 +256,12 @@ class Polyhedron:
         if is_empty(self):
             raise EmptyPolyhedron("bounding box of an empty polyhedron")
         n = self.dim
-        A_ub, b_ub, A_eq, b_eq = self.matrices()
         lo, hi = np.zeros(n), np.zeros(n)
         for j in range(n):
             e = np.zeros(n)
             e[j] = 1.0
-            up = lp_maximize(e, A_ub, b_ub, A_eq if len(b_eq) else None, b_eq if len(b_eq) else None)
-            dn = lp_maximize(-e, A_ub, b_ub, A_eq if len(b_eq) else None, b_eq if len(b_eq) else None)
+            up = self.maximize(e)
+            dn = self.maximize(-e)
             if up.status != "optimal" or dn.status != "optimal":
                 raise Unbounded2D(f"polyhedron unbounded along coordinate {j}")
             hi[j], lo[j] = up.value, -dn.value
@@ -327,15 +330,7 @@ class Face:
 
 def is_empty(P: Polyhedron, tol=TIGHT_TOL) -> bool:
     """Feasibility of the row system, decided by the phase-1 simplex."""
-    A_ub, b_ub, A_eq, b_eq = P.matrices()
-    res = lp_maximize(
-        np.zeros(P.dim),
-        A_ub if len(b_ub) else None,
-        b_ub if len(b_ub) else None,
-        A_eq if len(b_eq) else None,
-        b_eq if len(b_eq) else None,
-    )
-    return res.status == "infeasible"
+    return P.maximize(np.zeros(P.dim)).status == "infeasible"
 
 
 def is_bounded(P: Polyhedron) -> bool:
@@ -347,22 +342,21 @@ def is_bounded(P: Polyhedron) -> bool:
     if is_empty(P):
         warnings.warn("is_bounded called on an empty polyhedron", EmptyPolyhedronWarning)
         return True
-    A_ub, b_ub, A_eq, b_eq = P.matrices()
-    kw = dict(
-        A_ub=A_ub if len(b_ub) else None,
-        b_ub=b_ub if len(b_ub) else None,
-        A_eq=A_eq if len(b_eq) else None,
-        b_eq=b_eq if len(b_eq) else None,
-    )
     n = P.dim
     for j in range(n):
         e = np.zeros(n)
         e[j] = 1.0
-        if lp_maximize(e, **kw).status == "unbounded":
+        if P.maximize(e).status == "unbounded":
             return False
-        if lp_maximize(-e, **kw).status == "unbounded":
+        if P.maximize(-e).status == "unbounded":
             return False
     return True
+
+
+def grid_points(axes) -> np.ndarray:
+    """Every point of the lattice spanned by per-axis coordinates, as an
+    (N, len(axes)) array in C order (last axis fastest)."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
 # ---------------------------------------------------------------------------

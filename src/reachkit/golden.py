@@ -27,7 +27,7 @@ from .facelift import (
 )
 from .flow import expm, flow, max_norm_over_face, operator_norm, rk4
 from .flow import ExpressionDynamics
-from .geometry import Face, Polyhedron, is_bounded, lp_maximize, vertices_2d
+from .geometry import Face, Polyhedron, is_bounded, vertices_2d
 from .hybrid import PostParams, RegionSet, replay_witness, semi_decide_reach
 from .modelfile import bundled_model_path, load_model
 from .polyapprox import (
@@ -181,11 +181,7 @@ def check_a3():
     # the far cap row is redundant in the full system; certify by LP before
     # dropping it so the polygon is the published 7-corner one
     others = [h for i, h in enumerate(P.ineqs) if i != 9]
-    res = lp_maximize(
-        P.ineqs[9].normal,
-        np.array([h.normal for h in others]),
-        np.array([h.offset for h in others]),
-    )
+    res = Polyhedron(tuple(others)).maximize(P.ineqs[9].normal)
     if res.status != "optimal" or res.value > P.ineqs[9].offset + 1e-9:
         return False, "far cap row is not LP-redundant"
     verts = vertices_2d(Polyhedron(tuple(first8[:7])))
@@ -448,11 +444,8 @@ CRITERIA = [
 ]
 
 
-def run_golden_suite(fast=False, stream=None) -> int:
-    """Run every criterion, print a pass/fail table, return 0 iff all pass.
-
-    fast trims nothing today; it is accepted so batch callers can pass it
-    without version-checking."""
+def run_golden_suite(stream=None) -> int:
+    """Run every criterion, print a pass/fail table, return 0 iff all pass."""
     stream = stream if stream is not None else sys.stdout
     failures = 0
     print(f"{'id':<5}{'status':<7}{'seconds':>8}  detail", file=stream)

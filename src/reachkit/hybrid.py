@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DimMismatch, ModelError, PreconditionViolated
 from .facelift import GridRegion, reach_invariant
 from .flow import trajectory
-from .geometry import Polyhedron, is_empty
+from .geometry import Polyhedron, grid_points, is_empty
 
 __all__ = [
     "Edge",
@@ -73,8 +73,7 @@ class Edge:
 def _lattice_samples(P: Polyhedron, per_dim: int = 6):
     """A few interior samples of a bounded polyhedron (possibly none)."""
     lo, hi = P.bounding_box()
-    axes = [np.linspace(lo[j], hi[j], per_dim) for j in range(lo.size)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, lo.size)
+    mesh = grid_points([np.linspace(lo[j], hi[j], per_dim) for j in range(lo.size)])
     pts = mesh[P.contains(mesh, tol=1e-9)]
     if pts.shape[0] == 0:
         pts = ((lo + hi) / 2.0)[None, :]

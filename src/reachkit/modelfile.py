@@ -248,6 +248,8 @@ def parse_model(data, path=None) -> ModelFile:
     _check_keys(grid, _GRID_KEYS, "grid")
     for key, val in grid.items():
         _need(isinstance(val, (int, float)), f"grid.{key}: expected a number")
+        if key in ("cell", "dt", "delta"):
+            _need(0.0 < val < np.inf, f"grid.{key}: expected a positive finite number")
     flags = data.get("flags", {})
     _need(isinstance(flags, dict), "flags: expected an object")
     _check_keys(flags, _FLAG_KEYS, "flags")

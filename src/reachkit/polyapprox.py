@@ -30,8 +30,8 @@ from .geometry import (
     Halfspace,
     Polyhedron,
     convex_hull_2d,
+    grid_points,
     intersect,
-    lp_maximize,
     normalize_and_orthogonalize,
     vertices_2d,
 )
@@ -123,10 +123,8 @@ def check_A2(face: Face, A) -> float:
     otherwise. The face must be orthonormalized.
     """
     A = np.asarray(A, float)
-    P = face.as_polyhedron()
-    A_ub, b_ub, A_eq, b_eq = P.matrices()
     c = A.T @ face.base_normal
-    res = lp_maximize(-c, A_ub if len(b_ub) else None, b_ub if len(b_ub) else None, A_eq, b_eq)
+    res = face.as_polyhedron().maximize(-c)
     if res.status == "unbounded":
         raise AssumptionA2Violated(-np.inf, "outward derivative unbounded below over the face")
     if res.status != "optimal":
@@ -138,9 +136,7 @@ def check_A2(face: Face, A) -> float:
 
 
 def _face_lp_min(face: Face, c):
-    P = face.as_polyhedron()
-    A_ub, b_ub, A_eq, b_eq = P.matrices()
-    res = lp_maximize(-np.asarray(c, float), A_ub if len(b_ub) else None, b_ub if len(b_ub) else None, A_eq, b_eq)
+    res = face.as_polyhedron().maximize(-np.asarray(c, float))
     if res.status != "optimal":
         raise NumericRange(f"face LP ended {res.status} while scanning the time lattice")
     return -res.value
@@ -316,8 +312,7 @@ def _face_lattice(face: Face, target: int) -> np.ndarray:
     P = face.as_polyhedron()
     lo, hi = P.bounding_box()
     per_axis = max(2, int(math.ceil(target ** (1.0 / face.dim))) + 1)
-    axes = [np.linspace(lo[j], hi[j], per_axis) for j in range(face.dim)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, face.dim)
+    mesh = grid_points([np.linspace(lo[j], hi[j], per_axis) for j in range(face.dim)])
     ak, bk = face.base_normal, face.base_offset
     mesh = mesh - np.outer(mesh @ ak - bk, ak)  # project onto the base hyperplane
     keep = np.ones(mesh.shape[0], bool)

@@ -146,6 +146,46 @@ def test_nonfinite_field_exits_3_without_traceback(tmp_path, capfd):
     assert "Traceback" not in err
 
 
+def test_unbounded_initial_set_exits_2_without_traceback(tmp_path, capfd):
+    # the single row x1 <= 1 leaves the initial set without a bounding box
+    path = write_model(
+        tmp_path,
+        {
+            "schema": 1,
+            "kind": "reach",
+            "dynamics": {"expressions": ["1", "1"]},
+            "initial": {"rows": [[1, 0, 1]]},
+            "grid": {"cell": 0.05, "dt": 0.5, "tau": 1.0},
+        },
+    )
+    assert run(["reach", path, "--out", str(tmp_path / "o")]) == 2
+    err = capfd.readouterr().err
+    assert "Unbounded2D" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key,value", [("cell", -0.05), ("dt", 0.0)])
+def test_nonpositive_grid_step_exits_2_without_traceback(tmp_path, capfd, key, value):
+    grid = {"cell": 0.05, "dt": 0.5, "tau": 1.0}
+    data = {
+        "schema": 1,
+        "kind": "reach",
+        "dynamics": {"expressions": ["1", "1"]},
+        "initial": {"box": [[0.0, 0.0], [1.0, 1.0]]},
+        "grid": {**grid, key: value},
+    }
+    assert run(["reach", write_model(tmp_path, data), "--out", str(tmp_path / "o")]) == 2
+    err = capfd.readouterr().err
+    assert f"grid.{key}" in err
+    assert "Traceback" not in err
+    # the same value as a flag is refused while parsing the arguments
+    ok = write_model(tmp_path, {**data, "grid": grid}, name="ok.json")
+    with pytest.raises(SystemExit) as exc:
+        run(["reach", ok, "--out", str(tmp_path / "o"), f"--{key}", str(value)])
+    assert exc.value.code == 2
+    assert f"--{key}" in capfd.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # reach-inv
 

@@ -105,6 +105,30 @@ def test_lp_known_corner_cases():
     assert lp_maximize([1], [[-1]], [0]).status == "unbounded"
 
 
+def test_maximize_matches_lp_maximize_with_absent_rows_as_none():
+    # matrices() hands the LP (0, n) arrays for a missing row kind; the
+    # result must be the one lp_maximize gives with None there
+    rng = np.random.default_rng(11)
+    box = Polyhedron.box([0.0, -1.0, 0.5], [1.0, 2.0, 3.0])
+    face = Face([[1.0, 0.0], [-1.0, 0.0]], [1.0, 2.0], [0.0, 1.0], 0.5)
+    line = Polyhedron((), (Halfspace([1.0, 1.0], 1.0),))
+    cases = [
+        (box, lambda c, A, b, E, f: lp_maximize(c, A, b, None, None)),
+        (face.as_polyhedron(), lambda c, A, b, E, f: lp_maximize(c, A, b, E, f)),
+        (line, lambda c, A, b, E, f: lp_maximize(c, None, None, E, f)),
+    ]
+    for P, reference in cases:
+        A, b, E, f = P.matrices()
+        for c in [*rng.normal(size=(6, P.dim)), np.ones(P.dim), np.zeros(P.dim)]:
+            got, want = P.maximize(c), reference(c, A, b, E, f)
+            assert got.status == want.status
+            assert got.value == want.value
+            assert (got.x is None and want.x is None) or np.array_equal(got.x, want.x)
+    assert box.maximize(np.ones(3)).value == pytest.approx(6.0)
+    assert line.maximize(np.ones(2)).status == "optimal"
+    assert line.maximize([1.0, 0.0]).status == "unbounded"
+
+
 def test_emptiness_and_boundedness():
     square = Polyhedron.box([0, 0], [1, 1])
     assert not is_empty(square)
