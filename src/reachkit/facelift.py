@@ -18,6 +18,7 @@ import numpy as np
 from . import expr as expression
 from .errors import (
     AssumptionA2Violated,
+    DegenerateNormal,
     DimMismatch,
     EmptyBoundary,
     EmptyPolyhedron,
@@ -99,7 +100,7 @@ def _polyhedron_faces(P: Polyhedron):
         )
         try:
             faces.append((i, normalize_and_orthogonalize(cand)))
-        except InfeasibleFace:
+        except (DegenerateNormal, InfeasibleFace):
             continue  # row never tight: no facet
     return faces
 
@@ -132,6 +133,25 @@ def _facet_interior_lattice(face: Face, h_b: float):
     return mesh[keep]
 
 
+def _newton_project(ls: LevelSet, x, iters: int):
+    """Move each row of x toward l = 0 by ``iters`` Newton steps along the
+    gradient, x <- x - l(x) g / |g|^2. A sample whose gradient is not finite
+    or has |g|^2 < 1e-18 stops where it is. Returns (x, ok), ok False for
+    the stopped samples."""
+    x = np.array(x, float)
+    ok = np.ones(x.shape[0], bool)
+    for _ in range(iters):
+        act = np.nonzero(ok)[0]
+        g = ls.gradient(x[act])
+        # a batched matmul sums |g|^2 in the same order as a per-point g @ g
+        gg = (g[:, None, :] @ g[:, :, None])[:, 0, 0]
+        good = np.all(np.isfinite(g), axis=1) & (gg >= 1e-18)
+        ok[act[~good]] = False
+        act, g, gg = act[good], g[good], gg[good]
+        x[act] = x[act] - ls.value(x[act])[:, None] * g / gg[:, None]
+    return x, ok
+
+
 def _levelset_boundary_2d(ls: LevelSet, h_b: float):
     """Zero-set samples: sign changes on a scan grid, refined by normal
     projection, ordered by angle around their centroid (one closed chain)."""
@@ -142,44 +162,28 @@ def _levelset_boundary_2d(ls: LevelSet, h_b: float):
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     V = ls.value(np.stack([X, Y], axis=-1))
 
-    pts = []
-    flip_x = V[:-1, :] * V[1:, :] <= 0.0
-    for i, j in zip(*np.nonzero(flip_x)):
-        v0, v1 = V[i, j], V[i + 1, j]
-        if v0 == 0.0 and v1 == 0.0:
-            continue
-        t = v0 / (v0 - v1) if v0 != v1 else 0.5
-        pts.append([xs[i] + t * (xs[i + 1] - xs[i]), ys[j]])
-    flip_y = V[:, :-1] * V[:, 1:] <= 0.0
-    for i, j in zip(*np.nonzero(flip_y)):
-        v0, v1 = V[i, j], V[i, j + 1]
-        if v0 == 0.0 and v1 == 0.0:
-            continue
-        t = v0 / (v0 - v1) if v0 != v1 else 0.5
-        pts.append([xs[i], ys[j] + t * (ys[j + 1] - ys[j])])
-    if not pts:
+    # linear interpolation of every sign change between scan-grid
+    # neighbors: all crossings along x first, then all along y
+    parts = []
+    for ax, v0, v1 in ((0, V[:-1, :], V[1:, :]), (1, V[:, :-1], V[:, 1:])):
+        flip = (v0 * v1 <= 0.0) & ((v0 != 0.0) | (v1 != 0.0))
+        idx = np.nonzero(flip)
+        v0, v1 = v0[flip], v1[flip]
+        t = np.divide(v0, v0 - v1, out=np.full(v0.shape, 0.5), where=v0 != v1)
+        cross = np.stack([xs[idx[0]], ys[idx[1]]], axis=1)
+        coord, k = (xs, ys)[ax], idx[ax]
+        cross[:, ax] = coord[k] + t * (coord[k + 1] - coord[k])
+        parts.append(cross)
+    pts = np.vstack(parts)
+    if pts.shape[0] == 0:
         raise EmptyBoundary("level set has no zero crossing inside its box")
-    pts = np.array(pts)
 
-    dropped = 0
-    refined = []
-    for p in pts:
-        x = p.copy()
-        ok = True
-        for _ in range(6):
-            g = ls.gradient(x[None, :])[0]
-            gg = float(g @ g)
-            if not np.all(np.isfinite(g)) or gg < 1e-18:
-                ok = False
-                break
-            x = x - float(ls.value(x[None, :])[0]) * g / gg
-        if ok and np.all(np.isfinite(x)):
-            refined.append(x)
-        else:
-            dropped += 1
-    if not refined:
+    pts, ok = _newton_project(ls, pts, 6)
+    ok &= np.all(np.isfinite(pts), axis=1)
+    dropped = int(np.sum(~ok))
+    if dropped == pts.shape[0]:
         raise EmptyBoundary("every boundary sample lost its gradient")
-    pts = np.array(refined)
+    pts = pts[ok]
 
     # dedupe on an h_b/2 bucket grid, then order around the centroid
     key = np.round(pts / (h_b / 2.0)).astype(int)
@@ -192,28 +196,19 @@ def _levelset_boundary_2d(ls: LevelSet, h_b: float):
 
 def _levelset_boundary_nd(ls: LevelSet, h_b: float):
     mesh = grid_points([np.arange(ls.lo[j], ls.hi[j] + 1e-12, h_b) for j in range(ls.dim)])
-    dropped = 0
-    keep = []
-    for p in mesh:
-        x = p.copy()
-        bad = False
-        for _ in range(8):
-            g = ls.gradient(x[None, :])[0]
-            gg = float(g @ g)
-            if not np.all(np.isfinite(g)) or gg < 1e-18:
-                bad = True
-                break
-            x = x - float(ls.value(x[None, :])[0]) * g / gg
-        if bad:
-            dropped += 1
-            continue
-        if abs(float(ls.value(x[None, :])[0])) < 1e-9 and np.all(x >= ls.lo - h_b) and np.all(
-            x <= ls.hi + h_b
-        ):
-            keep.append(x)
-    if not keep:
+    pts, ok = _newton_project(ls, mesh, 8)
+    # only a lost gradient counts as dropped; a sample that did not reach
+    # the zero set inside the widened box is skipped silently
+    dropped = int(np.sum(~ok))
+    pts = pts[ok]
+    keep = (
+        (np.abs(ls.value(pts)) < 1e-9)
+        & np.all(pts >= ls.lo - h_b, axis=1)
+        & np.all(pts <= ls.hi + h_b, axis=1)
+    )
+    if not keep.any():
         raise EmptyBoundary("no projected lattice point reached the zero set")
-    pts = np.array(keep)
+    pts = pts[keep]
     key = np.round(pts / (h_b / 2.0)).astype(int)
     _, first = np.unique(key, axis=0, return_index=True)
     return pts[np.sort(first)], dropped
@@ -280,10 +275,6 @@ class BoundaryFront:
     @property
     def front_mask(self):
         return self.tags != INFLOW
-
-    @property
-    def outflow_points(self):
-        return self.points[self.tags == OUTFLOW]
 
     @property
     def front_points(self):
@@ -423,30 +414,6 @@ class GridRegion:
         self.out_of_box += int(np.sum(~inbox))
         if inbox.any():
             self.occupancy[tuple(idx[inbox].T)] = True
-
-    def mark_segment(self, a, b):
-        a = np.asarray(a, float)
-        b = np.asarray(b, float)
-        d = b - a
-        ts = [0.0, 1.0]
-        for ax in range(self.dim):
-            if abs(d[ax]) < 1e-15:
-                continue
-            k0 = (a[ax] - self.lo[ax]) / self.h
-            k1 = (b[ax] - self.lo[ax]) / self.h
-            for k in range(int(math.floor(min(k0, k1))) + 1, int(math.ceil(max(k0, k1)))):
-                ts.append(float(np.clip((k - k0) / (k1 - k0), 0.0, 1.0)))
-        ts = sorted(set(ts))
-        mids = [a + 0.5 * (t0 + t1) * d for t0, t1 in zip(ts[:-1], ts[1:])]
-        self.mark_points(np.array(mids + [a, b]))
-
-    def mark_polyline(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, float))
-        if pts.shape[0] == 1:
-            self.mark_points(pts)
-            return
-        for i in range(pts.shape[0] - 1):
-            self.mark_segment(pts[i], pts[i + 1])
 
     def include(self, other):
         if not self.compatible(other):
@@ -771,14 +738,14 @@ def _max_speed(dyn, pts):
     return speed
 
 
-def _advect(dyn, pts, delta, h, tol):
+def _advect(dyn, pts, delta, h):
     """Substepped flow over [0, delta]: (m, nsub+1, dim) trajectories, with
     nsub set so the fastest sample at the start covers at most h/2 per
     substep. Raises StepTooCoarse when one substep moves a sample further
     than 2h (the field sped up along the way)."""
     nsub = max(1, int(math.ceil(abs(delta) * _max_speed(dyn, pts) / (0.5 * h))))
     try:
-        traj = trajectory(dyn, pts, delta, nsub, tol)
+        traj = trajectory(dyn, pts, delta, nsub)
     except NonFiniteState as exc:
         # a too-coarse substep before the blow-up is the error to report
         _check_substeps(exc.partial, h)
@@ -798,7 +765,7 @@ def _check_substeps(traj, h):
         )
 
 
-def _resample_chain(dyn, pre, pts, closed, h_b, delta, h, tol, max_rounds=6):
+def _resample_chain(dyn, pre, pts, closed, h_b, delta, h, max_rounds=6):
     """Insert flowed pre-image midpoints wherever advected neighbors drift
     more than 2 h_b apart, keeping the front h_b-dense."""
     pre = pre.copy()
@@ -813,7 +780,7 @@ def _resample_chain(dyn, pre, pts, closed, h_b, delta, h, tol, max_rounds=6):
         if wide.size == 0:
             return pts
         mids = np.array([0.5 * (pre[i] + pre[(i + 1) % pre.shape[0]]) for i in wide])
-        moved = _advect(dyn, mids, delta, h, tol)[:, -1]
+        moved = _advect(dyn, mids, delta, h)[:, -1]
         pos = {int(i): j for j, i in enumerate(wide)}
         new_pts, new_pre = [], []
         for i in range(pts.shape[0]):
@@ -886,7 +853,7 @@ def _interior_lattice(init, spacing):
     return mesh[init.contains(mesh, tol=0.0)]
 
 
-def _advance_front(advected, cum, init, dyn, h_b, delta, h, flow_tol):
+def _advance_front(advected, cum, init, dyn, h_b, delta, h):
     """Next front from (pre-image, advected end, closed) chains: ends that
     fell into cum (swept before this step) or strictly inside init are
     pruned, chains split at the pruned samples, ordered runs resampled."""
@@ -897,14 +864,12 @@ def _advance_front(advected, cum, init, dyn, h_b, delta, h, flow_tol):
             if rclosed is None:
                 run = ends[idxs]
             else:
-                run = _resample_chain(
-                    dyn, pre[idxs], ends[idxs], rclosed, h_b, delta, h, flow_tol
-                )
+                run = _resample_chain(dyn, pre[idxs], ends[idxs], rclosed, h_b, delta, h)
             nxt.append((run, rclosed))
     return [c for c in nxt if c[0].shape[0]]
 
 
-def _front_sweep(chains, init, dyn, intervals, cum, h, h_b, flow_tol):
+def _front_sweep(chains, init, dyn, intervals, cum, h, h_b):
     """Advect the front over each interval, marking swept cells into cum.
     Returns (segments, collapsed); collapsed means the front emptied."""
     segments = []
@@ -915,10 +880,10 @@ def _front_sweep(chains, init, dyn, intervals, cum, h, h_b, flow_tol):
         seg = cum.blank()
         advected = []
         for pts, closed in chains:
-            traj = _advect(dyn, pts, delta, h, flow_tol)
+            traj = _advect(dyn, pts, delta, h)
             seg.mark_points(traj.reshape(-1, pts.shape[1]))
             advected.append((pts, traj[:, -1], closed))
-        chains = _advance_front(advected, cum, init, dyn, h_b, delta, h, flow_tol)
+        chains = _advance_front(advected, cum, init, dyn, h_b, delta, h)
         cum.include(seg)
         segments.append((t0, t1, seg))
     return segments, not chains
@@ -1001,7 +966,6 @@ def reach_bounded_time(
     h_b: float | None = None,
     box=None,
     bounds: str = "conservative",
-    flow_tol: float = 1e-8,
     force_front: bool = False,
 ) -> ReachTube:
     """Reach set over [0, tau] grown from the outward boundary front.
@@ -1037,7 +1001,7 @@ def reach_bounded_time(
 
     front = classify_boundary(init, dyn, h_b)
     segments, collapsed = _front_sweep(
-        front.front_chains(), init, dyn, grid.intervals(tau), cum, h, h_b, flow_tol
+        front.front_chains(), init, dyn, grid.intervals(tau), cum, h, h_b
     )
     tube = ReachTube(
         segments=segments,
@@ -1063,7 +1027,7 @@ def reach_bounded_time(
         prefix.include(seg)
         useg = under_cum.blank()
         if samples.shape[0]:
-            traj = _advect(dyn, samples, t1 - t0, h, flow_tol)
+            traj = _advect(dyn, samples, t1 - t0, h)
             flat = traj.reshape(-1, samples.shape[1])
             useg.mark_points(flat[prefix.contains_points(flat)])
             samples = traj[:, -1]
@@ -1133,7 +1097,6 @@ def reach_invariant(
     h_b: float | None = None,
     box=None,
     literal_under: bool = False,
-    flow_tol: float = 1e-8,
 ) -> ReachTube:
     """Reach set of trajectories that never leave a polyhedral invariant.
 
@@ -1203,7 +1166,7 @@ def reach_invariant(
         trajs = []
         t_full = cum.blank()
         for pts, _ in chains:
-            traj = _advect(dyn, pts, delta, h, flow_tol)
+            traj = _advect(dyn, pts, delta, h)
             t_full.mark_points(traj.reshape(-1, pts.shape[1]))
             trajs.append(traj)
         flat = np.vstack([t.reshape(-1, t.shape[2]) for t in trajs])
@@ -1217,7 +1180,7 @@ def reach_invariant(
             u = u[np.sort(first)]
             if u.shape[0] > 2000:
                 u = u[:: int(math.ceil(u.shape[0] / 2000.0))]
-            v_pts = _advect(dyn, u, -delta, h, flow_tol).reshape(-1, u.shape[1])
+            v_pts = _advect(dyn, u, -delta, h).reshape(-1, u.shape[1])
 
         t_prime = cum.blank()
         survivors = []
@@ -1238,7 +1201,7 @@ def reach_invariant(
         over_add = cum.blank()
         over_add.occupancy = t_prime.occupancy | (t_full.occupancy & touch_q)
         over_add.out_of_box = t_full.out_of_box
-        chains = _advance_front(survivors, cum, init, dyn, h_b, delta, h, flow_tol)
+        chains = _advance_front(survivors, cum, init, dyn, h_b, delta, h)
         cum.include(over_add)
 
         payload = over_add
@@ -1271,7 +1234,6 @@ def check_boundary_equivalence(
     h_b: float | None = None,
     grid=None,
     box=None,
-    flow_tol: float = 1e-8,
 ) -> dict:
     """Compare three sweeps of one horizon on one grid: a dense sample of
     the whole initial set (the oracle), the whole boundary, and the
@@ -1295,13 +1257,13 @@ def check_boundary_equivalence(
     full = init_over.copy()
     pts = np.vstack([_interior_lattice(init, h_b), front.points])
     for t0, t1 in intervals:
-        traj = _advect(dyn, pts, t1 - t0, h, flow_tol)
+        traj = _advect(dyn, pts, t1 - t0, h)
         full.mark_points(traj.reshape(-1, pts.shape[1]))
         pts = traj[:, -1]
 
     def swept(chains):
         cum = init_over.blank()
-        _front_sweep(chains, init, dyn, intervals, cum, h, h_b, flow_tol)
+        _front_sweep(chains, init, dyn, intervals, cum, h, h_b)
         cum.include(init_over)
         return cum
 

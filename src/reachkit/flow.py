@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as _expr
-from .errors import NonFiniteState, NumericRange, UnboundedFace
-from .geometry import Face, is_bounded, vertices_2d
+from .errors import NonFiniteState, NumericRange, Unbounded2D, UnboundedFace
+from .geometry import Face, vertices_2d
 
 _PADE13 = (
     64764752532480000.0,
@@ -261,17 +261,10 @@ def max_norm_over_face(face: Face) -> float:
     that care which regime applied should check face.dim.
     """
     P = face.as_polyhedron()
-    if not is_bounded(P):
-        raise UnboundedFace("norm has no maximum over an unbounded face")
-    if face.dim == 2:
-        verts = vertices_2d(P)
-        return float(np.max(np.linalg.norm(verts, axis=1)))
-    n = face.dim
-    m = np.zeros(n)
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        hi = P.maximize(e)
-        lo = P.maximize(-e)
-        m[j] = max(abs(hi.value), abs(lo.value))
-    return float(np.linalg.norm(m))
+    try:
+        if face.dim == 2:
+            return float(np.max(np.linalg.norm(vertices_2d(P), axis=1)))
+        lo, hi = P.bounding_box()
+    except Unbounded2D:
+        raise UnboundedFace("norm has no maximum over an unbounded face") from None
+    return float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi))))

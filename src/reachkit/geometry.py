@@ -252,15 +252,18 @@ class Polyhedron:
         return bool(ok[0]) if single else ok
 
     def bounding_box(self):
-        """Tight coordinate box (lo, hi); raises if empty or unbounded."""
-        if is_empty(self):
-            raise EmptyPolyhedron("bounding box of an empty polyhedron")
+        """Tight coordinate box (lo, hi) from the LPs max/min x_j, j in
+        order; raises EmptyPolyhedron if empty, Unbounded2D at the first
+        unbounded coordinate. Phase 1 of the simplex does not depend on
+        the objective, so the first LP already decides emptiness."""
         n = self.dim
         lo, hi = np.zeros(n), np.zeros(n)
         for j in range(n):
             e = np.zeros(n)
             e[j] = 1.0
             up = self.maximize(e)
+            if up.status == "infeasible":
+                raise EmptyPolyhedron("bounding box of an empty polyhedron")
             dn = self.maximize(-e)
             if up.status != "optimal" or dn.status != "optimal":
                 raise Unbounded2D(f"polyhedron unbounded along coordinate {j}")
@@ -339,17 +342,12 @@ def is_bounded(P: Polyhedron) -> bool:
     An empty polyhedron returns True by convention and emits
     EmptyPolyhedronWarning so the caller can decide.
     """
-    if is_empty(P):
+    try:
+        P.bounding_box()
+    except EmptyPolyhedron:
         warnings.warn("is_bounded called on an empty polyhedron", EmptyPolyhedronWarning)
-        return True
-    n = P.dim
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        if P.maximize(e).status == "unbounded":
-            return False
-        if P.maximize(-e).status == "unbounded":
-            return False
+    except Unbounded2D:
+        return False
     return True
 
 
@@ -372,12 +370,12 @@ def vertices_2d(P: Polyhedron) -> np.ndarray:
     """
     if P.dim != 2:
         raise DimMismatch(f"vertices_2d needs dim 2, got {P.dim}")
-    if is_empty(P):
-        raise Empty2D("no vertices: polyhedron is empty")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EmptyPolyhedronWarning)
-        if not is_bounded(P):
-            raise Unbounded2D("no finite vertex set: polyhedron is unbounded")
+    try:
+        P.bounding_box()
+    except EmptyPolyhedron:
+        raise Empty2D("no vertices: polyhedron is empty") from None
+    except Unbounded2D:
+        raise Unbounded2D("no finite vertex set: polyhedron is unbounded") from None
 
     rows = P.rows
     cand = []

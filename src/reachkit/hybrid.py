@@ -237,7 +237,6 @@ class PostParams:
 
     dt: float
     tau: float = 1.0
-    flow_tol: float = 1e-8
 
     def horizon(self, q) -> float:
         if isinstance(self.tau, dict):
@@ -288,7 +287,6 @@ def post(H: HybridSystem, S: RegionSet, params: PostParams) -> RegionSet:
             h=region.h,
             box=(region.lo, region.hi),
             tau_max=params.horizon(q),
-            flow_tol=params.flow_tol,
         )
         R_q = tube.combined_region()
         if tube.iteration_cap:
@@ -427,11 +425,11 @@ class ReplayResult:
         return bad
 
 
-def _sim_paths(dyn, starts, tau, step, tol):
+def _sim_paths(dyn, starts, tau, step):
     """Incrementally integrate a start batch: (m, k+1, n) path samples
     plus the shared sample times."""
     n = max(1, int(math.ceil(tau / step)))
-    return trajectory(dyn, starts, tau, n, tol), np.linspace(0.0, tau, n + 1)
+    return trajectory(dyn, starts, tau, n), np.linspace(0.0, tau, n + 1)
 
 
 def _greedy_replay(H, q, starts, witness, jumps, params, h, best):
@@ -445,7 +443,7 @@ def _greedy_replay(H, q, starts, witness, jumps, params, h, best):
     G, dyn = H.invariants[q], H.dynamics[q]
     speed = float(np.max(np.linalg.norm(np.atleast_2d(dyn.evaluate(starts)), axis=1)))
     step = min(params.dt, h / (2.0 * speed)) if speed > 1e-12 else params.dt
-    paths, times = _sim_paths(dyn, starts, params.horizon(q), step, params.flow_tol)
+    paths, times = _sim_paths(dyn, starts, params.horizon(q), step)
     m, k1, dim = paths.shape
     inside = G.contains(paths.reshape(-1, dim), tol=1e-7).reshape(m, k1)
     alive = np.cumprod(inside, axis=1).astype(bool)  # prefix before leaving G

@@ -154,7 +154,7 @@ def c1_minimum(face: Face, A, delta: float, t_samples: int = 65) -> float:
     return float(best)
 
 
-def check_C1(prob: StepProblem, samples: int | None = None) -> bool:
+def check_C1(prob: StepProblem) -> bool:
     """Spot-check the outward condition along the step and its corollaries.
 
     True iff the sampled minimum of a_k . A e^{At} x0 over t in
@@ -163,12 +163,10 @@ def check_C1(prob: StepProblem, samples: int | None = None) -> bool:
     """
     if prob.delta0 is None:
         return False
-    nt = samples or prob.t_samples
-    c1 = c1_minimum(prob.face, prob.matrix, prob.delta, nt) if samples else prob.c1_min
-    if c1 < prob.delta0 - _C1_SLACK:
+    if prob.c1_min < prob.delta0 - _C1_SLACK:
         return False
     ak, bk = prob.face.base_normal, prob.face.base_offset
-    for t in np.linspace(0.0, prob.delta, max(3, nt // 2))[1:]:
+    for t in np.linspace(0.0, prob.delta, max(3, prob.t_samples // 2))[1:]:
         ct = expm(prob.matrix, float(t)).T @ ak
         if _face_lp_min(prob.face, ct) - bk < -_C1_SLACK:
             return False  # a forward point fell back through the base plane

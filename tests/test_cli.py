@@ -164,6 +164,55 @@ def test_unbounded_initial_set_exits_2_without_traceback(tmp_path, capfd):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("path_kind", ["front", "polyhedral"])
+def test_redundant_parallel_row_is_not_a_face(tmp_path, path_kind):
+    # x1 <= 1 is implied by 2 x1 <= 1: the face on it is never tight
+    rows = [[1, 0, 1], [2, 0, 1], [-1, 0, 0], [0, 1, 1], [0, -1, 0]]
+    dynamics = {"expressions": ["1", "1"]}
+    if path_kind == "polyhedral":
+        # shifted off the origin so every face is strictly in- or outflow
+        rows = [[a1, a2, b + a1 + a2] for a1, a2, b in rows]
+        dynamics = {"matrix": [[0.0, -1.0], [1.0, 0.0]]}
+    data = {
+        "schema": 1,
+        "kind": "reach",
+        "dynamics": dynamics,
+        "initial": {"rows": rows},
+        "grid": {"cell": 0.05, "dt": 0.5, "tau": 1.0},
+    }
+    out = str(tmp_path / "rows")
+    assert run(["reach", write_model(tmp_path, data), "--out", out]) == 0
+    assert read_report(out)["diagnostics"]["path"] == path_kind
+    if path_kind == "front":
+        box = write_model(tmp_path, {**data, "initial": {"box": [[0, 0], [0.5, 1]]}}, "box.json")
+        assert run(["reach", box, "--out", str(tmp_path / "box")]) == 0
+        assert read_lines(out, "segments.csv") == read_lines(str(tmp_path / "box"), "segments.csv")
+
+
+def test_degenerate_polyapprox_side_exits_2_without_traceback(tmp_path, capfd):
+    with open(model("example2.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    # the second side is parallel to the base row and cuts the face away
+    data["face"]["sides"] = [[1, 0, 1.4142135623730951], [0, 1, -1]]
+    data["face"]["base"] = [0, 1, 0]
+    path = write_model(tmp_path, data)
+    assert run(["polyapprox", path, "--out", str(tmp_path / "o")]) == 2
+    err = capfd.readouterr().err
+    assert "DegenerateNormal" in err
+    assert "Traceback" not in err
+
+
+def test_unbounded_hybrid_invariant_exits_2_without_traceback(tmp_path, capfd):
+    with open(model("hybrid_drift.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["locations"][0]["invariant"] = {"rows": [[-1, 0, 0.5], [0, -1, 0.5]]}
+    path = write_model(tmp_path, data)
+    assert run(["hybrid-reach", path, "--out", str(tmp_path / "o")]) == 2
+    err = capfd.readouterr().err
+    assert "Unbounded2D" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("key,value", [("cell", -0.05), ("dt", 0.0)])
 def test_nonpositive_grid_step_exits_2_without_traceback(tmp_path, capfd, key, value):
     grid = {"cell": 0.05, "dt": 0.5, "tau": 1.0}

@@ -1,5 +1,6 @@
 """Boundary classification, grid regions and the two reach procedures."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from reachkit.facelift import (
     LevelSet,
     TimeGrid,
     _front_sweep,
+    _levelset_boundary,
     check_boundary_equivalence,
     classify_boundary,
     reach_bounded_time,
@@ -62,14 +64,6 @@ def test_mark_points_and_membership():
     assert g.out_of_box == 1
     got = g.contains_points(np.array([[0.2, 0.2], [0.6, 0.6], [0.95, 0.8]]))
     assert got.tolist() == [True, False, True]
-
-
-def test_mark_segment_covers_crossed_cells():
-    g = GridRegion([0.0, 0.0], [1.0, 1.0], 0.1)
-    a, b = np.array([0.05, 0.05]), np.array([0.95, 0.55])
-    g.mark_segment(a, b)
-    for t in np.linspace(0.0, 1.0, 200):
-        assert g.contains_points((a + t * (b - a))[None, :])[0]
 
 
 def test_mark_polyhedron_over_under():
@@ -245,6 +239,57 @@ def test_classify_empty_cases():
         )
 
 
+def test_classify_sphere_projects_lattice_onto_zero_set():
+    sphere = LevelSet("x1*x1 + x2*x2 + x3*x3 - 1", [-1.3] * 3, [1.3] * 3)
+    front = classify_boundary(sphere, LinearDynamics(np.eye(3)), 0.2)
+    m = front.points.shape[0]
+    assert m > 0
+    assert np.all(np.abs(sphere.value(front.points)) < 1e-9)
+    assert front.dropped == 0
+    assert front.chains == [(0, m, None)]
+
+
+# sha256 of the sample bytes and the dropped count, recorded from the
+# per-point Newton loops the batched projection replaced
+LEVELSET_DIGESTS = [
+    (unit_disk(), 0.025, "b049d1383cc76adc76ab9384881551c9c8cbcb8a10565048a95abb5596a09ab7", 0),
+    (unit_disk(), 0.005, "003e1977a089ac7eff37725dfd6919676e14ac6fb57e369b8be740569f6c4956", 0),
+    (
+        LevelSet("x1*x1 - x2*x2", [-1.0, -1.0], [1.0, 1.0]),
+        0.025,
+        "f3fa0776d30b21b02aece41f9f3a7e955af07ce5c3c5b788a43c6e31eee1b875",
+        0,
+    ),
+    # the x1 = 0 branch has a vanishing gradient: its samples are dropped
+    (
+        LevelSet("x1*x1*x1*(x1*x1 + x2*x2 - 0.25)", [-1.0, -1.0], [1.0, 1.0]),
+        0.05,
+        "6646c4c4add7944451e69b8725e47f97e4a9d851561c9b425d8f123c54844762",
+        80,
+    ),
+    (
+        LevelSet("x1*x1 + x2*x2 + x3*x3 - 1", [-1.3] * 3, [1.3] * 3),
+        0.2,
+        "a280ddada5f51c390c0d4b1298c432a40012dac11525a22f0a44071bcbb265a3",
+        0,
+    ),
+    # the lattice hits the center, where the gradient vanishes
+    (
+        LevelSet("x1*x1 + x2*x2 + x3*x3 - 1", [-1.3] * 3, [1.3] * 3),
+        0.1,
+        "5b6dc76e6bb4eef907c9f109135c5bb775fdc5e432714c239223837a72e43c8e",
+        1,
+    ),
+]
+
+
+@pytest.mark.parametrize("ls,h_b,digest,dropped", LEVELSET_DIGESTS)
+def test_levelset_boundary_samples_are_unchanged(ls, h_b, digest, dropped):
+    pts, got_dropped = _levelset_boundary(ls, h_b)
+    assert hashlib.sha256(pts.tobytes()).hexdigest() == digest
+    assert got_dropped == dropped
+
+
 # ---------------------------------------------------------------------------
 # bounded-time reach, front path
 
@@ -333,9 +378,7 @@ def test_semigroup_restart_from_boundary():
     region = first.combined_region()
     chains = [(region.boundary_cell_centers(), None)]
     grid = TimeGrid.uniform(0.5, 0.125)
-    _front_sweep(
-        chains, unit_square(), DRIFT, grid.intervals(0.5), region, h, h / 2.0, 1e-8
-    )
+    _front_sweep(chains, unit_square(), DRIFT, grid.intervals(0.5), region, h, h / 2.0)
     gap = region.hausdorff(direct.combined_region())
     assert gap <= 2.0 * h + 1e-12
 

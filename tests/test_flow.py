@@ -176,11 +176,11 @@ def test_advect_rejects_coarse_substep():
     dyn = ExpressionDynamics.parse(["x1*x1", "0"])
     slow = np.array([[0.5, 0.0], [0.5, 1.0]])
     # start speed 0.25 over 0.5 at h = 0.05: ceil(0.125 / 0.025) = 5 substeps
-    assert _advect(dyn, slow, 0.5, 0.05, 1e-8).shape == (2, 6, 2)
+    assert _advect(dyn, slow, 0.5, 0.05).shape == (2, 6, 2)
     fast = np.array([[1.0, 0.0], [0.5, 1.0]])
     # from x1 = 1 the exact solution 1/(1 - t) reaches 10 at t = 0.9
     with pytest.raises(StepTooCoarse, match="in one substep \\(limit 0.1\\)"):
-        _advect(dyn, fast, 0.9, 0.05, 1e-8)
+        _advect(dyn, fast, 0.9, 0.05)
 
 
 def test_max_norm_over_face_2d_exact():
