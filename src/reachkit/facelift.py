@@ -43,6 +43,8 @@ OUTFLOW = "outflow"
 TANGENTIAL = "tangential"
 INFLOW = "inflow"
 
+_HAUSDORFF_CAP_CELLS = 8  # GridRegion.hausdorff gives up (inf) beyond this many cells
+
 
 # ---------------------------------------------------------------------------
 # initial sets
@@ -579,10 +581,10 @@ class GridRegion:
         if idx is not None:
             self.occupancy[tuple(idx.T)] = True
 
-    def hausdorff(self, other, cap_cells: int = 8) -> float:
+    def hausdorff(self, other) -> float:
         """Symmetric grid Hausdorff gap: largest Chebyshev cell distance
         from a marked cell to the other region, in length units. Returns
-        inf beyond cap_cells and when exactly one side is empty."""
+        inf beyond _HAUSDORFF_CAP_CELLS and when exactly one side is empty."""
         if not self.compatible(other):
             raise DimMismatch("grid layouts differ")
         a, b = self.occupancy, other.occupancy
@@ -596,7 +598,7 @@ class GridRegion:
             idx = np.argwhere(A)
             remaining = np.ones(idx.shape[0], bool)
             dist = np.zeros(idx.shape[0])
-            for r in range(cap_cells + 1):
+            for r in range(_HAUSDORFF_CAP_CELLS + 1):
                 offs = [
                     np.array(o) - r
                     for o in np.ndindex(*(2 * r + 1,) * self.dim)
@@ -917,7 +919,6 @@ def _linear_poly_reach(init, dyn, tau, grid, bounds):
             )
 
     step_cache: dict[float, list] = {}
-    moved_cache: dict[tuple, list] = {}
     segments = []
     shrunk = False
     for t0, t1 in grid.intervals(tau):
@@ -926,15 +927,10 @@ def _linear_poly_reach(init, dyn, tau, grid, bounds):
             results = [overapproximate_step(f, A, t1 - t0, mode=bounds) for f in outflow]
             shrunk |= any(r.delta_shrunk for r in results)
             step_cache[dkey] = [P for r in results for P in r.polyhedra]
-        key = (dkey, round(t0, 12))
-        if key not in moved_cache:
-            if t0 == 0.0:
-                moved_cache[key] = list(step_cache[dkey])
-            else:
-                moved_cache[key] = [
-                    propagate_tube(P, A, t0, 1)[0] for P in step_cache[dkey]
-                ]
-        segments.append((t0, t1, tuple(moved_cache[key])))
+        polys = step_cache[dkey]
+        if t0 != 0.0:
+            polys = [propagate_tube(P, A, t0, 1)[0] for P in polys]
+        segments.append((t0, t1, tuple(polys)))
     return ReachTube(
         segments=segments,
         direction="over",

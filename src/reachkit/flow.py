@@ -71,32 +71,9 @@ def expm(A, t: float = 1.0) -> np.ndarray:
     return out
 
 
-def operator_norm(A, rel_tol: float = 1e-12, max_iter: int = 200000) -> float:
-    """Induced 2-norm via power iteration on A^T A.
-
-    Deterministic start vector; converges to relative error well under 1e-9
-    for the small matrices used here. The zero matrix returns 0.
-    """
-    A = np.asarray(A, float)
-    M = A.T @ A
-    n = M.shape[0]
-    if n == 0 or float(np.max(np.abs(M))) == 0.0:
-        return 0.0
-    v = np.ones(n) + np.linspace(0.0, 0.1, n)  # fixed start, never an exact eigenvector tie
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = M @ v
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        new = float(v @ (M @ v))
-        if abs(new - lam) <= rel_tol * max(abs(new), 1e-300):
-            lam = new
-            break
-        lam = new
-    return math.sqrt(max(lam, 0.0))
+def operator_norm(A) -> float:
+    """Induced 2-norm (largest singular value); the zero matrix returns 0."""
+    return float(np.linalg.norm(np.asarray(A, float), 2))
 
 
 # ---------------------------------------------------------------------------

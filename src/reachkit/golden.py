@@ -199,7 +199,7 @@ def check_a4():
     eps = hull_bloat_epsilon(SQRT2, 1.0, x)
     ok_eps = abs(eps - GOLD_EPS) <= 1e-5 and abs(eps - formula) <= 1e-12
     prob = _example2_problem()
-    H0 = bloat_hull(prob.face, prob.face_delta, prob.matrix, prob.delta, eps=0.0)
+    H0 = bloat_hull(prob.face, prob.face_delta, 0.0)
     units = [h.normal for h in H0.ineqs]
     scaled = [n * np.linalg.norm(GOLD_ZETA2) for n in units]
     err = min(float(np.max(np.abs(s - GOLD_ZETA2))) for s in scaled)

@@ -23,6 +23,9 @@ from .facelift import GridRegion, reach_invariant
 from .flow import trajectory
 from .geometry import Polyhedron, grid_points, is_empty
 
+_REPLAY_MAX_STARTS = 400  # initial cell centers replay_witness simulates at most
+_REPLAY_TOL = 1e-6  # classify_step tolerance when a found replay is validated
+
 __all__ = [
     "Edge",
     "HybridSystem",
@@ -231,17 +234,12 @@ class RegionSet:
 
 @dataclass(frozen=True)
 class PostParams:
-    """Continuous-evolution budget used inside the successor operator.
-    tau may be a single horizon or a per-location map; the reach loop in
-    each location runs ceil(tau/dt)+1 steps of length dt at most."""
+    """Continuous-evolution budget used inside the successor operator:
+    the reach loop in each location runs ceil(tau/dt)+1 steps of length
+    dt at most."""
 
     dt: float
     tau: float = 1.0
-
-    def horizon(self, q) -> float:
-        if isinstance(self.tau, dict):
-            return float(self.tau[q])
-        return float(self.tau)
 
 
 def _push_edge_images(region_mask, source: GridRegion, edge: Edge, target: GridRegion):
@@ -266,7 +264,7 @@ def post(H: HybridSystem, S: RegionSet, params: PostParams) -> RegionSet:
     """One-step successor of a region set.
 
     Each location's region is closed under flow restricted to the
-    invariant (bounded by params' horizon); regions of reach that touch
+    invariant (bounded by params.tau); regions of reach that touch
     an outgoing guard are pushed through the edge reset into the target
     location. The input is always contained in the result. Locations
     whose continuous reach ran out of iterations are recorded in the
@@ -286,7 +284,7 @@ def post(H: HybridSystem, S: RegionSet, params: PostParams) -> RegionSet:
             grid=params.dt,
             h=region.h,
             box=(region.lo, region.hi),
-            tau_max=params.horizon(q),
+            tau_max=float(params.tau),
         )
         R_q = tube.combined_region()
         if tube.iteration_cap:
@@ -443,7 +441,7 @@ def _greedy_replay(H, q, starts, witness, jumps, params, h, best):
     G, dyn = H.invariants[q], H.dynamics[q]
     speed = float(np.max(np.linalg.norm(np.atleast_2d(dyn.evaluate(starts)), axis=1)))
     step = min(params.dt, h / (2.0 * speed)) if speed > 1e-12 else params.dt
-    paths, times = _sim_paths(dyn, starts, params.horizon(q), step)
+    paths, times = _sim_paths(dyn, starts, float(params.tau), step)
     m, k1, dim = paths.shape
     inside = G.contains(paths.reshape(-1, dim), tol=1e-7).reshape(m, k1)
     alive = np.cumprod(inside, axis=1).astype(bool)  # prefix before leaving G
@@ -500,8 +498,6 @@ def replay_witness(
     s1: RegionSet,
     verdict: Verdict,
     params: PostParams,
-    max_starts: int = 400,
-    tol: float = 1e-6,
 ) -> ReplayResult:
     """Try to realize a yes verdict as a concrete sampled trajectory.
 
@@ -515,7 +511,7 @@ def replay_witness(
         return ReplayResult(False, [], [], math.inf, 0)
     h = s1.h
     best = [math.inf]
-    budget = max_starts
+    budget = _REPLAY_MAX_STARTS
     for q in H.locations:
         region = s1.regions.get(q)
         if region is None or region.count() == 0 or budget <= 0:
@@ -526,6 +522,6 @@ def replay_witness(
         if found is not None:
             configs, steps = found
             result = ReplayResult(True, configs, steps, best[0], 0)
-            result.validate(H, tol=tol)
+            result.validate(H, tol=_REPLAY_TOL)
             return result
     return ReplayResult(False, [], [], best[0], 0)

@@ -325,10 +325,7 @@ def parse_model(data, path=None) -> ModelFile:
                 (str(spec.get("location")), _poly_from_spec(spec.get("set"), f"init[{i}].set"))
             )
         _need(init, "hybrid model needs a nonempty 'init' list")
-        try:
-            m.system = HybridSystem(tuple(names), invariants, dynamics, tuple(edges), tuple(init))
-        except ModelError:
-            raise
+        m.system = HybridSystem(tuple(names), invariants, dynamics, tuple(edges), tuple(init))
         targets = []
         for i, spec in enumerate(data.get("target", [])):
             _need(isinstance(spec, dict), f"target[{i}]: expected an object")
@@ -341,6 +338,8 @@ def parse_model(data, path=None) -> ModelFile:
         m.targets = tuple(targets)
         _need(grid.get("dt"), "hybrid model needs grid.dt")
         _need(grid.get("cell"), "hybrid model needs grid.cell")
+        # resets land in their target invariant (within one cell), initial sets in theirs
+        m.system.validate(float(grid["cell"]))
         return m
 
     _need("dynamics" in data, f"{kind} model needs a 'dynamics' section")

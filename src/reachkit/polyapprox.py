@@ -13,7 +13,7 @@ condition holds on [-Delta, Delta]) and lattice-sampled estimates
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -52,6 +52,8 @@ class StepProblem:
     delta0 the chosen positive margin (None when no positive margin exists
     at this horizon, in which case only shrinking the horizon helps);
     c1_min the sampled-in-t, LP-exact-in-x minimum over [-Delta, Delta].
+    expm_table holds e^{At} at the t_samples times linspace(-Delta, Delta),
+    the one time lattice on which the outward condition is checked.
     """
 
     face: Face
@@ -65,6 +67,7 @@ class StepProblem:
     norm_a: float
     face_delta: Face
     base_transport_norm: float
+    expm_table: np.ndarray = field(compare=False, repr=False)
     t_samples: int = field(default=65, compare=False)
 
     @property
@@ -83,6 +86,8 @@ class StepProblem:
         A = np.asarray(A, float)
         if delta <= 0.0:
             raise ValueError(f"step horizon must be positive, got {delta}")
+        if t_samples < 3:
+            raise ValueError(f"t_samples must be at least 3, got {t_samples}")
         if not face.orthonormal:
             face = normalize_and_orthogonalize(face)
         if A.shape != (face.dim, face.dim):
@@ -93,7 +98,8 @@ class StepProblem:
         norm_a = operator_norm(A)
         fdelta = propagate_face(face, A, delta)
         transport = float(np.linalg.norm(expm(-A.T, delta) @ face.base_normal))
-        c1 = c1_minimum(face, A, delta, t_samples)
+        table = np.array([expm(A, float(t)) for t in np.linspace(-delta, delta, t_samples)])
+        c1 = c1_minimum(face, A, table)
         if delta0 is None:
             chosen = c1 if c1 > _DEGEN_TOL else None
         else:
@@ -112,6 +118,7 @@ class StepProblem:
             norm_a=norm_a,
             face_delta=fdelta,
             base_transport_norm=transport,
+            expm_table=table,
             t_samples=t_samples,
         )
 
@@ -142,35 +149,33 @@ def _face_lp_min(face: Face, c):
     return -res.value
 
 
-def c1_minimum(face: Face, A, delta: float, t_samples: int = 65) -> float:
-    """min over t in [-Delta, Delta] (sampled) and x0 in F0 (LP-exact) of
-    the transported outward derivative a_k . A e^{At} x0."""
-    A = np.asarray(A, float)
-    ak = face.base_normal
-    best = math.inf
-    for t in np.linspace(-delta, delta, t_samples):
-        c = expm(A, float(t)).T @ (A.T @ ak)  # row vector a_k^T A e^{At} as a column
-        best = min(best, _face_lp_min(face, c))
-    return float(best)
+def c1_minimum(face: Face, A, table) -> float:
+    """min over the lattice times t (table[j] = e^{A t_j}) and x0 in F0
+    (LP-exact) of the transported outward derivative a_k . A e^{At} x0."""
+    g = np.asarray(A, float).T @ face.base_normal
+    # each row vector a_k^T A e^{At} enters the LP as a column
+    return float(min(_face_lp_min(face, E.T @ g) for E in table))
 
 
 def check_C1(prob: StepProblem) -> bool:
     """Spot-check the outward condition along the step and its corollaries.
 
-    True iff the sampled minimum of a_k . A e^{At} x0 over t in
-    [-Delta, Delta] stays >= delta0 - 1e-9, and the base-crossing signs
-    (outward after the face, inward before it) hold at the sampled times.
+    True iff the sampled minimum of a_k . A e^{At} x0 over the lattice
+    times in [-Delta, Delta] stays >= delta0 - 1e-9, and the base-crossing
+    signs hold: outward at every lattice time t > 0, inward at its mirror
+    -t. Reads prob.expm_table and computes no exponential of its own.
     """
     if prob.delta0 is None:
         return False
     if prob.c1_min < prob.delta0 - _C1_SLACK:
         return False
     ak, bk = prob.face.base_normal, prob.face.base_offset
-    for t in np.linspace(0.0, prob.delta, max(3, prob.t_samples // 2))[1:]:
-        ct = expm(prob.matrix, float(t)).T @ ak
-        if _face_lp_min(prob.face, ct) - bk < -_C1_SLACK:
+    table = prob.expm_table
+    times = np.linspace(-prob.delta, prob.delta, prob.t_samples)
+    for j in np.flatnonzero(times > 0.0):
+        if _face_lp_min(prob.face, table[j].T @ ak) - bk < -_C1_SLACK:
             return False  # a forward point fell back through the base plane
-        cm = expm(prob.matrix, float(-t)).T @ ak
+        cm = table[prob.t_samples - 1 - j].T @ ak  # the mirrored time -t
         if -_face_lp_min(prob.face, -cm) - bk > _C1_SLACK:
             return False  # a backward point sits past the base plane
     return True
@@ -435,13 +440,12 @@ def hull_bloat_epsilon(m0: float, norm_a: float, delta: float) -> float:
     return m0 * (math.exp(x) - 1.0 - x - 0.375 * x * x)
 
 
-def bloat_hull(face: Face, face_delta: Face, A, delta: float, eps: float | None = None) -> Polyhedron:
+def bloat_hull(face: Face, face_delta: Face, eps: float) -> Polyhedron:
     """2D enclosure by the convex hull of both faces' endpoints, every row
-    pushed outward by eps (default: the closed-form bloat distance)."""
+    pushed outward by eps. The step driver passes hull_bloat_epsilon of
+    its problem's m0, ||A|| and horizon; eps=0 gives the bare chord hull."""
     if face.dim != 2:
         raise DimUnsupported("bloat_hull is only available in two dimensions")
-    if eps is None:
-        eps = hull_bloat_epsilon(max_norm_over_face(face), operator_norm(np.asarray(A, float)), delta)
     pts = np.vstack([vertices_2d(face.as_polyhedron()), vertices_2d(face_delta.as_polyhedron())])
     hull = convex_hull_2d(pts)
     return Polyhedron(tuple(Halfspace(h.normal, h.offset + eps) for h in hull.ineqs))
@@ -476,10 +480,6 @@ def overapproximate_step(
     delta: float,
     mode: str = "conservative",
     delta0: float | None = None,
-    nx: int = 40,
-    nt: int = 40,
-    t_samples: int = 65,
-    use_hull: bool | None = None,
 ) -> StepResult:
     """Enclose the tube grown from ``face`` over one horizon of length
     ``delta``.
@@ -490,15 +490,14 @@ def overapproximate_step(
     fails at the requested horizon the step is shrunk to the certified
     bound and chained sub-steps cover the remainder (flagged
     delta_shrunk). In 2D each sub-step is intersected with the bloated
-    face hull unless use_hull=False.
+    face hull; res.assembled keeps the bare 4k-row enclosures. Sampled
+    mode uses sampled_bounds' default lattice.
     """
     if mode not in ("conservative", "sampled"):
         raise ValueError(f"unknown bound mode {mode!r}")
     A = np.asarray(A, float)
     if not face.orthonormal:
         face = normalize_and_orthogonalize(face)
-    if use_hull is None:
-        use_hull = face.dim == 2
 
     result = StepResult([], [], [], [], [], [], False)
     current = face
@@ -508,7 +507,7 @@ def overapproximate_step(
         guard += 1
         if guard > 10000:
             raise NumericRange("step chaining did not converge; horizon too aggressive")
-        prob = StepProblem.build(current, A, remaining, delta0=delta0, t_samples=t_samples)
+        prob = StepProblem.build(current, A, remaining, delta0=delta0)
         if not check_C1(prob):
             ref = delta0 if delta0 is not None else prob.delta_min / 2.0
             certified = select_delta(prob.m0, prob.norm_a, prob.delta_min, ref)
@@ -519,12 +518,16 @@ def overapproximate_step(
                     "the time lattice and the growth bound disagree"
                 )
             result.delta_shrunk = True
-            prob = StepProblem.build(current, A, step, delta0=delta0, t_samples=t_samples)
+            prob = StepProblem.build(current, A, step, delta0=delta0)
             if prob.delta0 is None:
-                prob = StepProblem.build(current, A, step, delta0=ref, t_samples=t_samples)
-        bounds = conservative_bounds(prob) if mode == "conservative" else sampled_bounds(prob, nx, nt)
+                # ref = delta_min/2 passes build's 0 < delta0 <= delta_min check
+                prob = replace(prob, delta0=ref)
+        bounds = conservative_bounds(prob) if mode == "conservative" else sampled_bounds(prob)
         poly = assemble_polyhedron(prob, bounds)
-        hull = bloat_hull(prob.face, prob.face_delta, A, prob.delta) if use_hull else None
+        hull = None
+        if face.dim == 2:
+            eps = hull_bloat_epsilon(prob.m0, prob.norm_a, prob.delta)
+            hull = bloat_hull(prob.face, prob.face_delta, eps)
         result.problems.append(prob)
         result.bounds.append(bounds)
         result.assembled.append(poly)

@@ -213,6 +213,19 @@ def test_unbounded_hybrid_invariant_exits_2_without_traceback(tmp_path, capfd):
     assert "Traceback" not in err
 
 
+def test_reset_outside_target_invariant_exits_2_without_traceback(tmp_path, capfd):
+    with open(model("hybrid_drift.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    # x1 >= 2 jumps to x1 + 5 >= 7, past the handoff invariant's x1 <= 4
+    data["edges"][0]["reset_offset"] = [5.0, 0.0]
+    path = write_model(tmp_path, data)
+    assert run(["hybrid-reach", path, "--out", str(tmp_path / "o")]) == 2
+    err = capfd.readouterr().err
+    assert "outside the invariant of 'handoff'" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("key,value", [("cell", -0.05), ("dt", 0.0)])
 def test_nonpositive_grid_step_exits_2_without_traceback(tmp_path, capfd, key, value):
     grid = {"cell": 0.05, "dt": 0.5, "tau": 1.0}

@@ -10,7 +10,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
+import reachkit.polyapprox as polyapprox
 from reachkit.errors import AssumptionA2Violated, BadDeltaOrder, DenominatorAllDegenerate
 from reachkit.flow import expm, max_norm_over_face, operator_norm
 from reachkit.geometry import Face, GeometryWarning, Polyhedron, lp_maximize, vertices_2d
@@ -164,6 +167,33 @@ def test_step_problem_validation():
         StepProblem.build(face, ROT, DELTA, delta0=1.5)  # above the LP minimum
     with pytest.raises(BadDeltaOrder):
         StepProblem.build(face, ROT, DELTA, delta0=-0.1)
+    with pytest.raises(ValueError):
+        StepProblem.build(face, ROT, DELTA, t_samples=2)  # no positive lattice time
+
+
+@pytest.mark.parametrize("t_samples,forward", [(65, 32), (64, 32), (33, 16), (3, 1)])
+def test_one_expm_table_serves_both_outward_checks(monkeypatch, t_samples, forward):
+    calls = {"expm": 0, "lp": 0}
+    real_expm, real_lp = polyapprox.expm, polyapprox._face_lp_min
+
+    def counting_expm(*args):
+        calls["expm"] += 1
+        return real_expm(*args)
+
+    def counting_lp(*args):
+        calls["lp"] += 1
+        return real_lp(*args)
+
+    monkeypatch.setattr(polyapprox, "expm", counting_expm)
+    monkeypatch.setattr(polyapprox, "_face_lp_min", counting_lp)
+    prob = example_problem(t_samples=t_samples)
+    # the lattice, the far face and the base transport
+    assert calls == {"expm": t_samples + 2, "lp": t_samples}
+    assert prob.expm_table.shape == (t_samples, 2, 2)
+    calls.update(expm=0, lp=0)
+    assert check_C1(prob)
+    # two sign checks at every lattice time t > 0, none of them a new expm
+    assert calls == {"expm": 0, "lp": 2 * forward}
 
 
 def test_propagated_face_matches_rotated_rows():
@@ -412,9 +442,9 @@ def test_hull_bloat_epsilon_matches_golden_value():
 
 def test_bloat_hull_pushes_chord_hull_outward():
     prob = example_problem()
-    H0 = bloat_hull(prob.face, prob.face_delta, ROT, DELTA, eps=0.0)
-    H = bloat_hull(prob.face, prob.face_delta, ROT, DELTA)
     eps = hull_bloat_epsilon(SQRT2, 1.0, DELTA)
+    H0 = bloat_hull(prob.face, prob.face_delta, 0.0)
+    H = bloat_hull(prob.face, prob.face_delta, eps)
     assert len(H.ineqs) == len(H0.ineqs)
     for h, h0 in zip(H.ineqs, H0.ineqs):
         np.testing.assert_allclose(h.normal, h0.normal, atol=1e-12)
@@ -432,10 +462,11 @@ def test_bloat_hull_pushes_chord_hull_outward():
 def test_bloat_hull_degenerates_cleanly_for_zero_matrix():
     face = example_face()
     A0 = np.zeros((2, 2))
-    assert hull_bloat_epsilon(max_norm_over_face(face), operator_norm(A0), 0.5) == 0.0
+    eps = hull_bloat_epsilon(max_norm_over_face(face), operator_norm(A0), 0.5)
+    assert eps == 0.0
     fd = propagate_face(face, A0, 0.5)
     with pytest.warns(GeometryWarning):
-        H = bloat_hull(face, fd, A0, 0.5)
+        H = bloat_hull(face, fd, eps)
     pts = segment_lattice(face, 20)
     assert max_residual(H, pts) <= 1e-9  # the strip through the segment
 
@@ -475,10 +506,9 @@ def test_overapproximate_step_shrinks_until_certified():
 
 
 def test_hull_intersection_tightens_the_step():
-    loose = overapproximate_step(example_face(), ROT, DELTA, use_hull=False)
-    tight = overapproximate_step(example_face(), ROT, DELTA)
-    area_loose = _polygon_area(vertices_2d(loose.polyhedron))
-    area_tight = _polygon_area(vertices_2d(tight.polyhedron))
+    res = overapproximate_step(example_face(), ROT, DELTA)
+    area_loose = _polygon_area(vertices_2d(res.assembled[0]))
+    area_tight = _polygon_area(vertices_2d(res.polyhedron))
     assert area_tight < 0.5 * area_loose
 
 
@@ -544,7 +574,52 @@ def test_random_problems_stay_enclosed():
         pts = tube_samples(face, A, delta, 30, 30)
         assert max_residual(assemble_polyhedron(prob, cons), pts) <= 1e-9
         assert max_residual(assemble_polyhedron(prob, samp), pts) <= 1e-9
-        assert max_residual(bloat_hull(prob.face, prob.face_delta, A, delta), pts) <= 1e-9
+        eps = hull_bloat_epsilon(prob.m0, prob.norm_a, delta)
+        assert max_residual(bloat_hull(prob.face, prob.face_delta, eps), pts) <= 1e-9
+
+
+def _union_residual(polyhedra, pts):
+    """Per point, the smallest row violation over the polyhedra."""
+    worst = np.full(pts.shape[0], np.inf)
+    for P in polyhedra:
+        A_ub, b_ub, _, _ = P.matrices()
+        worst = np.minimum(worst, np.max(pts @ A_ub.T - b_ub, axis=1))
+    return worst
+
+
+def chained_segment_problem(rng, stretch):
+    """A random segment problem and a horizon past the one check_C1
+    certifies without a margin: the recipe's horizon is doubled until the
+    lattice check rejects it, then stretched, so overapproximate_step must
+    shrink and chain."""
+    while True:
+        face, A, delta, _ = random_segment_problem(rng)
+        horizon = delta
+        while horizon <= 16.0 * delta and check_C1(StepProblem.build(face, A, horizon)):
+            horizon *= 2.0
+        if horizon <= 16.0 * delta:
+            return face, A, stretch * horizon
+
+
+# each example chains a few dozen builds: no shrinking phase, reruns are exact
+@settings(max_examples=4, deadline=None, derandomize=True, database=None, phases=[Phase.generate])
+@given(seed=st.integers(0, 2**32 - 1), stretch=st.floats(1.0, 1.5))
+def test_chained_steps_enclose_the_flow(seed, stretch):
+    face, A, horizon = chained_segment_problem(np.random.default_rng(seed), stretch)
+    X = segment_lattice(face, 14)  # every third point of sampled_bounds' 40
+    for mode in ("conservative", "sampled"):
+        res = overapproximate_step(face, A, horizon, mode=mode)
+        assert res.delta_shrunk and len(res.polyhedra) >= 2
+        assert sum(res.deltas) == pytest.approx(horizon, abs=1e-9)
+        if mode == "conservative":
+            times = np.linspace(0.0, horizon, 61)
+        else:
+            # sampled distances are lattice suprema: only the lattice of each
+            # sub-step (its 40 times, its 40 face points) is promised
+            starts = np.cumsum([0.0] + res.deltas[:-1])
+            times = np.concatenate([t0 + np.linspace(0.0, d, 40) for t0, d in zip(starts, res.deltas)])
+        pts = np.vstack([X @ expm(A, float(t)).T for t in times])
+        assert np.max(_union_residual(res.polyhedra, pts)) <= 1e-9, mode
 
 
 def test_three_dimensional_step_encloses_tube():
