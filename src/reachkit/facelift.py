@@ -89,11 +89,18 @@ class LevelSet:
 
 
 def _polyhedron_faces(P: Polyhedron):
-    """One orthonormalized Face per non-redundant inequality row."""
-    faces = []
+    """(row index, orthonormalized Face) per facet. A row whose maximum
+    over the other kept rows stays below its offset is implied: it is
+    dropped up front and never becomes a side. Rows that only touch stay."""
     rows = P.ineqs
+    kept = list(range(len(rows)))
     for i in range(len(rows)):
-        sides = [rows[j] for j in range(len(rows)) if j != i]
+        res = Polyhedron([rows[j] for j in kept if j != i]).maximize(rows[i].normal)
+        if res.status == "optimal" and res.value < rows[i].offset - 1e-9:
+            kept.remove(i)
+    faces = []
+    for i in kept:
+        sides = [rows[j] for j in kept if j != i]
         cand = Face(
             np.array([h.normal for h in sides]).reshape(len(sides), P.dim),
             np.array([h.offset for h in sides]),
@@ -592,30 +599,17 @@ class GridRegion:
             return 0.0
         if not a.any() or not b.any():
             return math.inf
-        shape = np.array(self.shape)
 
         def directed(A, B):
-            idx = np.argwhere(A)
-            remaining = np.ones(idx.shape[0], bool)
-            dist = np.zeros(idx.shape[0])
+            # after round r, B holds every cell within Chebyshev distance r
+            B = B.copy()
             for r in range(_HAUSDORFF_CAP_CELLS + 1):
-                offs = [
-                    np.array(o) - r
-                    for o in np.ndindex(*(2 * r + 1,) * self.dim)
-                    if np.max(np.abs(np.array(o) - r)) == r
-                ]
-                hit = np.zeros(idx.shape[0], bool)
-                for o in offs:
-                    nb = idx + o
-                    ok = np.all((nb >= 0) & (nb < shape), axis=1)
-                    if ok.any():
-                        sub = np.zeros(idx.shape[0], bool)
-                        sub[ok] = B[tuple(nb[ok].T)]
-                        hit |= sub
-                dist[remaining & hit] = r * self.h
-                remaining &= ~hit
-                if not remaining.any():
-                    return float(np.max(dist))
+                if not np.any(A & ~B):
+                    return r * self.h
+                for ax in range(self.dim):
+                    v = np.moveaxis(B, ax, 0)
+                    v[1:] |= v[:-1]
+                    v[:-1] |= v[1:]
             return math.inf
 
         return max(directed(a, b), directed(b, a))
@@ -871,24 +865,62 @@ def _advance_front(advected, cum, init, dyn, h_b, delta, h):
     return [c for c in nxt if c[0].shape[0]]
 
 
-def _front_sweep(chains, init, dyn, intervals, cum, h, h_b):
-    """Advect the front over each interval, marking swept cells into cum.
-    Returns (segments, collapsed); collapsed means the front emptied."""
-    segments = []
+def _exit_shadow_keep(chains, trajs, invariant, dyn, delta, h):
+    """One keep mask per chain: False for the front samples within h of
+    the exit shadow, the reverse-flow images of escaping tube samples."""
+    flat = np.vstack([t.reshape(-1, t.shape[2]) for t in trajs])
+    outside = ~invariant.contains(flat, tol=1e-9)
+    if not outside.any():
+        return [np.ones(pts.shape[0], bool) for pts, _ in chains]
+    u = flat[outside]
+    _, first = np.unique(np.floor(u / h).astype(int), axis=0, return_index=True)
+    u = u[np.sort(first)]
+    if u.shape[0] > 2000:
+        u = u[:: int(math.ceil(u.shape[0] / 2000.0))]
+    v_pts = _advect(dyn, u, -delta, h).reshape(-1, u.shape[1])
+    keeps = []
+    for pts, _ in chains:
+        d2 = np.min(np.sum((pts[:, None, :] - v_pts[None, :, :]) ** 2, axis=2), axis=1)
+        # ties at exactly h are structural for raster-seeded fronts
+        # (cell centers sit one cell from the overhang shadow); keep them
+        keeps.append(d2 >= h * h * (1.0 - 1e-9))
+    return keeps
+
+
+def _front_sweep(chains, init, dyn, intervals, cum, h, h_b, invariant=None):
+    """Advect the front over each interval until it empties. Yields
+    (t0, t1, kept, lost, next_chains) per step: kept holds the cells swept
+    by the samples that survive the exit-shadow prune (all of them without
+    an invariant), lost the cells swept by the pruned ones. The next front
+    is cut against cum as it stood before the step; the caller adds the
+    step's cells to cum."""
     for t0, t1 in intervals:
         if not chains:
-            break
+            return
         delta = t1 - t0
-        seg = cum.blank()
-        advected = []
-        for pts, closed in chains:
-            traj = _advect(dyn, pts, delta, h)
-            seg.mark_points(traj.reshape(-1, pts.shape[1]))
-            advected.append((pts, traj[:, -1], closed))
-        chains = _advance_front(advected, cum, init, dyn, h_b, delta, h)
-        cum.include(seg)
-        segments.append((t0, t1, seg))
-    return segments, not chains
+        trajs = [_advect(dyn, pts, delta, h) for pts, _ in chains]
+        if invariant is None:
+            keeps = [np.ones(pts.shape[0], bool) for pts, _ in chains]
+        else:
+            keeps = _exit_shadow_keep(chains, trajs, invariant, dyn, delta, h)
+        kept, lost = cum.blank(), cum.blank()
+        survivors = []
+        for (pts, closed), traj, keep in zip(chains, trajs, keeps):
+            lost.mark_points(traj[~keep].reshape(-1, pts.shape[1]))
+            for idxs, rclosed in _split_runs(pts.shape[0], closed, keep):
+                kept.mark_points(traj[idxs].reshape(-1, pts.shape[1]))
+                survivors.append((pts[idxs], traj[idxs][:, -1], rclosed))
+        chains = _advance_front(survivors, cum, init, dyn, h_b, delta, h)
+        yield t0, t1, kept, lost, chains
+
+
+def _flow_samples(pts, dyn, intervals, h):
+    """Flow a sample set over consecutive intervals, nothing pruned:
+    yields each interval's swept points, flattened."""
+    for t0, t1 in intervals:
+        traj = _advect(dyn, pts, t1 - t0, h)
+        yield traj.reshape(-1, pts.shape[1])
+        pts = traj[:, -1]
 
 
 # ---------------------------------------------------------------------------
@@ -995,10 +1027,13 @@ def reach_bounded_time(
     init_over = cum.blank()
     _mark_initial(init, init_over)
 
-    front = classify_boundary(init, dyn, h_b)
-    segments, collapsed = _front_sweep(
-        front.front_chains(), init, dyn, grid.intervals(tau), cum, h, h_b
-    )
+    chains = classify_boundary(init, dyn, h_b).front_chains()
+    segments = []
+    for t0, t1, kept, _, chains in _front_sweep(
+        chains, init, dyn, grid.intervals(tau), cum, h, h_b
+    ):
+        cum.include(kept)
+        segments.append((t0, t1, kept))
     tube = ReachTube(
         segments=segments,
         direction="over",
@@ -1006,7 +1041,7 @@ def reach_bounded_time(
         initial=init,
         initial_region=init_over,
         occupancy=cum,
-        front_collapse=collapsed,
+        front_collapse=not chains,
         iterations=len(segments),
     )
     if mode == "over":
@@ -1016,17 +1051,15 @@ def reach_bounded_time(
     tube.direction = "exact-sampled"
     under_cum = GridRegion(lo, hi, h, "under")
     tube.under_initial_region = _under_initial(init, under_cum)
-    samples = _interior_lattice(init, h)
+    flows = _flow_samples(
+        _interior_lattice(init, h), dyn, [(t0, t1) for t0, t1, _ in segments], h
+    )
     prefix = init_over.copy()
     under_segments = []
-    for t0, t1, seg in segments:
+    for (t0, t1, seg), flat in zip(segments, flows):
         prefix.include(seg)
         useg = under_cum.blank()
-        if samples.shape[0]:
-            traj = _advect(dyn, samples, t1 - t0, h)
-            flat = traj.reshape(-1, samples.shape[1])
-            useg.mark_points(flat[prefix.contains_points(flat)])
-            samples = traj[:, -1]
+        useg.mark_points(flat[prefix.contains_points(flat)])
         under_cum.include(useg)
         under_segments.append((t0, t1, useg))
     tube.segments = under_segments
@@ -1081,6 +1114,16 @@ def _invariant_box(init, invariant, dyn, grid, h):
     return lo - pad, hi + pad
 
 
+def _step_intervals(grid, n):
+    """(t0, t1) for the first n steps of the grid's step lengths, the
+    start time accumulated step by step."""
+    t = 0.0
+    for it in range(n):
+        delta = grid.delta(it)
+        yield t, t + delta
+        t += delta
+
+
 def reach_invariant(
     init,
     dyn,
@@ -1092,7 +1135,6 @@ def reach_invariant(
     tau_max: float | None = None,
     h_b: float | None = None,
     box=None,
-    literal_under: bool = False,
 ) -> ReachTube:
     """Reach set of trajectories that never leave a polyhedral invariant.
 
@@ -1100,12 +1142,11 @@ def reach_invariant(
     tube samples) comes within h are pruned before sweeping. The over
     flavor keeps the pruned sweep plus every swept cell still touching
     the invariant; the under flavor keeps only pruned-sweep cells
-    certified inside it (literal_under records the raw escaping samples
-    instead). The run stops when the front empties (front_collapse) or
-    after max_iters (iteration_cap, defaulting to 10x the grid size or
-    to tau_max worth of smallest steps); iterating past the grid end
-    repeats its final step length. Raises PreconditionViolated when init
-    is not inside the invariant."""
+    certified inside it. The run stops when the front empties
+    (front_collapse) or after max_iters (iteration_cap, defaulting to 10x
+    the grid size or to tau_max worth of smallest steps); iterating past
+    the grid end repeats its final step length. Raises
+    PreconditionViolated when init is not inside the invariant."""
     if not isinstance(invariant, Polyhedron):
         raise TypeError("invariant must be a Polyhedron")
     if grid is None:
@@ -1133,16 +1174,14 @@ def reach_invariant(
     if under_approximate:
         under_cum = GridRegion(lo, hi, h, "under")
         under_init = _under_initial(init, under_cum)
-        if not literal_under:
-            cert_q = cum.cells_inside(invariant)
+        cert_q = cum.cells_inside(invariant)
 
     if isinstance(init, GridRegion):
         # restart from a cell set: its rim cells are the front, unordered
         bnd = init.boundary_cell_centers()
         chains = [(bnd, None)] if bnd.shape[0] else []
     else:
-        front = classify_boundary(init, dyn, h_b)
-        chains = front.front_chains()
+        chains = classify_boundary(init, dyn, h_b).front_chains()
     tube = ReachTube(
         segments=[],
         direction="under" if under_approximate else "over",
@@ -1153,66 +1192,20 @@ def reach_invariant(
         under_occupancy=under_cum,
         under_initial_region=under_init,
     )
-    t_accum = 0.0
-    for it in range(max_iters):
-        if not chains:
-            break
-        delta = grid.delta(it)
-
-        trajs = []
-        t_full = cum.blank()
-        for pts, _ in chains:
-            traj = _advect(dyn, pts, delta, h)
-            t_full.mark_points(traj.reshape(-1, pts.shape[1]))
-            trajs.append(traj)
-        flat = np.vstack([t.reshape(-1, t.shape[2]) for t in trajs])
-        outside = ~invariant.contains(flat, tol=1e-9)
-
-        v_pts = None
-        if outside.any():
-            # exit shadow: reverse-flow images of escaping tube samples
-            u = flat[outside]
-            _, first = np.unique(np.floor(u / h).astype(int), axis=0, return_index=True)
-            u = u[np.sort(first)]
-            if u.shape[0] > 2000:
-                u = u[:: int(math.ceil(u.shape[0] / 2000.0))]
-            v_pts = _advect(dyn, u, -delta, h).reshape(-1, u.shape[1])
-
-        t_prime = cum.blank()
-        survivors = []
-        for (pts, closed), traj in zip(chains, trajs):
-            if v_pts is None:
-                keep = np.ones(pts.shape[0], bool)
-            else:
-                d2 = np.min(
-                    np.sum((pts[:, None, :] - v_pts[None, :, :]) ** 2, axis=2), axis=1
-                )
-                # ties at exactly h are structural for raster-seeded fronts
-                # (cell centers sit one cell from the overhang shadow); keep them
-                keep = d2 >= h * h * (1.0 - 1e-9)
-            for idxs, rclosed in _split_runs(pts.shape[0], closed, keep):
-                t_prime.mark_points(traj[idxs].reshape(-1, pts.shape[1]))
-                survivors.append((pts[idxs], traj[idxs][:, -1], rclosed))
-
+    for t0, t1, kept, lost, chains in _front_sweep(
+        chains, init, dyn, _step_intervals(grid, max_iters), cum, h, h_b, invariant
+    ):
         over_add = cum.blank()
-        over_add.occupancy = t_prime.occupancy | (t_full.occupancy & touch_q)
-        over_add.out_of_box = t_full.out_of_box
-        chains = _advance_front(survivors, cum, init, dyn, h_b, delta, h)
+        over_add.occupancy = kept.occupancy | (lost.occupancy & touch_q)
+        over_add.out_of_box = kept.out_of_box + lost.out_of_box
         cum.include(over_add)
-
         payload = over_add
         if under_approximate:
-            u_add = under_cum.blank()
-            if literal_under:
-                if outside.any():
-                    u_add.mark_points(flat[outside])
-            else:
-                u_add.occupancy = t_prime.occupancy & cert_q
-            under_cum.include(u_add)
-            payload = u_add
-        tube.segments.append((t_accum, t_accum + delta, payload))
-        t_accum += delta
-        tube.iterations = it + 1
+            payload = under_cum.blank()
+            payload.occupancy = kept.occupancy & cert_q
+            under_cum.include(payload)
+        tube.segments.append((t0, t1, payload))
+    tube.iterations = len(tube.segments)
     tube.iteration_cap = bool(chains)
     tube.front_collapse = not chains
     return tube
@@ -1252,14 +1245,13 @@ def check_boundary_equivalence(
     # dense oracle: every initial sample advected, nothing pruned
     full = init_over.copy()
     pts = np.vstack([_interior_lattice(init, h_b), front.points])
-    for t0, t1 in intervals:
-        traj = _advect(dyn, pts, t1 - t0, h)
-        full.mark_points(traj.reshape(-1, pts.shape[1]))
-        pts = traj[:, -1]
+    for flat in _flow_samples(pts, dyn, intervals, h):
+        full.mark_points(flat)
 
     def swept(chains):
         cum = init_over.blank()
-        _front_sweep(chains, init, dyn, intervals, cum, h, h_b)
+        for _, _, kept, _, _ in _front_sweep(chains, init, dyn, intervals, cum, h, h_b):
+            cum.include(kept)
         cum.include(init_over)
         return cum
 

@@ -177,11 +177,6 @@ def flow(dyn: Dynamics, x0, t: float, tol: float = 1e-8) -> np.ndarray:
     return rk4(field, x0, abs(t), _rk4_steps(t, tol))
 
 
-def reverse_flow(dyn: Dynamics, x, t: float, tol: float = 1e-8) -> np.ndarray:
-    """psi(x, t): position t time units ago, i.e. the forward flow inverted."""
-    return flow(dyn, x, -t, tol=tol)
-
-
 def trajectory(dyn: Dynamics, x0, t: float, nsub: int, tol: float = 1e-8) -> np.ndarray:
     """Positions of a batch x0 (m, n) at the nsub+1 even lattice times on
     [0, t], as an (m, nsub+1, n) array whose row 0 is x0.

@@ -47,7 +47,8 @@ __all__ = [
 @dataclass(frozen=True)
 class Edge:
     """Guarded transition. The reset is x -> R x + c; both default to the
-    identity so a plain jump only changes the location."""
+    identity so a plain jump only changes the location. controllable is
+    parsed and saved with the model but never read."""
 
     source: str
     guard: Polyhedron
@@ -180,10 +181,7 @@ class RegionSet:
 
     @classmethod
     def from_init(cls, H: HybridSystem, h: float):
-        S = cls.empty(H, h)
-        for q, P in H.init:
-            S.regions[q].mark_polyhedron(P)
-        return S
+        return cls.from_polyhedra(H, H.init, h)
 
     @classmethod
     def from_polyhedra(cls, H: HybridSystem, parts, h: float):

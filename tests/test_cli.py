@@ -1,6 +1,7 @@
 """End-to-end runs of the batch front end: exit codes, output files,
 report determinism, and the plot emitters."""
 
+import hashlib
 import json
 import math
 import os
@@ -187,6 +188,23 @@ def test_redundant_parallel_row_is_not_a_face(tmp_path, path_kind):
         box = write_model(tmp_path, {**data, "initial": {"box": [[0, 0], [0.5, 1]]}}, "box.json")
         assert run(["reach", box, "--out", str(tmp_path / "box")]) == 0
         assert read_lines(out, "segments.csv") == read_lines(str(tmp_path / "box"), "segments.csv")
+        return
+
+    def values(d):
+        # coefficients parsed, so a signed zero compares equal to zero
+        rows = [line.split(",") for line in read_lines(d, "polyhedra.csv")]
+        return [r[:6] + [float(c) for c in r[6:]] for r in rows[1:]]
+
+    # implied rows never reach an enclosure: the tube equals the plain
+    # box's, also for an implied row that is not parallel to a facet
+    box = write_model(tmp_path, {**data, "initial": {"box": [[1, 1], [1.5, 2]]}}, "box.json")
+    assert run(["reach", box, "--out", str(tmp_path / "box")]) == 0
+    diag = write_model(tmp_path, {**data, "initial": {"rows": rows + [[1, 1, 10]]}}, "diag.json")
+    assert run(["reach", diag, "--out", str(tmp_path / "diag")]) == 0
+    want = values(str(tmp_path / "box"))
+    assert len(want) == 96
+    assert values(out) == want
+    assert values(str(tmp_path / "diag")) == want
 
 
 def test_degenerate_polyapprox_side_exits_2_without_traceback(tmp_path, capfd):
@@ -373,6 +391,73 @@ def test_report_excludes_timings(tmp_path):
     run(["reach", model("example1.json"), "--out", out])
     rep = read_report(out)
     assert set(rep) == {"command", "model", "kind", "settings", "diagnostics", "outputs"}
+
+
+# Exit code and sha256 prefix of every output file for the bundled models at
+# their shipped settings. report.json is hashed without its "model" line,
+# the only one that depends on where the package lives. A refactor must
+# leave all of them unchanged; a change of numbers on purpose re-records
+# the table and names the moved files.
+PINNED_OUTPUTS = {
+    ("reach", "example1.json"): (
+        0,
+        {"report.json": "0f5925d76b4d94b3", "segments.csv": "b77c837fd599186a"},
+    ),
+    ("reach", "example1.json", "--under"): (
+        0,
+        {"report.json": "97d2bc3ee3b1db39", "segments.csv": "3a29bae5e8d853a9"},
+    ),
+    ("reach", "rotation_disk.json"): (
+        0,
+        {"report.json": "d2ae84b653bbbc9a", "segments.csv": "503e12d738cb31dc"},
+    ),
+    ("reach", "rotation_square.json"): (
+        0,
+        {"polyhedra.csv": "4a50f7c51cb58a70", "report.json": "e18918a47b890a67"},
+    ),
+    ("reach-inv", "drift_invariant.json"): (
+        0,
+        {"report.json": "2dd00ddd29c45ea6", "segments.csv": "f112aeeaa132cfe1"},
+    ),
+    ("reach-inv", "drift_invariant.json", "--under"): (
+        0,
+        {"report.json": "8289609051ca6282", "segments.csv": "0ec253b40bb62a0a"},
+    ),
+    ("reach-inv", "rotation_cap.json"): (
+        4,
+        {"report.json": "3b6853467044f8fb", "segments.csv": "97342e3713128b7a"},
+    ),
+    ("polyapprox", "example2.json"): (
+        0,
+        {
+            "bounds.csv": "9d53ae3fec7d84c1",
+            "halfspaces.csv": "8982ad8f3f838050",
+            "report.json": "f2f42213a8e4a493",
+        },
+    ),
+    ("hybrid-reach", "hybrid_drift.json"): (
+        0,
+        {"cells.csv": "a87f527b70d71ca6", "report.json": "75a4fdd9a22e08f4"},
+    ),
+    ("hybrid-reach", "hybrid_disjoint.json"): (
+        4,
+        {"cells.csv": "b9dd7b51baf61185", "report.json": "991808f1ecfa8d49"},
+    ),
+}
+
+
+def test_bundled_outputs_are_pinned(tmp_path):
+    for i, (cmd, (code, digests)) in enumerate(PINNED_OUTPUTS.items()):
+        out = str(tmp_path / str(i))
+        assert run([cmd[0], model(cmd[1]), *cmd[2:], "--out", out]) == code, cmd
+        got = {}
+        for name in sorted(os.listdir(out)):
+            with open(os.path.join(out, name), "rb") as fh:
+                data = fh.read()
+            if name == "report.json":
+                data = re.sub(rb'\n  "model": [^\n]*', b"", data)
+            got[name] = hashlib.sha256(data).hexdigest()[:16]
+        assert got == digests, cmd
 
 
 # ---------------------------------------------------------------------------

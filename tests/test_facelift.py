@@ -124,6 +124,25 @@ def test_hausdorff_distances():
     far.mark_points([[1.9, 1.9]])  # nine cells: beyond the default cap
     assert a.hausdorff(far) == math.inf
 
+    def brute(A, B):
+        ia, ib = np.argwhere(A), np.argwhere(B)
+        d = np.max(np.abs(ia[:, None, :] - ib[None, :, :]), axis=2).min(axis=1).max()
+        return math.inf if d > 8 else d * 0.1
+
+    # random 2D/3D pairs, sparse enough that some gaps exceed the cap
+    rng = np.random.default_rng(5)
+    for trial in range(80):
+        dim = 2 + trial % 2
+        side = int(rng.integers(3, 24 if dim == 2 else 12))
+        g = GridRegion(np.zeros(dim), np.full(dim, side * 0.1), 0.1)
+        p, q = g.blank(), g.blank()
+        p.occupancy = rng.random(g.shape) < 10 ** rng.uniform(-3, -0.5)
+        q.occupancy = rng.random(g.shape) < 10 ** rng.uniform(-3, -0.5)
+        if not p.occupancy.any() or not q.occupancy.any():
+            continue
+        want = max(brute(p.occupancy, q.occupancy), brute(q.occupancy, p.occupancy))
+        assert p.hausdorff(q) == want
+
 
 def test_symmetric_difference_and_subset():
     a = GridRegion([0.0, 0.0], [1.0, 1.0], 0.5)
@@ -378,7 +397,9 @@ def test_semigroup_restart_from_boundary():
     region = first.combined_region()
     chains = [(region.boundary_cell_centers(), None)]
     grid = TimeGrid.uniform(0.5, 0.125)
-    _front_sweep(chains, unit_square(), DRIFT, grid.intervals(0.5), region, h, h / 2.0)
+    steps = _front_sweep(chains, unit_square(), DRIFT, grid.intervals(0.5), region, h, h / 2.0)
+    for _, _, kept, _, _ in steps:
+        region.include(kept)
     gap = region.hausdorff(direct.combined_region())
     assert gap <= 2.0 * h + 1e-12
 
@@ -456,22 +477,32 @@ def test_slide_invariant_under_flavor():
     assert combined_under.count() > 0
 
 
-def test_literal_under_marks_escaping_samples():
-    square = unit_square()
-    inv = Polyhedron.box([0.0, 0.0], [3.0, 1.0])
+@pytest.mark.parametrize(
+    "init,dyn,box",
+    [
+        (unit_square(), DRIFT, ([-0.6, -0.6], [2.6, 2.6])),
+        (offset_square(), ExpressionDynamics.parse(["-x2", "x1"]), ([-1.0, -0.2], [1.4, 1.8])),
+        (
+            LevelSet("(x1 - 1)*(x1 - 1) + x2*x2 - 0.09", [0.5, -0.5], [1.5, 0.5]),
+            ExpressionDynamics.parse(["x2", "-sin(x1) - 0.5*x2"]),
+            ([-0.2, -1.4], [1.8, 0.8]),
+        ),
+    ],
+    ids=["drift-square", "rotation-square", "pendulum-disk"],
+)
+def test_vacuous_invariant_gives_bounded_time_sweep(init, dyn, box):
+    # with the whole grid box as invariant nothing escapes, so the exit
+    # shadow prunes nothing and each step sweeps the bounded-time cells
+    bounded = reach_bounded_time(init, dyn, 1.0, grid=0.125, h=0.05, box=box)
+    n = len(bounded.segments)
+    assert n == 8
     tube = reach_invariant(
-        square,
-        SLIDE,
-        inv,
-        grid=0.25,
-        h=0.05,
-        under_approximate=True,
-        literal_under=True,
+        init, dyn, Polyhedron.box(*box), grid=0.125, h=0.05, box=box, max_iters=n
     )
-    centers = tube.region().cell_centers()
-    assert centers.shape[0] > 0
-    # the schematic records the escaping tube samples verbatim
-    assert np.any(centers[:, 0] > 3.0)
+    assert len(tube.segments) == n
+    for (t0, t1, seg), (u0, u1, useg) in zip(bounded.segments, tube.segments):
+        assert (t0, t1) == (u0, u1)
+        assert np.array_equal(seg.occupancy, useg.occupancy)
 
 
 def test_invariant_precondition():
