@@ -107,7 +107,7 @@ def _write_csv(path, header, rows):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(map(_fmt, row)) + "\n")
 
 
 def _write_report(report: RunReport, out: str):
@@ -122,10 +122,23 @@ def _coord_header(dim):
     return [f"x{j + 1}" for j in range(dim)]
 
 
+def _center_strings(region: GridRegion):
+    """CSV text of each occupied cell's center, in cell_centers order.
+    Coordinate j of a center depends only on the cell's index along axis
+    j, so each axis value is formatted once."""
+    idx = np.argwhere(region.occupancy)
+    cols = []
+    for j, n in enumerate(region.shape):
+        axis = region.lo[j] + (np.arange(n) + 0.5) * region.h
+        cols.append(np.array([_fmt(c) for c in axis], object)[idx[:, j]])
+    return [",".join(coords) for coords in zip(*cols)]
+
+
 def _grid_segment_rows(segments):
     for i, (t0, t1, seg) in enumerate(segments):
-        for center in seg.cell_centers():
-            yield [i, t0, t1, *center]
+        head = f"{i},{_fmt(t0)},{_fmt(t1)}"
+        for coords in _center_strings(seg):
+            yield [head, coords]
 
 
 def _poly_rows(P: Polyhedron):
@@ -374,8 +387,7 @@ def _run_hybrid(m: ModelFile, args, out: str):
     dim = H.dim
     rows = []
     for q in H.locations:
-        for center in reached.regions[q].cell_centers():
-            rows.append([q, *center])
+        rows.extend([q, coords] for coords in _center_strings(reached.regions[q]))
     _write_csv(
         os.path.join(out, "cells.csv"), ["location", *_coord_header(dim)], rows
     )

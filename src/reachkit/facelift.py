@@ -89,12 +89,18 @@ class LevelSet:
 
 
 def _polyhedron_faces(P: Polyhedron):
-    """(row index, orthonormalized Face) per facet. A row whose maximum
-    over the other kept rows stays below its offset is implied: it is
-    dropped up front and never becomes a side. Rows that only touch stay."""
+    """(row index, orthonormalized Face) per facet. A row that repeats an
+    earlier kept row up to a positive scale is dropped, and so is a row
+    whose maximum over the other kept rows stays below its offset (it is
+    implied); neither becomes a side. Other rows that only touch stay."""
     rows = P.ineqs
-    kept = list(range(len(rows)))
-    for i in range(len(rows)):
+    kept, units = [], []
+    for i, row in enumerate(rows):
+        unit = np.append(row.normal, row.offset) / (np.linalg.norm(row.normal) or 1.0)
+        if not any(np.allclose(unit, u, rtol=0.0, atol=1e-12) for u in units):
+            kept.append(i)
+            units.append(unit)
+    for i in list(kept):
         res = Polyhedron([rows[j] for j in kept if j != i]).maximize(rows[i].normal)
         if res.status == "optimal" and res.value < rows[i].offset - 1e-9:
             kept.remove(i)
@@ -865,9 +871,39 @@ def _advance_front(advected, cum, init, dyn, h_b, delta, h):
     return [c for c in nxt if c[0].shape[0]]
 
 
+def _near_shadow(pts, v_pts, h, thr):
+    """True for each row of pts with a shadow point of v_pts at squared
+    distance below thr (at most h²). Fixed-radius search on an h-cell
+    grid (Bentley, Stanat and Williams, 1977): the shadow is bucketed by
+    floor(v/h) and each point meets only the 3^d buckets around its own,
+    because a shadow point two buckets away differs by more than h in one
+    coordinate. Memory is linear in the candidate pairs, not pts × v_pts."""
+    n, d = pts.shape
+    kv = np.floor(v_pts / h).astype(np.int64)
+    base = kv.min(axis=0)
+    span = kv.max(axis=0) - base + 1  # queries outside this box meet no bucket
+    strides = np.cumprod(np.concatenate(([1], span[:-1])))
+    keys = (kv - base) @ strides
+    order = np.argsort(keys)
+    keys = keys[order]
+    offsets = np.indices((3,) * d).reshape(d, -1).T - 1
+    q = (np.floor(pts / h).astype(np.int64) - base)[:, None, :] + offsets
+    qk = np.where(np.all((q >= 0) & (q < span), axis=2), q @ strides, -1)
+    lo = np.searchsorted(keys, qk, "left").ravel()
+    counts = np.searchsorted(keys, qk, "right").ravel() - lo
+    fi = np.repeat(np.arange(n), counts.reshape(n, -1).sum(axis=1))
+    first = np.cumsum(counts) - counts
+    si = order[np.arange(fi.size) + np.repeat(lo - first, counts)]
+    d2 = np.sum((pts[fi] - v_pts[si]) ** 2, axis=1)
+    near = np.zeros(n, bool)
+    near[fi[d2 < thr]] = True
+    return near
+
+
 def _exit_shadow_keep(chains, trajs, invariant, dyn, delta, h):
     """One keep mask per chain: False for the front samples within h of
-    the exit shadow, the reverse-flow images of escaping tube samples."""
+    the exit shadow, the reverse-flow images of escaping tube samples.
+    Memory is linear in the front and shadow sizes (see _near_shadow)."""
     flat = np.vstack([t.reshape(-1, t.shape[2]) for t in trajs])
     outside = ~invariant.contains(flat, tol=1e-9)
     if not outside.any():
@@ -878,13 +914,11 @@ def _exit_shadow_keep(chains, trajs, invariant, dyn, delta, h):
     if u.shape[0] > 2000:
         u = u[:: int(math.ceil(u.shape[0] / 2000.0))]
     v_pts = _advect(dyn, u, -delta, h).reshape(-1, u.shape[1])
-    keeps = []
-    for pts, _ in chains:
-        d2 = np.min(np.sum((pts[:, None, :] - v_pts[None, :, :]) ** 2, axis=2), axis=1)
-        # ties at exactly h are structural for raster-seeded fronts
-        # (cell centers sit one cell from the overhang shadow); keep them
-        keeps.append(d2 >= h * h * (1.0 - 1e-9))
-    return keeps
+    front = np.vstack([pts for pts, _ in chains])
+    # ties at exactly h are structural for raster-seeded fronts
+    # (cell centers sit one cell from the overhang shadow); keep them
+    near = _near_shadow(front, v_pts, h, h * h * (1.0 - 1e-9))
+    return np.split(~near, np.cumsum([pts.shape[0] for pts, _ in chains])[:-1])
 
 
 def _front_sweep(chains, init, dyn, intervals, cum, h, h_b, invariant=None):

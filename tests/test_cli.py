@@ -12,7 +12,12 @@ import pytest
 
 import reachkit.golden as golden
 from reachkit.cli import run
-from reachkit.modelfile import bundled_model_path
+from reachkit.facelift import classify_boundary
+from reachkit.flow import ExpressionDynamics
+from reachkit.modelfile import bundled_model_path, load_model
+
+
+DRIFT = ExpressionDynamics.parse(["1", "1"])
 
 
 def read_report(out):
@@ -170,24 +175,39 @@ def test_redundant_parallel_row_is_not_a_face(tmp_path, path_kind):
     # x1 <= 1 is implied by 2 x1 <= 1: the face on it is never tight
     rows = [[1, 0, 1], [2, 0, 1], [-1, 0, 0], [0, 1, 1], [0, -1, 0]]
     dynamics = {"expressions": ["1", "1"]}
+    box = [[0, 0], [0.5, 1]]
     if path_kind == "polyhedral":
         # shifted off the origin so every face is strictly in- or outflow
         rows = [[a1, a2, b + a1 + a2] for a1, a2, b in rows]
         dynamics = {"matrix": [[0.0, -1.0], [1.0, 0.0]]}
+        box = [[1, 1], [1.5, 2]]
     data = {
         "schema": 1,
         "kind": "reach",
         "dynamics": dynamics,
-        "initial": {"rows": rows},
         "grid": {"cell": 0.05, "dt": 0.5, "tau": 1.0},
     }
-    out = str(tmp_path / "rows")
-    assert run(["reach", write_model(tmp_path, data), "--out", out]) == 0
-    assert read_report(out)["diagnostics"]["path"] == path_kind
+    # a scaled copy of 2 x1 <= 1 is the same facet and must not be sampled
+    # twice; an implied row that is not parallel to a facet is dropped too
+    inits = {
+        "box": {"box": box},
+        "rows": {"rows": rows},
+        "scaled": {"rows": rows + [[c / 2 for c in rows[1]]]},
+        "diag": {"rows": rows + [[1, 1, 10]]},
+    }
+    samples, outs = {}, {}
+    for tag, init in inits.items():
+        path = write_model(tmp_path, {**data, "initial": init}, f"{tag}.json")
+        outs[tag] = str(tmp_path / tag)
+        assert run(["reach", path, "--out", outs[tag]]) == 0
+        assert read_report(outs[tag])["diagnostics"]["path"] == path_kind
+        samples[tag] = classify_boundary(load_model(path).initial, DRIFT, 0.025).points.tolist()
+    for tag in inits:
+        assert samples[tag] == samples["box"], tag
     if path_kind == "front":
-        box = write_model(tmp_path, {**data, "initial": {"box": [[0, 0], [0.5, 1]]}}, "box.json")
-        assert run(["reach", box, "--out", str(tmp_path / "box")]) == 0
-        assert read_lines(out, "segments.csv") == read_lines(str(tmp_path / "box"), "segments.csv")
+        want = read_lines(outs["box"], "segments.csv")
+        assert read_lines(outs["rows"], "segments.csv") == want
+        assert read_lines(outs["scaled"], "segments.csv") == want
         return
 
     def values(d):
@@ -195,16 +215,11 @@ def test_redundant_parallel_row_is_not_a_face(tmp_path, path_kind):
         rows = [line.split(",") for line in read_lines(d, "polyhedra.csv")]
         return [r[:6] + [float(c) for c in r[6:]] for r in rows[1:]]
 
-    # implied rows never reach an enclosure: the tube equals the plain
-    # box's, also for an implied row that is not parallel to a facet
-    box = write_model(tmp_path, {**data, "initial": {"box": [[1, 1], [1.5, 2]]}}, "box.json")
-    assert run(["reach", box, "--out", str(tmp_path / "box")]) == 0
-    diag = write_model(tmp_path, {**data, "initial": {"rows": rows + [[1, 1, 10]]}}, "diag.json")
-    assert run(["reach", diag, "--out", str(tmp_path / "diag")]) == 0
-    want = values(str(tmp_path / "box"))
+    # redundant rows never reach an enclosure: the tube equals the box's
+    want = values(outs["box"])
     assert len(want) == 96
-    assert values(out) == want
-    assert values(str(tmp_path / "diag")) == want
+    for tag in ("rows", "scaled", "diag"):
+        assert values(outs[tag]) == want, tag
 
 
 def test_degenerate_polyapprox_side_exits_2_without_traceback(tmp_path, capfd):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from reachkit.facelift import (
     TimeGrid,
     _front_sweep,
     _levelset_boundary,
+    _near_shadow,
     check_boundary_equivalence,
     classify_boundary,
     reach_bounded_time,
@@ -25,6 +27,7 @@ from reachkit.facelift import (
 )
 from reachkit.flow import ExpressionDynamics, LinearDynamics, flow
 from reachkit.geometry import Polyhedron
+from reachkit.modelfile import bundled_model_path, load_model
 
 ROT = LinearDynamics(np.array([[0.0, -1.0], [1.0, 0.0]]))
 DRIFT = ExpressionDynamics.parse(["1", "1"])
@@ -525,6 +528,56 @@ def test_periodic_orbit_hits_iteration_cap():
 def test_invariant_requires_step():
     with pytest.raises(ValueError):
         reach_invariant(unit_square(), SLIDE, Polyhedron.box([0, 0], [3, 1]))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_near_shadow_matches_dense_distances(dim):
+    rng = np.random.default_rng(dim)
+    ties = 0
+    for trial in range(200):
+        h = float(rng.choice([0.01, 0.05, 0.25, 1.0]))
+        # every seventh case has a single front sample, the next a single
+        # shadow point
+        n = 1 if trial % 7 == 0 else int(rng.integers(1, 40))
+        m = 1 if trial % 7 == 1 else int(rng.integers(1, 40))
+        if trial % 2:
+            # lattice points, negative ones included: many pairs exactly h
+            # apart, front samples on cell centers or on cell edges
+            shift = 0.5 * h * (trial % 4 == 1)
+            pts = rng.integers(-5, 5, (n, dim)) * h + shift
+            v_pts = rng.integers(-5, 5, (m, dim)) * h
+        else:
+            pts = rng.uniform(-4.0 * h, 4.0 * h, (n, dim))
+            v_pts = rng.uniform(-3.0 * h, 3.0 * h, (m, dim)) + rng.uniform(-h, h, dim)
+        thr = h * h * (1.0 - 1e-9)
+        # the reference: the dense front x shadow x dim block it replaced
+        d2 = np.sum((pts[:, None, :] - v_pts[None, :, :]) ** 2, axis=2)
+        ties += int(np.sum(np.abs(d2 - h * h) < 1e-12 * h * h))
+        got = _near_shadow(pts, v_pts, h, thr)
+        assert got.dtype == bool and got.shape == (n,)
+        assert np.array_equal(got, d2.min(axis=1) < thr), trial
+    assert ties > 0
+
+
+def test_invariant_reach_memory_is_linear_in_front_and_shadow():
+    # the dense front x shadow prune peaked at about 40 MB here
+    m = load_model(bundled_model_path("drift_invariant.json"))
+    tracemalloc.start()
+    try:
+        reach_invariant(
+            m.initial,
+            m.dynamics,
+            m.invariant,
+            grid=m.grid_value("dt"),
+            h=0.02,
+            max_iters=m.flag("max_iters"),
+            tau_max=m.grid_value("tau"),
+            h_b=m.grid_value("boundary_spacing"),
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 # ---------------------------------------------------------------------------
