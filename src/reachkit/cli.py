@@ -436,7 +436,7 @@ def _polys_group(tag, polys):
 
 
 def _cells_group(tag, region: GridRegion):
-    return tag, {"cells": region.cell_centers(), "h": region.h}
+    return tag, {"region": region}
 
 
 def _poly_polygon(P: Polyhedron):
@@ -449,7 +449,7 @@ def _poly_polygon(P: Polyhedron):
 def _plot_groups(m: ModelFile, args):
     """Ordered (tag, payload) pairs for the model's result geometry plus
     the underlying run report. A payload holds either outline polygons
-    or grid-cell centers."""
+    or a grid region."""
     if m.kind == "reach":
         _, rep, tube = _run_reach(m, args, _outdir(args))
         groups = []
@@ -506,20 +506,21 @@ def emit_plot(groups, path, fmt):
             for j, poly in enumerate(payload.get("polys", [])):
                 for v, pt in enumerate(poly):
                     rows.append([tag, j, v, pt[0], pt[1]])
-            for j, center in enumerate(payload.get("cells", [])):
-                rows.append([tag, j, 0, center[0], center[1]])
+            if "region" in payload:
+                for j, coords in enumerate(_center_strings(payload["region"])):
+                    rows.append([f"{tag},{j},0", coords])
         _write_csv(path, ["group", "item", "vertex", "x1", "x2"], rows)
         return path
     if fmt != "svg":
         raise ModelError(f"unknown plot format {fmt!r}")
+    centers = [p["region"].cell_centers() if "region" in p else () for _, p in groups]
     pts = []
-    for _, payload in groups:
+    for (_, payload), cells in zip(groups, centers):
         pts.extend(payload.get("polys", []))
-        cells = payload.get("cells")
-        if cells is not None and len(cells):
-            half = payload["h"] / 2.0
-            pts.append(np.asarray(cells) - half)
-            pts.append(np.asarray(cells) + half)
+        if len(cells):
+            half = payload["region"].h / 2.0
+            pts.append(cells - half)
+            pts.append(cells + half)
     if pts:
         allp = np.vstack(pts)
         lo, hi = allp.min(axis=0), allp.max(axis=0)
@@ -533,7 +534,7 @@ def emit_plot(groups, path, fmt):
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width:.1f} {height:.1f}">'
     ]
-    for gi, (tag, payload) in enumerate(groups):
+    for gi, ((tag, payload), cells) in enumerate(zip(groups, centers)):
         color = _PALETTE[gi % len(_PALETTE)]
         lines.append(f'<g id="{tag}" stroke="{color}" fill="{color}" fill-opacity="0.08">')
         for poly in payload.get("polys", []):
@@ -542,14 +543,12 @@ def emit_plot(groups, path, fmt):
                 lines.append(f'<polyline points="{coords}" fill="none"/>')
             else:
                 lines.append(f'<polygon points="{coords}"/>')
-        cells = payload.get("cells")
-        if cells is not None and len(cells):
-            side = payload["h"] * scale
+        if len(cells):
+            h = payload["region"].h
+            side = h * scale
             for center in cells:
                 corner = _svg_point(
-                    center[0] - payload["h"] / 2.0,
-                    center[1] + payload["h"] / 2.0,
-                    lo, hi, scale, pad,
+                    center[0] - h / 2.0, center[1] + h / 2.0, lo, hi, scale, pad
                 ).split(",")
                 lines.append(
                     f'<rect x="{corner[0]}" y="{corner[1]}" '
@@ -579,7 +578,7 @@ def _run_plot(m: ModelFile, args, out: str):
         settings={"format": fmt, **sub.settings},
         diagnostics={
             "groups": [
-                [tag, len(payload.get("polys", [])) + len(payload.get("cells", []))]
+                [tag, payload["region"].count() if "region" in payload else len(payload["polys"])]
                 for tag, payload in groups
             ],
             "run": sub.diagnostics,

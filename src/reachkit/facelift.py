@@ -44,6 +44,7 @@ TANGENTIAL = "tangential"
 INFLOW = "inflow"
 
 _HAUSDORFF_CAP_CELLS = 8  # GridRegion.hausdorff gives up (inf) beyond this many cells
+_CONTACT_TOL = 1e-9  # cell widths of gap that cells_touching still counts as contact
 
 
 # ---------------------------------------------------------------------------
@@ -314,15 +315,16 @@ class BoundaryFront:
         ]
 
 
-def classify_boundary(init, dyn, h_b: float) -> BoundaryFront:
+def classify_boundary(init, dyn, h_b: float, boundary=None) -> BoundaryFront:
     """Sample the boundary of ``init`` and tag each sample by the sign of
     the outward derivative: normal . f above +tol is outflow, below -tol
     inflow, in between tangential (kept in the front). tol scales as
-    1e-9 (1 + |f|) per sample."""
+    1e-9 (1 + |f|) per sample. A level set's samples may be passed in as
+    ``boundary``, the (points, dropped) pair of _levelset_boundary."""
     chains = []
     dropped = 0
     if isinstance(init, LevelSet):
-        pts, dropped = _levelset_boundary(init, h_b)
+        pts, dropped = boundary or _levelset_boundary(init, h_b)
         closed = True if init.dim == 2 else None
         normals = init.gradient(pts)
         finite = np.all(np.isfinite(normals), axis=1) & (
@@ -463,36 +465,31 @@ class GridRegion:
         return self._window(lo, hi)
 
     def cells_touching(self, P: Polyhedron):
-        """Boolean mask of cells whose closed box meets the polyhedron.
-        Cells whose center clears every row by the half diagonal are kept
-        outright; straddling cells get an exact feasibility probe."""
+        """Over-rasterization: mask of the closed cells that meet P, where
+        shared edges and corners count, up to _CONTACT_TOL. With equalities
+        split into two rows, a row a.x <= b spans a.c -+ (h/2)|a|_1 over a
+        cell of centre c, and separates the cell if its minimum exceeds b.
+        The window overlaps P's coordinate extents, so up to 2D no
+        separating row means contact (separating-axis theorem). Above 2D
+        that holds when at most one row straddles the cell; cells that
+        straddle two or more get an exact LP probe."""
         mask = np.zeros(self.shape, dtype=bool)
         idx = self._poly_window(P)
         if idx is None:
             return mask
-        centers = self.lo + (idx + 0.5) * self.h
-        half_diag = self.h * math.sqrt(self.dim) / 2.0
         A_ub, b_ub, A_eq, b_eq = P.matrices()
-        if len(b_ub):
-            norms = np.linalg.norm(A_ub, axis=1)
-            resid = (centers @ A_ub.T - b_ub) / np.where(norms > 0, norms, 1.0)
-            inside = np.all(resid <= 1e-12, axis=1)
-            near = np.all(resid <= half_diag + 1e-9, axis=1) & ~inside
-        else:
-            inside = np.ones(idx.shape[0], bool)
-            near = np.zeros(idx.shape[0], bool)
-        if len(b_eq):
-            enorm = np.linalg.norm(A_eq, axis=1)
-            eresid = np.abs(centers @ A_eq.T - b_eq) / np.where(enorm > 0, enorm, 1.0)
-            fail = ~np.all(eresid <= 1e-12, axis=1)
-            near |= inside & fail
-            inside &= ~fail
-            near &= np.all(eresid <= half_diag + 1e-9, axis=1)
-        mask[tuple(idx[inside].T)] = True
-        for i in np.nonzero(near)[0]:
-            probe = Polyhedron(P.ineqs + self._cell_box_rows(idx[i]), P.eqs)
-            if not is_empty(probe):
-                mask[tuple(idx[i])] = True
+        A = np.vstack([A_ub, A_eq, -A_eq]).reshape(-1, self.dim)
+        b = np.concatenate([b_ub, b_eq, -b_eq])
+        reach = 0.5 * self.h * np.abs(A).sum(axis=1)
+        tol = 2.0 * _CONTACT_TOL * reach
+        slack = (self.lo + (idx + 0.5) * self.h) @ A.T - b
+        meets = np.all(slack <= reach + tol, axis=1)
+        if self.dim > 2:
+            straddled = np.sum(slack > tol - reach, axis=1)
+            for i in np.nonzero(meets & (straddled > 1))[0]:
+                probe = Polyhedron(P.ineqs + self._cell_box_rows(idx[i]), P.eqs)
+                meets[i] = not is_empty(probe)
+        mask[tuple(idx[meets].T)] = True
         return mask
 
     def cells_inside(self, P: Polyhedron):
@@ -1105,7 +1102,7 @@ def reach_bounded_time(
 # invariant-constrained reach
 
 
-def _check_inside_invariant(init, invariant, h_b):
+def _check_inside_invariant(init, invariant, h_b, boundary):
     if isinstance(init, GridRegion):
         # cell raster: centers may legally overhang by the half diagonal
         centers = init.cell_centers()
@@ -1128,8 +1125,7 @@ def _check_inside_invariant(init, invariant, h_b):
                     "initial set is not contained in the invariant"
                 )
     else:
-        bnd, _ = _levelset_boundary(init, h_b)
-        pts = np.vstack([bnd, _interior_lattice(init, h_b)])
+        pts = np.vstack([boundary[0], _interior_lattice(init, h_b)])
         if not np.all(invariant.contains(pts, tol=1e-8)):
             raise PreconditionViolated("initial set samples leave the invariant")
 
@@ -1195,7 +1191,9 @@ def reach_invariant(
         else:
             max_iters = 10 * max(1, int(grid.times.size))
     h_b = h_b if h_b is not None else h / 2.0
-    _check_inside_invariant(init, invariant, h_b)
+    # a level set's boundary samples serve both the check and the front
+    boundary = _levelset_boundary(init, h_b) if isinstance(init, LevelSet) else None
+    _check_inside_invariant(init, invariant, h_b, boundary)
     if box is None:
         box = _invariant_box(init, invariant, dyn, grid, h)
     lo, hi = box
@@ -1215,7 +1213,7 @@ def reach_invariant(
         bnd = init.boundary_cell_centers()
         chains = [(bnd, None)] if bnd.shape[0] else []
     else:
-        chains = classify_boundary(init, dyn, h_b).front_chains()
+        chains = classify_boundary(init, dyn, h_b, boundary).front_chains()
     tube = ReachTube(
         segments=[],
         direction="under" if under_approximate else "over",

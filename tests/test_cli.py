@@ -491,6 +491,19 @@ def test_plot_csv_one_row_per_cell_center(tmp_path):
     assert len(seg_rows) == counted
 
 
+@pytest.mark.parametrize(
+    "name,digest",
+    [("example1.json", "d950bb86676f20e3"), ("drift_invariant.json", "efc06babb6e20aa5")],
+)
+def test_plot_csv_is_pinned(tmp_path, name, digest):
+    # sha256 prefix recorded when every cell-center coordinate was
+    # formatted on its own; the per-axis string tables must match it
+    out = str(tmp_path)
+    assert run(["plot", model(name), "--out", out, "--format", "csv"]) == 0
+    with open(os.path.join(out, "plot.csv"), "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest()[:16] == digest
+
+
 def test_plot_csv_empty_tube_has_header_only_segments(tmp_path):
     out = str(tmp_path)
     assert run(["plot", model("example1.json"), "--out", out, "--format", "csv", "--tau", "0"]) == 0

@@ -3,10 +3,14 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reachkit.facelift as facelift
 from reachkit.errors import (
     AssumptionA2Violated,
     EmptyBoundary,
@@ -26,7 +30,7 @@ from reachkit.facelift import (
     reach_invariant,
 )
 from reachkit.flow import ExpressionDynamics, LinearDynamics, flow
-from reachkit.geometry import Polyhedron
+from reachkit.geometry import Halfspace, Polyhedron, convex_hull_2d, is_empty
 from reachkit.modelfile import bundled_model_path, load_model
 
 ROT = LinearDynamics(np.array([[0.0, -1.0], [1.0, 0.0]]))
@@ -110,6 +114,120 @@ def test_cells_touching_vs_inside_strip():
     inside = g.cells_inside(strip)
     assert touch.sum() == 8  # two cell columns meet [0.4, 0.6]
     assert inside.sum() == 0  # no 0.25-cell fits in a 0.2 strip
+
+
+def lp_touching(g, P):
+    """Per-cell oracle: one feasibility LP of P intersected with each cell box."""
+    mask = np.zeros(g.shape, bool)
+    for idx in np.ndindex(*g.shape):
+        probe = Polyhedron(P.ineqs + g._cell_box_rows(np.array(idx)), P.eqs)
+        mask[idx] = not is_empty(probe)
+    return mask
+
+
+def test_cells_touching_counts_shared_edges_and_corners():
+    g = GridRegion([0.0, 0.0], [1.0, 1.0], 0.25)
+    cell = Polyhedron.box([0.25, 0.25], [0.5, 0.5])  # exactly cell (1, 1)
+    touch = g.cells_touching(cell)
+    assert np.array_equal(touch, lp_touching(g, cell))
+    want = np.zeros(g.shape, bool)
+    want[0:3, 0:3] = True  # itself, four edge neighbours, four corner neighbours
+    assert np.array_equal(touch, want)
+
+
+def test_cells_touching_vertex_on_cell_corner():
+    g = GridRegion([0.0, 0.0], [1.0, 1.0], 0.25)
+    tri = convex_hull_2d([[0.5, 0.5], [0.9, 0.6], [0.6, 0.9]])
+    touch = g.cells_touching(tri)
+    assert np.array_equal(touch, lp_touching(g, tri))
+    assert touch[1, 1] and touch[1, 2] and touch[2, 1]  # the vertex alone meets these
+    assert not touch[0, 0] and not touch[1, 3] and not touch[3, 1]
+
+
+def test_cells_touching_segment_along_grid_line():
+    g = GridRegion([0.0, 0.0], [1.0, 1.0], 0.25)
+    seg = Polyhedron(
+        (Halfspace([1.0, 0.0], 0.6), Halfspace([-1.0, 0.0], -0.1)),
+        (Halfspace([0.0, 1.0], 0.5),),
+    )
+    touch = g.cells_touching(seg)
+    assert np.array_equal(touch, lp_touching(g, seg))
+    want = np.zeros(g.shape, bool)
+    want[0:3, 1:3] = True  # both cell rows on either side of x2 = 0.5
+    assert np.array_equal(touch, want)
+
+
+@st.composite
+def grid_and_polytope(draw):
+    """A small 2D grid and a polygon, strip, half-plane or segment whose
+    points lie on a lattice of h/den; den = 1 snaps them to grid lines."""
+    h = draw(st.sampled_from([0.1, 0.125, 0.25, 0.3]))
+    lo = np.array([draw(st.integers(-8, 8)), draw(st.integers(-8, 8))]) * 0.125
+    n = np.array([draw(st.integers(1, 7)), draw(st.integers(1, 7))])
+    g = GridRegion(lo, lo + n * h, h)
+    den = draw(st.sampled_from([1, 1, 7, 29]))
+
+    def point():
+        k = [draw(st.integers(-den, (n[j] + 1) * den)) for j in range(2)]
+        return lo + np.array(k) / den * h
+
+    def normal():
+        a = np.array([draw(st.integers(-3, 3)), draw(st.integers(-3, 3))], float)
+        return a if a.any() else np.array([1.0, 0.0])
+
+    kind = draw(st.sampled_from(["polygon", "halfplane", "strip", "segment"]))
+    if kind == "polygon":
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # collinear draws become a line
+            pts = [point() for _ in range(draw(st.integers(3, 6)))]
+            if np.ptp(np.array(pts), axis=0).max() == 0.0:
+                pts[0] = pts[0] + h
+            return g, convex_hull_2d(pts)
+    a = normal()
+    p, q = point(), point()
+    if kind == "halfplane":
+        return g, Polyhedron((Halfspace(a, a @ p),))
+    if kind == "strip":
+        lo_b, hi_b = sorted([a @ p, a @ q])
+        return g, Polyhedron((Halfspace(a, hi_b), Halfspace(-a, -lo_b)))
+    d = np.array([-a[1], a[0]])
+    caps = (Halfspace(d, max(d @ p, d @ q)), Halfspace(-d, -min(d @ p, d @ q)))
+    return g, Polyhedron(caps if draw(st.booleans()) else (), (Halfspace(a, a @ p),))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=grid_and_polytope())
+def test_cells_touching_matches_lp_oracle_2d(case):
+    g, P = case
+    assert np.array_equal(g.cells_touching(P), lp_touching(g, P))
+
+
+def test_cells_touching_3d_falls_back_to_lp(monkeypatch):
+    calls = []
+
+    def counted(P):
+        calls.append(1)
+        return is_empty(P)
+
+    monkeypatch.setattr(facelift, "is_empty", counted)
+    g = GridRegion([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0], 0.4)
+    # octahedron |x1| + |x2| + |x3| <= 0.8 with its vertices on grid lines;
+    # a triangle in the plane x3 = 0.2 (an equality) cut by x1 + x2 <= 0.4;
+    # a wedge whose edge runs along (-1, 1, 1), so four cells meet each row
+    # alone but miss the wedge (separated along (0, 1, -1), no row's axis)
+    octa = Polyhedron.from_inequalities(
+        [[s1, s2, s3] for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)], [0.8] * 8
+    )
+    tri = Polyhedron(
+        (Halfspace([1, 1, 0], 0.4), Halfspace([-1, 0, 0], 0.5), Halfspace([0, -1, 0], 0.5)),
+        (Halfspace([0, 0, 1], 0.2),),
+    )
+    wedge = Polyhedron.from_inequalities([[1, 1, 0], [-1, 0, -1]], [0.1, -0.3])
+    for P in (octa, tri, wedge):
+        calls.clear()
+        touch = g.cells_touching(P)
+        assert 0 < len(calls) < touch.size  # some cells, not all, need the LP
+        assert np.array_equal(touch, lp_touching(g, P))
 
 
 def test_hausdorff_distances():
@@ -506,6 +624,25 @@ def test_vacuous_invariant_gives_bounded_time_sweep(init, dyn, box):
     for (t0, t1, seg), (u0, u1, useg) in zip(bounded.segments, tube.segments):
         assert (t0, t1) == (u0, u1)
         assert np.array_equal(seg.occupancy, useg.occupancy)
+
+
+def test_levelset_boundary_is_sampled_once_per_invariant_reach(monkeypatch):
+    calls = []
+
+    def counted(ls, h_b):
+        calls.append(h_b)
+        return _levelset_boundary(ls, h_b)
+
+    monkeypatch.setattr(facelift, "_levelset_boundary", counted)
+    disk = LevelSet(
+        "(x1 - 0.8)*(x1 - 0.8) + (x2 - 0.5)*(x2 - 0.5) - 0.25", [0.2, -0.1], [1.4, 1.1]
+    )
+    inv = Polyhedron.box([0.0, 0.0], [3.0, 1.0])
+    tube = reach_invariant(disk, SLIDE, inv, grid=0.25, h=0.05)
+    assert calls == [0.025]  # the containment check and the front share it
+    # segment occupancy recorded when each consumer sampled the boundary itself
+    occ = b"".join(seg.occupancy.tobytes() for _, _, seg in tube.segments)
+    assert hashlib.sha256(occ).hexdigest()[:16] == "2bebcaf798f5d148"
 
 
 def test_invariant_precondition():
