@@ -393,11 +393,8 @@ def _run_hybrid(m: ModelFile, args, out: str):
     )
     report.outputs.append("cells.csv")
 
-    summary = verdict.summary()
-    if summary.get("witness_cell") is not None:
-        summary["witness_cell"] = [float(v) for v in summary["witness_cell"]]
     diagnostics = {
-        "verdict": summary,
+        "verdict": verdict.summary(),
         "cells": int(reached.count()),
         "capped_locations": sorted(reached.capped),
     }

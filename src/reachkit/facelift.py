@@ -370,12 +370,15 @@ def classify_boundary(init, dyn, h_b: float, boundary=None) -> BoundaryFront:
 class GridRegion:
     """Occupancy grid over a fixed box with uniform cell size h.
 
-    over mode marks every cell touched by recorded points or sets; under
-    mode marks only cells certified by all-corner membership. Points
-    outside the box are never marked, only counted in out_of_box.
+    A set becomes cells in one of two ways, each returning a mask:
+    cells_touching (over: every closed cell that meets the set) and
+    cells_inside (under: cells certified inside it), for a Polyhedron or
+    a LevelSet. Sampled points are marked by mark_points (flooring) and
+    coordinate boxes by mark_boxes. Points outside the box are never
+    marked, only counted in out_of_box.
     """
 
-    def __init__(self, lo, hi, h: float, mode: str = "over"):
+    def __init__(self, lo, hi, h: float):
         self.lo = np.asarray(lo, float)
         hi = np.asarray(hi, float)
         if self.lo.shape != hi.shape or np.any(hi <= self.lo):
@@ -388,9 +391,6 @@ class GridRegion:
             for j in range(self.lo.size)
         )
         self.hi = self.lo + np.array(self.shape) * self.h
-        if mode not in ("over", "under"):
-            raise ValueError(f"unknown grid mode {mode!r}")
-        self.mode = mode
         self.occupancy = np.zeros(self.shape, dtype=bool)
         self.out_of_box = 0
 
@@ -406,8 +406,8 @@ class GridRegion:
             and abs(self.h - other.h) < 1e-15
         )
 
-    def blank(self, mode=None):
-        return GridRegion(self.lo, self.hi, self.h, mode or self.mode)
+    def blank(self):
+        return GridRegion(self.lo, self.hi, self.h)
 
     def copy(self):
         g = self.blank()
@@ -438,17 +438,35 @@ class GridRegion:
         self.occupancy |= other.occupancy
         self.out_of_box += other.out_of_box
 
-    def _window(self, lo, hi, pad_cells=0):
-        i0 = np.maximum(
-            np.floor((np.asarray(lo) - self.lo) / self.h - 1e-9).astype(int) - pad_cells, 0
-        )
-        i1 = np.minimum(
-            np.ceil((np.asarray(hi) - self.lo) / self.h + 1e-9).astype(int) + pad_cells,
-            np.array(self.shape),
-        )
-        if np.any(i1 <= i0):
-            return None
-        return grid_points([np.arange(i0[j], i1[j]) for j in range(self.dim)])
+    def _ranges(self, lo, hi, pad=0):
+        """Per-axis cell index ranges [i0, i1) of the closed cells that
+        meet the coordinate box [lo, hi] up to 1e-9 cells, widened by pad
+        cells and clipped to the grid. lo and hi may hold one box per row."""
+        i0 = np.floor((np.asarray(lo) - self.lo) / self.h - 1e-9).astype(int) - pad
+        i1 = np.ceil((np.asarray(hi) - self.lo) / self.h + 1e-9).astype(int) + pad
+        return np.maximum(i0, 0), np.minimum(i1, np.array(self.shape))
+
+    def _window(self, lo, hi, pad=0):
+        """Index rows of the cells in _ranges(lo, hi, pad), (0, d) if none."""
+        i0, i1 = self._ranges(lo, hi, pad)
+        return grid_points([np.arange(a, b) for a, b in zip(i0, i1)])
+
+    def _corners(self, idx):
+        """The 2^d corner points of the cells idx, one (m, d) array each."""
+        for corner in np.ndindex(*(2,) * self.dim):
+            yield self.lo + (idx + np.array(corner)) * self.h
+
+    def _mask(self, idx, hit):
+        mask = np.zeros(self.shape, dtype=bool)
+        mask[tuple(idx[hit].T)] = True
+        return mask
+
+    def _levelset_values(self, ls: LevelSet):
+        """Cells of ls's box padded by one cell, and l sampled at each of
+        their corners and centres, shape (2^d + 1, cells)."""
+        idx = self._window(ls.lo, ls.hi, pad=1)
+        samples = [*self._corners(idx), self.lo + (idx + 0.5) * self.h]
+        return idx, np.array([ls.value(p) for p in samples])
 
     def _cell_box_rows(self, idx):
         lo = self.lo + idx * self.h
@@ -461,23 +479,28 @@ class GridRegion:
         try:
             lo, hi = clipped.bounding_box()
         except EmptyPolyhedron:
-            return None
+            return np.zeros((0, self.dim), int)
         return self._window(lo, hi)
 
-    def cells_touching(self, P: Polyhedron):
-        """Over-rasterization: mask of the closed cells that meet P, where
-        shared edges and corners count, up to _CONTACT_TOL. With equalities
-        split into two rows, a row a.x <= b spans a.c -+ (h/2)|a|_1 over a
-        cell of centre c, and separates the cell if its minimum exceeds b.
-        The window overlaps P's coordinate extents, so up to 2D no
+    def cells_touching(self, S):
+        """Over-rasterization: mask of the closed cells that meet the set S.
+
+        A LevelSet marks a cell of its padded box when l <= 0 at any of
+        its corners or its centre. For a Polyhedron, shared edges and
+        corners count, up to _CONTACT_TOL. With equalities split into two
+        rows, a row a.x <= b spans a.c -+ (h/2)|a|_1 over a cell of centre
+        c, and separates the cell if its minimum exceeds b. The window
+        overlaps the polyhedron's coordinate extents, so up to 2D no
         separating row means contact (separating-axis theorem). Above 2D
-        that holds when at most one row straddles the cell; cells that
-        straddle two or more get an exact LP probe."""
-        mask = np.zeros(self.shape, dtype=bool)
-        idx = self._poly_window(P)
-        if idx is None:
-            return mask
-        A_ub, b_ub, A_eq, b_eq = P.matrices()
+        that holds when at most one row straddles the cell, an equality's
+        two rows counted once (a plane that is the only straddler meets
+        the cell exactly when its box terms say so); cells that straddle
+        two or more get an exact LP probe."""
+        if isinstance(S, LevelSet):
+            idx, vals = self._levelset_values(S)
+            return self._mask(idx, np.any(vals <= 0.0, axis=0))
+        idx = self._poly_window(S)
+        A_ub, b_ub, A_eq, b_eq = S.matrices()
         A = np.vstack([A_ub, A_eq, -A_eq]).reshape(-1, self.dim)
         b = np.concatenate([b_ub, b_eq, -b_eq])
         reach = 0.5 * self.h * np.abs(A).sum(axis=1)
@@ -485,49 +508,25 @@ class GridRegion:
         slack = (self.lo + (idx + 0.5) * self.h) @ A.T - b
         meets = np.all(slack <= reach + tol, axis=1)
         if self.dim > 2:
-            straddled = np.sum(slack > tol - reach, axis=1)
+            cut = slack > tol - reach
+            k, e = b_ub.size, b_eq.size
+            cut[:, k : k + e] |= cut[:, k + e :]  # an equality's two rows count once
+            straddled = cut[:, : k + e].sum(axis=1)
             for i in np.nonzero(meets & (straddled > 1))[0]:
-                probe = Polyhedron(P.ineqs + self._cell_box_rows(idx[i]), P.eqs)
+                probe = Polyhedron(S.ineqs + self._cell_box_rows(idx[i]), S.eqs)
                 meets[i] = not is_empty(probe)
-        mask[tuple(idx[meets].T)] = True
-        return mask
+        return self._mask(idx, meets)
 
-    def cells_inside(self, P: Polyhedron):
-        """Boolean mask of cells all of whose corners lie in the polyhedron."""
-        mask = np.zeros(self.shape, dtype=bool)
-        idx = self._poly_window(P)
-        if idx is None:
-            return mask
-        ok = np.ones(idx.shape[0], bool)
-        for corner in np.ndindex(*(2,) * self.dim):
-            pts = self.lo + (idx + np.array(corner)) * self.h
-            ok &= P.contains(pts, tol=1e-9)
-        mask[tuple(idx[ok].T)] = True
-        return mask
-
-    def mark_polyhedron(self, P: Polyhedron):
-        if self.mode == "over":
-            self.occupancy |= self.cells_touching(P)
-        else:
-            self.occupancy |= self.cells_inside(P)
-
-    def mark_levelset(self, ls: LevelSet):
-        idx = self._window(ls.lo, ls.hi, pad_cells=1)
-        if idx is None:
-            return
-        if self.mode == "over":
-            hit = np.zeros(idx.shape[0], bool)
-            for corner in np.ndindex(*(2,) * self.dim):
-                pts = self.lo + (idx + np.array(corner)) * self.h
-                hit |= ls.value(pts) <= 0.0
-            hit |= ls.value(self.lo + (idx + 0.5) * self.h) <= 0.0
-        else:
-            hit = np.ones(idx.shape[0], bool)
-            for corner in np.ndindex(*(2,) * self.dim):
-                pts = self.lo + (idx + np.array(corner)) * self.h
-                hit &= ls.value(pts) < 0.0
-            hit &= ls.value(self.lo + (idx + 0.5) * self.h) < 0.0
-        self.occupancy[tuple(idx[hit].T)] = True
+    def cells_inside(self, S):
+        """Under-rasterization: mask of the cells certified inside the set
+        S. A Polyhedron needs all corners of the cell inside (up to 1e-9);
+        a LevelSet needs l < 0 at every corner and at the centre."""
+        if isinstance(S, LevelSet):
+            idx, vals = self._levelset_values(S)
+            return self._mask(idx, np.all(vals < 0.0, axis=0))
+        idx = self._poly_window(S)
+        inside = [S.contains(p, tol=1e-9) for p in self._corners(idx)]
+        return self._mask(idx, np.all(inside, axis=0))
 
     def contains_points(self, pts):
         idx, inbox = self._indices(pts)
@@ -585,11 +584,21 @@ class GridRegion:
             out[inbox] = self._interior_mask()[tuple(idx[inbox].T)]
         return out
 
-    def mark_box(self, lo, hi):
-        """Mark every cell whose closed box meets the coordinate box [lo, hi]."""
-        idx = self._window(lo, hi)
-        if idx is not None:
-            self.occupancy[tuple(idx.T)] = True
+    def mark_boxes(self, lo, hi):
+        """Mark every cell whose closed box meets one of the coordinate
+        boxes [lo[k], hi[k]] (see _ranges). Each box adds -+1 at the 2^d
+        corners of its index range in a difference array; the running sums
+        along every axis then count the boxes covering each cell."""
+        i0, i1 = self._ranges(lo, hi)
+        keep = np.all(i1 > i0, axis=1)
+        i0, i1 = i0[keep], i1[keep]
+        diff = np.zeros(np.array(self.shape) + 1, int)
+        for corner in np.ndindex(*(2,) * self.dim):
+            at = np.where(np.array(corner, bool), i1, i0)
+            np.add.at(diff, tuple(at.T), (-1) ** sum(corner))
+        for ax in range(self.dim):
+            diff = np.cumsum(diff, axis=ax)
+        self.occupancy |= diff[tuple(slice(n) for n in self.shape)] > 0
 
     def hausdorff(self, other) -> float:
         """Symmetric grid Hausdorff gap: largest Chebyshev cell distance
@@ -815,28 +824,16 @@ def _default_box(init, dyn, horizon, h):
     return lo - pad, hi + pad
 
 
-def _mark_initial(init, region: GridRegion):
-    if isinstance(init, LevelSet):
-        region.mark_levelset(init)
-    elif isinstance(init, GridRegion):
-        if init.compatible(region):
-            region.include(init)
-        else:
-            region.mark_points(init.cell_centers())
+def _initial_region(init, template: GridRegion, raster) -> GridRegion:
+    """The initial set on a blank copy of template, rasterized by raster
+    (GridRegion.cells_touching or GridRegion.cells_inside). A cell set
+    marks its own cell centres, which is exact for both flavours."""
+    region = template.blank()
+    if isinstance(init, GridRegion):
+        region.mark_points(init.cell_centers())
     else:
-        region.mark_polyhedron(init)
-
-
-def _under_initial(init, template: GridRegion):
-    under = template.blank("under")
-    if isinstance(init, Polyhedron):
-        under.occupancy |= under.cells_inside(init)
-    elif isinstance(init, GridRegion):
-        # a cell set is exact: each marked cell is wholly contained
-        under.mark_points(init.cell_centers())
-    else:
-        under.mark_levelset(init)
-    return under
+        region.occupancy |= raster(region, init)
+    return region
 
 
 def _interior_lattice(init, spacing):
@@ -1025,7 +1022,6 @@ def reach_bounded_time(
     h_b: float | None = None,
     box=None,
     bounds: str = "conservative",
-    force_front: bool = False,
 ) -> ReachTube:
     """Reach set over [0, tau] grown from the outward boundary front.
 
@@ -1035,28 +1031,22 @@ def reach_bounded_time(
     (auto-sized when omitted). mode "under" additionally flows an
     interior sample lattice and keeps, per interval, only cells holding
     a sample that the over sweep also reached (direction tag:
-    exact-sampled). force_front skips the linear-polyhedral fast path.
+    exact-sampled).
     """
     if tau < 0:
         raise ValueError("horizon must be nonnegative")
     if mode not in ("over", "under"):
         raise ValueError(f"unknown mode {mode!r}")
     grid = _coerce_grid(grid, tau)
-    if (
-        not force_front
-        and isinstance(dyn, LinearDynamics)
-        and isinstance(init, Polyhedron)
-        and mode == "over"
-    ):
+    if isinstance(dyn, LinearDynamics) and isinstance(init, Polyhedron) and mode == "over":
         return _linear_poly_reach(init, dyn, tau, grid, bounds)
 
     h_b = h_b if h_b is not None else h / 2.0
     if box is None:
         box = _default_box(init, dyn, tau, h)
     lo, hi = box
-    cum = GridRegion(lo, hi, h, "over")
-    init_over = cum.blank()
-    _mark_initial(init, init_over)
+    cum = GridRegion(lo, hi, h)
+    init_over = _initial_region(init, cum, GridRegion.cells_touching)
 
     chains = classify_boundary(init, dyn, h_b).front_chains()
     segments = []
@@ -1080,8 +1070,8 @@ def reach_bounded_time(
 
     # under flavor: exact interior samples gated by the over sweep
     tube.direction = "exact-sampled"
-    under_cum = GridRegion(lo, hi, h, "under")
-    tube.under_initial_region = _under_initial(init, under_cum)
+    under_cum = cum.blank()
+    tube.under_initial_region = _initial_region(init, cum, GridRegion.cells_inside)
     flows = _flow_samples(
         _interior_lattice(init, h), dyn, [(t0, t1) for t0, t1, _ in segments], h
     )
@@ -1198,14 +1188,13 @@ def reach_invariant(
         box = _invariant_box(init, invariant, dyn, grid, h)
     lo, hi = box
 
-    cum = GridRegion(lo, hi, h, "over")
-    init_over = cum.blank()
-    _mark_initial(init, init_over)
+    cum = GridRegion(lo, hi, h)
+    init_over = _initial_region(init, cum, GridRegion.cells_touching)
     touch_q = cum.cells_touching(invariant)
     under_cum = under_init = cert_q = None
     if under_approximate:
-        under_cum = GridRegion(lo, hi, h, "under")
-        under_init = _under_initial(init, under_cum)
+        under_cum = cum.blank()
+        under_init = _initial_region(init, cum, GridRegion.cells_inside)
         cert_q = cum.cells_inside(invariant)
 
     if isinstance(init, GridRegion):
@@ -1247,31 +1236,19 @@ def reach_invariant(
 # boundary-equivalence report
 
 
-def check_boundary_equivalence(
-    init,
-    dyn,
-    tau: float,
-    h: float = 0.05,
-    h_b: float | None = None,
-    grid=None,
-    box=None,
-) -> dict:
-    """Compare three sweeps of one horizon on one grid: a dense sample of
-    the whole initial set (the oracle), the whole boundary, and the
-    lifted front only. Reports cell counts, pairwise symmetric
-    differences and grid Hausdorff gaps; passes iff the largest gap is
-    at most 2h."""
+def check_boundary_equivalence(init, dyn, tau: float, h: float = 0.05) -> dict:
+    """Compare three sweeps of one horizon (eight equal steps) on one
+    auto-sized grid: a dense sample of the whole initial set (the oracle),
+    the whole boundary, and the lifted front only, sampled at h/2.
+    Reports cell counts, pairwise symmetric differences and grid Hausdorff
+    gaps; passes iff the largest gap is at most 2h."""
     if tau <= 0:
         raise ValueError("need a positive horizon")
-    h_b = h_b if h_b is not None else h / 2.0
-    if box is None:
-        box = _default_box(init, dyn, tau, h)
-    grid = _coerce_grid(grid, tau)
-    intervals = grid.intervals(tau)
-    lo, hi = box
+    h_b = h / 2.0
+    intervals = _coerce_grid(None, tau).intervals(tau)
+    lo, hi = _default_box(init, dyn, tau, h)
 
-    init_over = GridRegion(lo, hi, h, "over")
-    _mark_initial(init, init_over)
+    init_over = _initial_region(init, GridRegion(lo, hi, h), GridRegion.cells_touching)
     front = classify_boundary(init, dyn, h_b)
 
     # dense oracle: every initial sample advected, nothing pruned

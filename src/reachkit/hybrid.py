@@ -188,7 +188,7 @@ class RegionSet:
         """Build a region set marking (location, Polyhedron) pairs."""
         S = cls.empty(H, h)
         for q, P in parts:
-            S.regions[q].mark_polyhedron(P)
+            S.regions[q].occupancy |= S.regions[q].cells_touching(P)
         return S
 
     @property
@@ -242,20 +242,17 @@ class PostParams:
 
 def _push_edge_images(region_mask, source: GridRegion, edge: Edge, target: GridRegion):
     """Mark the affine image of every masked cell into the target grid.
-    Each cell box maps to a parallelotope; its coordinate bounding box is
-    marked, which is exact for axis-aligned resets and conservative
-    otherwise."""
+    Each cell box maps to a parallelotope; the coordinate bounding boxes
+    of all images are marked in one pass, which is exact for axis-aligned
+    resets and conservative otherwise."""
     idx = np.argwhere(region_mask)
-    if idx.shape[0] == 0:
-        return
     dim = source.dim
     corners = np.array(list(np.ndindex(*(2,) * dim)), float)  # (2^d, d)
     lo = source.lo + idx * source.h  # (m, d)
     boxes = lo[:, None, :] + corners[None, :, :] * source.h  # (m, 2^d, d)
     images = boxes.reshape(-1, dim) @ edge.reset_matrix.T + edge.reset_offset
-    images = images.reshape(idx.shape[0], -1, dim)
-    for img_lo, img_hi in zip(images.min(axis=1), images.max(axis=1)):
-        target.mark_box(img_lo, img_hi)
+    images = images.reshape(idx.shape[0], corners.shape[0], dim)
+    target.mark_boxes(images.min(axis=1), images.max(axis=1))
 
 
 def post(H: HybridSystem, S: RegionSet, params: PostParams) -> RegionSet:

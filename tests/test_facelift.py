@@ -73,34 +73,41 @@ def test_mark_points_and_membership():
     assert got.tolist() == [True, False, True]
 
 
-def test_mark_polyhedron_over_under():
+def test_polyhedron_over_under_rasters():
     square = unit_square()
-    over = GridRegion([-1.0, -1.0], [2.0, 2.0], 0.25, "over")
-    under = GridRegion([-1.0, -1.0], [2.0, 2.0], 0.25, "under")
-    over.mark_polyhedron(square)
-    under.mark_polyhedron(square)
+    g = GridRegion([-1.0, -1.0], [2.0, 2.0], 0.25)
+    over, under = g.blank(), g.blank()
+    over.occupancy = g.cells_touching(square)
+    under.occupancy = g.cells_inside(square)
     assert under.subset_of(over)
     assert under.count() == 16  # [0,1]^2 is exactly 4x4 aligned cells
-    assert over.count() >= 16
+    assert over.count() == 36  # and the ring of cells sharing an edge or corner
     rng = np.random.default_rng(7)
     pts = rng.uniform(0.0, 1.0, size=(100, 2))
     assert over.contains_points(pts).all()
-    for c in under.cell_centers():
-        assert square.contains(c + 0.1249, tol=1e-9) or True  # corners certified below
     corners = under.cell_centers()[:, None, :] + 0.125 * np.array(
         [[-1, -1], [-1, 1], [1, -1], [1, 1]]
     )
     assert square.contains(corners.reshape(-1, 2), tol=1e-9).all()
 
 
-def test_mark_levelset_over_under():
+def test_levelset_over_under_rasters():
     disk = unit_disk()
-    over = GridRegion([-1.5, -1.5], [1.5, 1.5], 0.1, "over")
-    under = GridRegion([-1.5, -1.5], [1.5, 1.5], 0.1, "under")
-    over.mark_levelset(disk)
-    under.mark_levelset(disk)
+    g = GridRegion([-1.5, -1.5], [1.5, 1.5], 0.1)
+    over, under = g.blank(), g.blank()
+    over.occupancy = g.cells_touching(disk)
+    under.occupancy = g.cells_inside(disk)
     assert under.subset_of(over)
+    # under: l < 0 at every corner (and the centre) of the cell; a corner
+    # on the unit circle may pass by rounding
+    corners = under.cell_centers()[:, None, :] + 0.05 * np.array(
+        [[-1, -1], [-1, 1], [1, -1], [1, 1]]
+    )
+    assert np.all(np.linalg.norm(corners, axis=2) < 1.0 + 1e-12)
     assert np.all(np.linalg.norm(under.cell_centers(), axis=1) < 1.0)
+    # over: l <= 0 at one sample suffices; l is exactly 0 at the corner
+    # (1, 0) of the cell [1, 1.1] x [0, 0.1] and positive elsewhere in it
+    assert over.contains_points([[1.05, 0.05]]).all()
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(200, 2))
     pts = 0.97 * pts / np.linalg.norm(pts, axis=1, keepdims=True)
@@ -228,6 +235,92 @@ def test_cells_touching_3d_falls_back_to_lp(monkeypatch):
         touch = g.cells_touching(P)
         assert 0 < len(calls) < touch.size  # some cells, not all, need the LP
         assert np.array_equal(touch, lp_touching(g, P))
+
+
+def test_cells_touching_3d_plane_alone_needs_no_lp(monkeypatch):
+    calls = []
+
+    def counted(P):
+        calls.append(1)
+        return is_empty(P)
+
+    monkeypatch.setattr(facelift, "is_empty", counted)
+    g = GridRegion([-0.8, -0.8, -0.8], [0.8, 0.8, 0.8], 0.1)
+    # a square in a tilted plane: only cells where a side row also cuts
+    # need the LP; counting the plane's two rows apart sent 212 of them
+    square = Polyhedron(
+        tuple(Halfspace(a, 0.5) for a in ([1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0])),
+        (Halfspace([0.3, 0.2, 1.0], 0.05),),
+    )
+    touch = g.cells_touching(square)
+    assert touch.sum() == 224
+    assert len(calls) == 72
+    assert np.array_equal(touch, lp_touching(g, square))
+
+
+@st.composite
+def grid_and_polytope_3d(draw):
+    """A 4x4x4 grid and a random polytope: a few random rows, a bounding
+    box, and zero to two equalities through a point of the grid box."""
+    g = GridRegion([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 0.25)
+
+    def vec():
+        return np.array([draw(st.integers(-3, 3)) for _ in range(3)], float)
+
+    def row():
+        a = vec()
+        return a if a.any() else np.array([0.0, 0.0, 1.0])
+
+    p = np.array([draw(st.integers(1, 7)) for _ in range(3)]) / 8.0
+    rows = [row() for _ in range(draw(st.integers(0, 3)))]
+    ineqs = tuple(Halfspace(a, a @ p + draw(st.integers(0, 4)) / 8.0) for a in rows)
+    eqs = tuple(Halfspace(a, a @ p) for a in (row() for _ in range(draw(st.integers(0, 2)))))
+    return g, Polyhedron(ineqs + Polyhedron.box(p - 0.45, p + 0.45).ineqs, eqs)
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(case=grid_and_polytope_3d())
+def test_cells_touching_matches_lp_oracle_3d(case):
+    g, P = case
+    assert np.array_equal(g.cells_touching(P), lp_touching(g, P))
+
+
+def box_oracle(g, lo, hi):
+    """Per-box, per-cell check: a cell is marked iff its closed box meets
+    [lo, hi] within 1e-9 cells on every axis."""
+    cells = np.moveaxis(np.indices(g.shape), 0, -1)  # each cell's index vector
+    mask = np.zeros(g.shape, bool)
+    for a, b in zip(lo, hi):
+        ta, tb = (a - g.lo) / g.h, (b - g.lo) / g.h
+        mask |= np.all((cells <= tb + 1e-9) & (cells + 1 >= ta - 1e-9), axis=-1)
+    return mask
+
+
+@st.composite
+def grid_and_boxes(draw):
+    """A small 2D or 3D grid and boxes whose edges lie on a lattice of
+    h/den (den = 1: grid-aligned), zero width allowed, reaching up to
+    three cells past the grid on either side."""
+    dim = draw(st.sampled_from([2, 3]))
+    h = draw(st.sampled_from([0.1, 0.25, 0.3]))
+    lo = np.array([draw(st.integers(-4, 4)) for _ in range(dim)]) * 0.125
+    n = np.array([draw(st.integers(1, 5)) for _ in range(dim)])
+    g = GridRegion(lo, lo + n * h, h)
+    den = draw(st.sampled_from([1, 1, 3, 7]))
+    m = draw(st.integers(0, 5))
+    start = np.array([[draw(st.integers(-3 * den, (n[j] + 3) * den)) for j in range(dim)]
+                      for _ in range(m)]).reshape(m, dim)
+    width = np.array([[draw(st.integers(0, 2 * den)) for _ in range(dim)]
+                      for _ in range(m)]).reshape(m, dim)
+    return g, lo + start / den * h, lo + (start + width) / den * h
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=grid_and_boxes())
+def test_mark_boxes_matches_per_box_oracle(case):
+    g, lo, hi = case
+    g.mark_boxes(lo, hi)
+    assert np.array_equal(g.occupancy, box_oracle(g, lo, hi))
 
 
 def test_hausdorff_distances():
@@ -543,12 +636,12 @@ def test_rotation_square_polyhedral_tube():
     assert tube.contains(moved).all()
 
 
-def test_rotation_square_forced_front_matches_membership():
+def test_rotation_square_front_path_matches_membership():
     tau = math.pi / 4
     poly = reach_bounded_time(offset_square(), ROT, tau, grid=math.pi / 16)
-    front = reach_bounded_time(
-        offset_square(), ROT, tau, grid=math.pi / 16, h=0.04, force_front=True
-    )
+    # the same rotation as an expression field takes the front path
+    rot_expr = ExpressionDynamics.parse(["-x2", "x1"])
+    front = reach_bounded_time(offset_square(), rot_expr, tau, grid=math.pi / 16, h=0.04)
     assert front.occupancy is not None
     # the polyhedral tube over-approximates; grid cells it misses must be rare
     centers = front.combined_region().cell_centers()

@@ -271,6 +271,44 @@ def test_post_applies_affine_reset():
     assert centers[:, 1].max() <= 3.0 + 2.5 * H_CELL
 
 
+def test_post_marks_scaled_reset_images_by_their_boxes():
+    # x1 doubles on the jump: each guard cell's image spans two cells of
+    # the target grid, and post marks exactly the cells its closed image
+    # box meets (clipped to the target invariant)
+    H = HybridSystem(
+        locations=("src", "dst"),
+        invariants={
+            "src": Polyhedron.box([0.0, 0.0], [2.0, 1.0]),
+            "dst": Polyhedron.box([0.0, 0.0], [4.0, 1.0]),
+        },
+        dynamics={"src": slide(), "dst": ExpressionDynamics.parse(["0", "0"])},
+        edges=(
+            Edge(
+                "src",
+                Polyhedron.from_inequalities([[-1.0, 0.0]], [-1.5]),
+                "stretch",
+                "dst",
+                reset_matrix=np.array([[2.0, 0.0], [0.0, 1.0]]),
+            ),
+        ),
+        init=(("src", Polyhedron.box([0.0, 0.0], [0.5, 1.0])),),
+    )
+    H.validate(H_CELL)
+    T = post(H, RegionSet.from_init(H, H_CELL), params())
+    src, dst = T.regions["src"], T.regions["dst"]
+    guard = np.argwhere(src.occupancy & src.cells_touching(H.edges[0].guard))
+    cells = np.moveaxis(np.indices(dst.shape), 0, -1)  # (n1, n2, 2) cell indices
+    want = np.zeros(dst.shape, bool)
+    for i in guard:
+        lo = (src.lo + i * src.h) * [2.0, 1.0]
+        hi = (src.lo + (i + 1) * src.h) * [2.0, 1.0]
+        ta, tb = (lo - dst.lo) / dst.h, (hi - dst.lo) / dst.h
+        want |= np.all((cells <= tb + 1e-9) & (cells + 1 >= ta - 1e-9), axis=-1)
+    want &= dst.cells_touching(H.invariants["dst"])
+    assert guard.shape[0] > 0
+    assert np.array_equal(dst.occupancy, want)
+
+
 # ---------------------------------------------------------------------------
 # semi-decision loop
 
