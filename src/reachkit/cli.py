@@ -187,12 +187,12 @@ def _run_reach(m: ModelFile, args, out: str):
         raise ModelError("reach needs a horizon: set grid.tau or pass --tau")
     dt = _setting(args, "dt", m.grid)
     cell = _setting(args, "cell", m.grid, 0.05)
-    mode = "under" if _under_flag(args, m) else "over"
+    under = _under_flag(args, m)
     bounds = _bounds_flag(args, m)
     h_b = m.grid_value("boundary_spacing")
 
     tube = reach_bounded_time(
-        m.initial, m.dynamics, tau, grid=dt, h=cell, mode=mode, bounds=bounds, h_b=h_b
+        m.initial, m.dynamics, tau, dt=dt, h=cell, under=under, bounds=bounds, h_b=h_b
     )
     report = RunReport(
         command="reach",
@@ -202,7 +202,7 @@ def _run_reach(m: ModelFile, args, out: str):
             "tau": tau,
             "dt": dt,
             "cell": cell,
-            "mode": mode,
+            "mode": "under" if under else "over",
             "bounds": bounds,
             "boundary_spacing": h_b,
         },
@@ -262,9 +262,9 @@ def _run_reach_inv(m: ModelFile, args, out: str):
         m.initial,
         m.dynamics,
         m.invariant,
-        grid=dt,
+        dt=dt,
         h=cell,
-        under_approximate=under,
+        under=under,
         max_iters=max_iters,
         tau_max=tau,
         h_b=m.grid_value("boundary_spacing"),
@@ -356,7 +356,7 @@ def _run_polyapprox(m: ModelFile, args, out: str):
     return EXIT_OK, report, result
 
 
-def _hybrid_setup(m: ModelFile, args):
+def _run_hybrid(m: ModelFile, args, out: str):
     _require_kind(m, "hybrid")
     if not m.targets:
         raise ModelError("hybrid reach needs a 'target' section in the model")
@@ -366,14 +366,10 @@ def _hybrid_setup(m: ModelFile, args):
     max_k = getattr(args, "max_iters", None)
     if max_k is None:
         max_k = m.flag("max_k", 8)
+    max_k = int(max_k)
     params = PostParams(dt=dt, tau=tau)
     s1 = RegionSet.from_init(m.system, cell)
     s2 = RegionSet.from_polyhedra(m.system, m.targets, cell)
-    return dt, cell, tau, int(max_k), params, s1, s2
-
-
-def _run_hybrid(m: ModelFile, args, out: str):
-    dt, cell, tau, max_k, params, s1, s2 = _hybrid_setup(m, args)
     H = m.system
     verdict = semi_decide_reach(H, s1, s2, max_k, params)
     reached = verdict.reached

@@ -463,10 +463,20 @@ class GridRegion:
 
     def _levelset_values(self, ls: LevelSet):
         """Cells of ls's box padded by one cell, and l sampled at each of
-        their corners and centres, shape (2^d + 1, cells)."""
-        idx = self._window(ls.lo, ls.hi, pad=1)
-        samples = [*self._corners(idx), self.lo + (idx + 0.5) * self.h]
-        return idx, np.array([ls.value(p) for p in samples])
+        their corners and centres, shape (2^d + 1, cells). l is evaluated
+        once on the window's corner lattice; each cell's corners are
+        slices of it."""
+        i0, i1 = self._ranges(ls.lo, ls.hi, pad=1)
+        i1 = np.maximum(i1, i0)
+        n = i1 - i0
+        idx = grid_points([np.arange(a, b) for a, b in zip(i0, i1)])
+        lattice = [self.lo[j] + np.arange(i0[j], i1[j] + 1) * self.h for j in range(self.dim)]
+        at = ls.value(grid_points(lattice)).reshape(n + 1)
+        corners = [
+            at[tuple(slice(c, c + m) for c, m in zip(corner, n))].ravel()
+            for corner in np.ndindex(*(2,) * self.dim)
+        ]
+        return idx, np.array([*corners, ls.value(self.lo + (idx + 0.5) * self.h)])
 
     def _cell_box_rows(self, idx):
         lo = self.lo + idx * self.h
@@ -628,51 +638,29 @@ class GridRegion:
 
 
 # ---------------------------------------------------------------------------
-# time grids and tubes
+# time steps and tubes
 
 
-@dataclass(frozen=True)
-class TimeGrid:
-    """Strictly increasing step times starting at 0."""
-
-    times: np.ndarray
-
-    def __post_init__(self):
-        t = np.atleast_1d(np.asarray(self.times, float))
-        if t.size < 1 or t[0] != 0.0:
-            raise ValueError("time grid must start at 0")
-        if t.size > 1 and np.any(np.diff(t) <= 0.0):
-            raise ValueError("time grid must be strictly increasing")
-        object.__setattr__(self, "times", t)
-
-    @classmethod
-    def uniform(cls, tau: float, dt: float):
-        if tau < 0 or dt <= 0:
-            raise ValueError("need tau >= 0 and dt > 0")
-        n = int(math.floor(tau / dt + 1e-9))
-        times = np.arange(n + 1) * dt
-        if times[-1] < tau - 1e-12:
-            times = np.append(times, tau)
-        return cls(times)
-
-    def intervals(self, tau: float | None = None):
-        """Consecutive (t0, t1) pairs, the last one clamped at tau."""
-        out = []
-        for t0, t1 in zip(self.times[:-1], self.times[1:]):
-            if tau is not None:
-                if t0 >= tau - 1e-12:
-                    break
-                t1 = min(t1, tau)
-            out.append((float(t0), float(t1)))
-        return out
-
-    def delta(self, i: int) -> float:
-        """Step length for iteration i; past the grid end the final step
-        length repeats (open-horizon runs)."""
-        d = np.diff(self.times)
-        if d.size == 0:
-            raise ValueError("time grid has a single point, no step length")
-        return float(d[min(i, d.size - 1)])
+def _uniform_intervals(tau: float, dt: float | None = None):
+    """Consecutive (t0, t1) steps of length dt over [0, tau], eight equal
+    steps when dt is None; the last step is clamped at tau."""
+    if tau < 0 or (dt is not None and dt <= 0):
+        raise ValueError("need tau >= 0 and dt > 0")
+    if dt is None:
+        if tau == 0:
+            return []
+        dt = tau / 8.0
+    dt = float(dt)
+    n = int(math.floor(tau / dt + 1e-9))
+    times = np.arange(n + 1) * dt
+    if times[-1] < tau - 1e-12:
+        times = np.append(times, tau)
+    out = []
+    for t0, t1 in zip(times[:-1], times[1:]):
+        if t0 >= tau - 1e-12:
+            break
+        out.append((float(t0), float(min(t1, tau))))
+    return out
 
 
 @dataclass
@@ -683,7 +671,6 @@ class ReachTube:
 
     segments: list
     direction: str
-    grid: TimeGrid
     initial: object
     initial_region: GridRegion | None = None
     occupancy: GridRegion | None = None
@@ -955,7 +942,7 @@ def _flow_samples(pts, dyn, intervals, h):
 # bounded-time reach
 
 
-def _linear_poly_reach(init, dyn, tau, grid, bounds):
+def _linear_poly_reach(init, dyn, intervals, bounds):
     """Per-face tube polyhedra for linear dynamics: every outflow face of
     the initial polyhedron contributes one enclosure per time interval,
     transported to the interval start by the exact flow map."""
@@ -981,7 +968,7 @@ def _linear_poly_reach(init, dyn, tau, grid, bounds):
     step_cache: dict[float, list] = {}
     segments = []
     shrunk = False
-    for t0, t1 in grid.intervals(tau):
+    for t0, t1 in intervals:
         dkey = round(t1 - t0, 12)
         if dkey not in step_cache:
             results = [overapproximate_step(f, A, t1 - t0, mode=bounds) for f in outflow]
@@ -991,55 +978,36 @@ def _linear_poly_reach(init, dyn, tau, grid, bounds):
         if t0 != 0.0:
             polys = [propagate_tube(P, A, t0, 1)[0] for P in polys]
         segments.append((t0, t1, tuple(polys)))
-    return ReachTube(
-        segments=segments,
-        direction="over",
-        grid=grid,
-        initial=init,
-        delta_shrunk=shrunk,
-    )
-
-
-def _coerce_grid(grid, tau):
-    if grid is None:
-        if tau <= 0:
-            return TimeGrid(np.array([0.0]))
-        return TimeGrid.uniform(tau, tau / 8.0)
-    if isinstance(grid, (int, float)):
-        return TimeGrid.uniform(tau, float(grid))
-    if grid.times[-1] < tau - 1e-9:
-        raise ValueError("time grid ends before the horizon")
-    return grid
+    return ReachTube(segments=segments, direction="over", initial=init, delta_shrunk=shrunk)
 
 
 def reach_bounded_time(
     init,
     dyn,
     tau: float,
-    grid=None,
+    dt: float | None = None,
     h: float = 0.05,
-    mode: str = "over",
+    under: bool = False,
     h_b: float | None = None,
     box=None,
     bounds: str = "conservative",
 ) -> ReachTube:
-    """Reach set over [0, tau] grown from the outward boundary front.
+    """Reach set over [0, tau] grown from the outward boundary front, in
+    steps of length dt (tau/8 when omitted), the last one clamped at tau.
 
-    Linear dynamics with a polyhedral start (over mode) get per-face tube
-    polyhedra; everything else advects the classified boundary samples
-    and rasterizes the swept segments on a cell-h grid over ``box``
-    (auto-sized when omitted). mode "under" additionally flows an
+    Linear dynamics with a polyhedral start (over flavor) get per-face
+    tube polyhedra; everything else advects the classified boundary
+    samples and rasterizes the swept segments on a cell-h grid over
+    ``box`` (auto-sized when omitted). under=True additionally flows an
     interior sample lattice and keeps, per interval, only cells holding
     a sample that the over sweep also reached (direction tag:
     exact-sampled).
     """
     if tau < 0:
         raise ValueError("horizon must be nonnegative")
-    if mode not in ("over", "under"):
-        raise ValueError(f"unknown mode {mode!r}")
-    grid = _coerce_grid(grid, tau)
-    if isinstance(dyn, LinearDynamics) and isinstance(init, Polyhedron) and mode == "over":
-        return _linear_poly_reach(init, dyn, tau, grid, bounds)
+    intervals = _uniform_intervals(tau, dt)
+    if isinstance(dyn, LinearDynamics) and isinstance(init, Polyhedron) and not under:
+        return _linear_poly_reach(init, dyn, intervals, bounds)
 
     h_b = h_b if h_b is not None else h / 2.0
     if box is None:
@@ -1050,22 +1018,19 @@ def reach_bounded_time(
 
     chains = classify_boundary(init, dyn, h_b).front_chains()
     segments = []
-    for t0, t1, kept, _, chains in _front_sweep(
-        chains, init, dyn, grid.intervals(tau), cum, h, h_b
-    ):
+    for t0, t1, kept, _, chains in _front_sweep(chains, init, dyn, intervals, cum, h, h_b):
         cum.include(kept)
         segments.append((t0, t1, kept))
     tube = ReachTube(
         segments=segments,
         direction="over",
-        grid=grid,
         initial=init,
         initial_region=init_over,
         occupancy=cum,
         front_collapse=not chains,
         iterations=len(segments),
     )
-    if mode == "over":
+    if not under:
         return tube
 
     # under flavor: exact interior samples gated by the over sweep
@@ -1120,7 +1085,7 @@ def _check_inside_invariant(init, invariant, h_b, boundary):
             raise PreconditionViolated("initial set samples leave the invariant")
 
 
-def _invariant_box(init, invariant, dyn, grid, h):
+def _invariant_box(init, invariant, dyn, dt, h):
     lo_q, hi_q = invariant.bounding_box()
     if isinstance(init, (LevelSet, GridRegion)):
         lo0, hi0 = init.lo, init.hi
@@ -1128,71 +1093,63 @@ def _invariant_box(init, invariant, dyn, grid, h):
         lo0, hi0 = init.bounding_box()
     lo = np.minimum(lo_q, lo0)
     hi = np.maximum(hi_q, hi0)
-    dmax = float(np.max(np.diff(grid.times)))
     mesh = grid_points([np.linspace(lo[j], hi[j], 9) for j in range(lo.size)])
-    pad = dmax * _max_speed(dyn, mesh) + 4.0 * h
+    pad = dt * _max_speed(dyn, mesh) + 4.0 * h
     return lo - pad, hi + pad
 
 
-def _step_intervals(grid, n):
-    """(t0, t1) for the first n steps of the grid's step lengths, the
-    start time accumulated step by step."""
+def _step_intervals(dt, n):
+    """(t0, t1) for n steps of length dt, the start time accumulated step
+    by step."""
     t = 0.0
-    for it in range(n):
-        delta = grid.delta(it)
-        yield t, t + delta
-        t += delta
+    for _ in range(n):
+        yield t, t + dt
+        t += dt
 
 
 def reach_invariant(
     init,
     dyn,
     invariant: Polyhedron,
-    grid=None,
+    dt: float | None = None,
     h: float = 0.05,
-    under_approximate: bool = False,
+    under: bool = False,
     max_iters: int | None = None,
     tau_max: float | None = None,
     h_b: float | None = None,
     box=None,
 ) -> ReachTube:
-    """Reach set of trajectories that never leave a polyhedral invariant.
+    """Reach set of trajectories that never leave a polyhedral invariant,
+    swept in repeated steps of length dt.
 
     Front samples whose exit shadow (reverse-flow images of escaping
     tube samples) comes within h are pruned before sweeping. The over
     flavor keeps the pruned sweep plus every swept cell still touching
-    the invariant; the under flavor keeps only pruned-sweep cells
-    certified inside it. The run stops when the front empties
-    (front_collapse) or after max_iters (iteration_cap, defaulting to 10x
-    the grid size or to tau_max worth of smallest steps); iterating past
-    the grid end repeats its final step length. Raises
-    PreconditionViolated when init is not inside the invariant."""
+    the invariant; under=True keeps only pruned-sweep cells certified
+    inside it. The run stops when the front empties (front_collapse) or
+    after max_iters steps (iteration_cap; ceil(tau_max/dt) + 1 by
+    default, 20 without tau_max). Raises PreconditionViolated when init
+    is not inside the invariant."""
     if not isinstance(invariant, Polyhedron):
         raise TypeError("invariant must be a Polyhedron")
-    if grid is None:
-        raise ValueError("invariant-constrained reach needs a step length or time grid")
-    if isinstance(grid, (int, float)):
-        grid = TimeGrid(np.array([0.0, float(grid)]))
-    if grid.times.size < 2:
-        raise ValueError("time grid has a single point, no step length")
+    if dt is None or dt <= 0:
+        raise ValueError("invariant-constrained reach needs a positive step length")
+    dt = float(dt)
     if max_iters is None:
-        if tau_max is not None:
-            max_iters = int(math.ceil(tau_max / float(np.min(np.diff(grid.times))))) + 1
-        else:
-            max_iters = 10 * max(1, int(grid.times.size))
+        max_iters = 20 if tau_max is None else int(math.ceil(tau_max / dt)) + 1
     h_b = h_b if h_b is not None else h / 2.0
     # a level set's boundary samples serve both the check and the front
     boundary = _levelset_boundary(init, h_b) if isinstance(init, LevelSet) else None
     _check_inside_invariant(init, invariant, h_b, boundary)
     if box is None:
-        box = _invariant_box(init, invariant, dyn, grid, h)
+        box = _invariant_box(init, invariant, dyn, dt, h)
     lo, hi = box
 
     cum = GridRegion(lo, hi, h)
     init_over = _initial_region(init, cum, GridRegion.cells_touching)
     touch_q = cum.cells_touching(invariant)
     under_cum = under_init = cert_q = None
-    if under_approximate:
+    if under:
         under_cum = cum.blank()
         under_init = _initial_region(init, cum, GridRegion.cells_inside)
         cert_q = cum.cells_inside(invariant)
@@ -1205,8 +1162,7 @@ def reach_invariant(
         chains = classify_boundary(init, dyn, h_b, boundary).front_chains()
     tube = ReachTube(
         segments=[],
-        direction="under" if under_approximate else "over",
-        grid=grid,
+        direction="under" if under else "over",
         initial=init,
         initial_region=init_over,
         occupancy=cum,
@@ -1214,14 +1170,14 @@ def reach_invariant(
         under_initial_region=under_init,
     )
     for t0, t1, kept, lost, chains in _front_sweep(
-        chains, init, dyn, _step_intervals(grid, max_iters), cum, h, h_b, invariant
+        chains, init, dyn, _step_intervals(dt, max_iters), cum, h, h_b, invariant
     ):
         over_add = cum.blank()
         over_add.occupancy = kept.occupancy | (lost.occupancy & touch_q)
         over_add.out_of_box = kept.out_of_box + lost.out_of_box
         cum.include(over_add)
         payload = over_add
-        if under_approximate:
+        if under:
             payload = under_cum.blank()
             payload.occupancy = kept.occupancy & cert_q
             under_cum.include(payload)
@@ -1245,7 +1201,7 @@ def check_boundary_equivalence(init, dyn, tau: float, h: float = 0.05) -> dict:
     if tau <= 0:
         raise ValueError("need a positive horizon")
     h_b = h / 2.0
-    intervals = _coerce_grid(None, tau).intervals(tau)
+    intervals = _uniform_intervals(tau)
     lo, hi = _default_box(init, dyn, tau, h)
 
     init_over = _initial_region(init, GridRegion(lo, hi, h), GridRegion.cells_touching)

@@ -5,12 +5,11 @@ squaring with a degree-13 Pade approximant); expression dynamics advect
 with fixed-step RK4. Both paths are deterministic: step counts derive
 from the requested tolerance, never from adaptive error control.
 
-Two entry points share those numerics. ``flow`` maps a batch over one
-interval of length |t| in ceil(|t| / min(tol^(1/4), |t|/32)) RK4 steps,
-so never fewer than 32. ``trajectory`` records a batch at the nsub+1
-even lattice times on [0, t] and integrates it once: linear dynamics
-apply one e^{A dt} per lattice step dt = t/nsub, and expression dynamics
-take ceil(|dt| / tol^(1/4)) RK4 steps per lattice step, with no floor.
+``trajectory`` records a batch at the nsub+1 even lattice times on
+[0, t] and integrates it once: linear dynamics apply one e^{A dt} per
+lattice step dt = t/nsub, and expression dynamics take
+ceil(|dt| / tol^(1/4)) RK4 steps per lattice step. ``flow`` is the end
+point of a one-step trajectory, so it follows the same rule.
 """
 
 from __future__ import annotations
@@ -155,26 +154,15 @@ def rk4(dyn: Dynamics, x0, t: float, nsteps: int) -> np.ndarray:
     return x
 
 
-def _rk4_steps(t: float, tol: float) -> int:
-    h = min(tol**0.25, abs(t) / 32.0)
-    return max(1, int(math.ceil(abs(t) / h))) if h > 0 else 1
-
-
 def flow(dyn: Dynamics, x0, t: float, tol: float = 1e-8) -> np.ndarray:
-    """Flow map phi(x0, t). Exact (expm) for linear dynamics, RK4 otherwise.
+    """Flow map phi(x0, t), the end point of trajectory(dyn, x0, t, 1):
+    exact (expm) for linear dynamics, RK4 otherwise.
 
     x0 may be one point (n,) or a batch (m, n); the result matches.
     Negative t integrates the reversed field for |t|.
     """
     x0 = np.asarray(x0, float)
-    if not np.all(np.isfinite(x0)):
-        raise NonFiniteState("flow start is not finite")
-    if t == 0.0:
-        return x0.copy()
-    if isinstance(dyn, LinearDynamics):
-        return x0 @ expm(dyn.matrix, t).T
-    field = dyn if t > 0 else dyn.negated()
-    return rk4(field, x0, abs(t), _rk4_steps(t, tol))
+    return trajectory(dyn, np.atleast_2d(x0), t, 1, tol)[:, -1].reshape(x0.shape)
 
 
 def trajectory(dyn: Dynamics, x0, t: float, nsub: int, tol: float = 1e-8) -> np.ndarray:

@@ -276,7 +276,7 @@ def check_a9():
     m = load_model(bundled_model_path("drift_invariant.json"))
     dt = m.grid_value("dt")
     tube = reach_invariant(
-        m.initial, m.dynamics, m.invariant, grid=dt, h=m.grid_value("cell")
+        m.initial, m.dynamics, m.invariant, dt=dt, h=m.grid_value("cell")
     )
     cap_iters = int(math.ceil(3.0 / dt)) + 1
     if not tube.front_collapse or tube.iteration_cap or tube.iterations > cap_iters:
@@ -289,7 +289,7 @@ def check_a9():
         r.initial,
         r.dynamics,
         r.invariant,
-        grid=r.grid_value("dt"),
+        dt=r.grid_value("dt"),
         h=r.grid_value("cell"),
         max_iters=r.flag("max_iters"),
     )
@@ -315,9 +315,9 @@ def check_a10():
             m.initial,
             m.dynamics,
             m.grid_value("tau"),
-            grid=m.grid_value("dt"),
+            dt=m.grid_value("dt"),
             h=m.grid_value("cell"),
-            mode="under",
+            under=True,
         )
         under, over = _under_over_masks(tube)
         if np.any(under & ~over):
@@ -329,9 +329,9 @@ def check_a10():
             m.initial,
             m.dynamics,
             m.invariant,
-            grid=m.grid_value("dt"),
+            dt=m.grid_value("dt"),
             h=m.grid_value("cell"),
-            under_approximate=True,
+            under=True,
             max_iters=m.flag("max_iters"),
         )
         under, over = _under_over_masks(tube)

@@ -276,7 +276,7 @@ def post(H: HybridSystem, S: RegionSet, params: PostParams) -> RegionSet:
             region,
             H.dynamics[q],
             H.invariants[q],
-            grid=params.dt,
+            dt=params.dt,
             h=region.h,
             box=(region.lo, region.hi),
             tau_max=float(params.tau),
@@ -418,13 +418,6 @@ class ReplayResult:
         return bad
 
 
-def _sim_paths(dyn, starts, tau, step):
-    """Incrementally integrate a start batch: (m, k+1, n) path samples
-    plus the shared sample times."""
-    n = max(1, int(math.ceil(tau / step)))
-    return trajectory(dyn, starts, tau, n), np.linspace(0.0, tau, n + 1)
-
-
 def _greedy_replay(H, q, starts, witness, jumps, params, h, best):
     """Depth-first greedy search over a whole batch of starts: flow inside
     the location, jump at each start's first guard entry per edge. Returns
@@ -436,7 +429,9 @@ def _greedy_replay(H, q, starts, witness, jumps, params, h, best):
     G, dyn = H.invariants[q], H.dynamics[q]
     speed = float(np.max(np.linalg.norm(np.atleast_2d(dyn.evaluate(starts)), axis=1)))
     step = min(params.dt, h / (2.0 * speed)) if speed > 1e-12 else params.dt
-    paths, times = _sim_paths(dyn, starts, float(params.tau), step)
+    tau = float(params.tau)
+    n = max(1, int(math.ceil(tau / step)))
+    paths, times = trajectory(dyn, starts, tau, n), np.linspace(0.0, tau, n + 1)
     m, k1, dim = paths.shape
     inside = G.contains(paths.reshape(-1, dim), tol=1e-7).reshape(m, k1)
     alive = np.cumprod(inside, axis=1).astype(bool)  # prefix before leaving G

@@ -553,12 +553,29 @@ def test_plot_rejects_3d_models(tmp_path):
 # golden command
 
 
-def test_golden_command_passes(capsys):
+def test_golden_command_passes(monkeypatch, capsys):
+    # the real criteria run in tests/test_acceptance.py; this checks the command
+    def passing():
+        return True, "fine"
+
+    def failing():
+        return False, "drifted"
+
+    def raising():
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(golden, "CRITERIA", [("B1", "", passing), ("B2", "", passing)])
     assert run(["golden"]) == 0
     out = capsys.readouterr().out
-    for cid in ("A1", "A5", "A12"):
-        assert re.search(rf"^{cid}\s+PASS", out, re.M)
-    assert "12/12 criteria passed" in out
+    assert re.search(r"^B1\s+PASS\s+\S+\s+fine$", out, re.M)
+    assert "2/2 criteria passed" in out
+
+    for bad, detail in ((failing, "drifted"), (raising, "RuntimeError: boom")):
+        monkeypatch.setattr(golden, "CRITERIA", [("B1", "", passing), ("B2", "", bad)])
+        assert run(["golden"]) == 1
+        out = capsys.readouterr().out
+        assert re.search(rf"^B2\s+FAIL\s+\S+\s+{detail}$", out, re.M)
+        assert "1/2 criteria passed" in out
 
 
 def test_golden_is_sensitive_to_value_drift(monkeypatch, capsys):

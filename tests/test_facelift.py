@@ -20,10 +20,10 @@ from reachkit.errors import (
 from reachkit.facelift import (
     GridRegion,
     LevelSet,
-    TimeGrid,
     _front_sweep,
     _levelset_boundary,
     _near_shadow,
+    _uniform_intervals,
     check_boundary_equivalence,
     classify_boundary,
     reach_bounded_time,
@@ -112,6 +112,37 @@ def test_levelset_over_under_rasters():
     pts = rng.normal(size=(200, 2))
     pts = 0.97 * pts / np.linalg.norm(pts, axis=1, keepdims=True)
     assert over.contains_points(pts).all()
+
+
+def test_levelset_raster_evaluates_each_corner_once(monkeypatch):
+    disk = unit_disk()
+    g = GridRegion([-1.5, -1.5], [1.5, 1.5], 0.1)
+    i0, i1 = g._ranges(disk.lo, disk.hi, pad=1)
+    n0, n1 = i1 - i0
+    points = []
+    value = LevelSet.value
+
+    def counting(self, pts):
+        points.append(math.prod(np.shape(pts)[:-1]))
+        return value(self, pts)
+
+    monkeypatch.setattr(LevelSet, "value", counting)
+    g.cells_touching(disk)
+    # corner lattice plus centres; sampling every cell's corners apart costs 5 n0 n1
+    assert sum(points) == (n0 + 1) * (n1 + 1) + n0 * n1
+
+
+@pytest.mark.parametrize("h", [0.05, 0.07, 0.1, 0.13, 0.3])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_levelset_values_match_per_cell_corners(dim, h):
+    terms = " + ".join(f"x{j + 1}*x{j + 1}" for j in range(dim))
+    ls = LevelSet(f"{terms} + 0.3*sin(x1*x2) - 1", [-1.2] * dim, [1.2] * dim)
+    # the grid cuts the level set's padded box on the low side
+    g = GridRegion([-0.9] * dim, [1.7] * dim, h)
+    idx, vals = g._levelset_values(ls)
+    samples = [*g._corners(idx), g.lo + (idx + 0.5) * g.h]
+    assert idx.shape[0] > 0
+    assert np.array_equal(vals, np.array([ls.value(p) for p in samples]))
 
 
 def test_cells_touching_vs_inside_strip():
@@ -377,29 +408,72 @@ def test_boundary_cell_centers_strips_interior():
 
 
 # ---------------------------------------------------------------------------
-# time grids
+# time steps
 
 
 def test_uniform_grid_clamps_tail():
-    grid = TimeGrid.uniform(1.0, 0.3)
-    assert np.allclose(grid.times, [0.0, 0.3, 0.6, 0.9, 1.0])
-    assert grid.intervals(0.7) == [(0.0, 0.3), (0.3, 0.6), (0.6, 0.7)]
-
-
-def test_grid_delta_repeats_last():
-    grid = TimeGrid(np.array([0.0, 0.1, 0.3]))
-    assert grid.delta(0) == pytest.approx(0.1)
-    assert grid.delta(1) == pytest.approx(0.2)
-    assert grid.delta(7) == pytest.approx(0.2)
+    steps = _uniform_intervals(1.0, 0.3)
+    assert np.allclose(steps, [(0.0, 0.3), (0.3, 0.6), (0.6, 0.9), (0.9, 1.0)])
+    assert _uniform_intervals(0.7, 0.3) == [(0.0, 0.3), (0.3, 0.6), (0.6, 0.7)]
+    assert _uniform_intervals(0.3, 0.1)[-1] == (0.2, 0.3)  # 3 * 0.1 > 0.3 is clamped
+    assert _uniform_intervals(0.0, 0.3) == []
+    assert _uniform_intervals(0.0) == []
+    assert np.allclose(_uniform_intervals(2.0), [(k / 4, (k + 1) / 4) for k in range(8)])
 
 
 def test_grid_validation():
     with pytest.raises(ValueError):
-        TimeGrid(np.array([0.1, 0.2]))
+        _uniform_intervals(-0.1, 0.1)
     with pytest.raises(ValueError):
-        TimeGrid(np.array([0.0, 0.2, 0.2]))
+        _uniform_intervals(1.0, 0.0)
     with pytest.raises(ValueError):
-        TimeGrid.uniform(1.0, 0.0)
+        _uniform_intervals(1.0, -0.2)
+    inv = Polyhedron.box([-1.0, -1.0], [3.0, 3.0])
+    with pytest.raises(ValueError):
+        reach_invariant(unit_square(), SLIDE, inv, dt=0.0)
+
+
+def _timegrid_intervals(tau, dt):
+    """The step rule of the former TimeGrid.uniform(tau, dt).intervals(tau),
+    kept verbatim as the oracle for _uniform_intervals."""
+    n = int(math.floor(tau / dt + 1e-9))
+    times = np.arange(n + 1) * dt
+    if times[-1] < tau - 1e-12:
+        times = np.append(times, tau)
+    out = []
+    for t0, t1 in zip(times[:-1], times[1:]):
+        if t0 >= tau - 1e-12:
+            break
+        t1 = min(t1, tau)
+        out.append((float(t0), float(t1)))
+    return out
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(
+            st.floats(0.0, 10.0, allow_nan=False),
+            st.floats(1e-3, 12.0, allow_nan=False),
+        ),
+        # exact divisors, also of zero: in floats, and in decimals, where
+        # k * dt can land just above tau
+        st.tuples(st.integers(0, 40), st.floats(1e-3, 2.0, allow_nan=False)).map(
+            lambda p: (p[0] * p[1], p[1])
+        ),
+        st.tuples(st.integers(0, 40), st.integers(1, 200)).map(
+            lambda p: (p[0] * p[1] / 100, p[1] / 100)
+        ),
+        st.floats(1e-3, 5.0, allow_nan=False).map(lambda dt: (0.0, dt)),
+    )
+)
+def test_uniform_intervals_match_timegrid_rule(pair):
+    tau, dt = pair
+    got = _uniform_intervals(tau, dt)
+    assert got == _timegrid_intervals(tau, dt)
+    assert all(type(t) is float for step in got for t in step)
+    if tau > 1e-12:
+        assert abs(got[-1][1] - tau) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +603,7 @@ def test_levelset_boundary_samples_are_unchanged(ls, h_b, digest, dropped):
 
 def test_drift_square_tube_covers_true_reach():
     tau = 1.0
-    tube = reach_bounded_time(unit_square(), DRIFT, tau, grid=0.125, h=0.05)
+    tube = reach_bounded_time(unit_square(), DRIFT, tau, dt=0.125, h=0.05)
     assert tube.direction == "over"
     assert tube.iterations == 8
     assert not tube.front_collapse
@@ -543,9 +617,9 @@ def test_drift_square_tube_covers_true_reach():
 
 
 def test_drift_under_inside_over():
-    kw = dict(grid=0.125, h=0.05, box=([-1.0, -1.0], [3.0, 3.0]))
+    kw = dict(dt=0.125, h=0.05, box=([-1.0, -1.0], [3.0, 3.0]))
     over = reach_bounded_time(unit_square(), DRIFT, 1.0, **kw)
-    under = reach_bounded_time(unit_square(), DRIFT, 1.0, mode="under", **kw)
+    under = reach_bounded_time(unit_square(), DRIFT, 1.0, under=True, **kw)
     assert under.direction == "exact-sampled"
     assert under.combined_region().count() > 0
     assert under.combined_region().subset_of(over.combined_region())
@@ -558,7 +632,7 @@ def test_drift_under_inside_over():
 
 
 def test_monotone_accumulation():
-    tube = reach_bounded_time(unit_square(), DRIFT, 1.0, grid=0.25, h=0.1)
+    tube = reach_bounded_time(unit_square(), DRIFT, 1.0, dt=0.25, h=0.1)
     running = tube.initial_region.copy()
     counts = [running.count()]
     for _, _, seg in tube.segments:
@@ -577,7 +651,7 @@ def test_zero_horizon_is_initial_only():
 
 def test_rotation_disk_stays_put():
     h = 0.05
-    tube = reach_bounded_time(unit_disk(), ROT, math.pi / 4, grid=math.pi / 16, h=h)
+    tube = reach_bounded_time(unit_disk(), ROT, math.pi / 4, dt=math.pi / 16, h=h)
     centers = tube.combined_region().cell_centers()
     assert np.max(np.linalg.norm(centers, axis=1)) <= 1.0 + 1.5 * h * math.sqrt(2.0)
     rng = np.random.default_rng(5)
@@ -587,8 +661,8 @@ def test_rotation_disk_stays_put():
 
 
 def test_deterministic_rerun():
-    a = reach_bounded_time(unit_square(), DRIFT, 0.5, grid=0.125, h=0.1)
-    b = reach_bounded_time(unit_square(), DRIFT, 0.5, grid=0.125, h=0.1)
+    a = reach_bounded_time(unit_square(), DRIFT, 0.5, dt=0.125, h=0.1)
+    b = reach_bounded_time(unit_square(), DRIFT, 0.5, dt=0.125, h=0.1)
     assert np.array_equal(a.occupancy.occupancy, b.occupancy.occupancy)
     assert [s[:2] for s in a.segments] == [s[:2] for s in b.segments]
 
@@ -598,20 +672,20 @@ def test_step_too_coarse_on_blowup():
     dyn = ExpressionDynamics.parse(["x1*x1", "0"])
     with pytest.raises(StepTooCoarse):
         reach_bounded_time(
-            square, dyn, 1.0, grid=1.0, h=0.05, box=([0.0, -1.0], [1000.0, 2.0])
+            square, dyn, 1.0, dt=1.0, h=0.05, box=([0.0, -1.0], [1000.0, 2.0])
         )
 
 
 def test_semigroup_restart_from_boundary():
     box = ([-0.6, -0.6], [2.6, 2.6])
     h = 0.05
-    first = reach_bounded_time(unit_square(), DRIFT, 0.5, grid=0.125, h=h, box=box)
-    direct = reach_bounded_time(unit_square(), DRIFT, 1.0, grid=0.125, h=h, box=box)
+    first = reach_bounded_time(unit_square(), DRIFT, 0.5, dt=0.125, h=h, box=box)
+    direct = reach_bounded_time(unit_square(), DRIFT, 1.0, dt=0.125, h=h, box=box)
     # restart: evolve the half-time region boundary for the remaining time
     region = first.combined_region()
     chains = [(region.boundary_cell_centers(), None)]
-    grid = TimeGrid.uniform(0.5, 0.125)
-    steps = _front_sweep(chains, unit_square(), DRIFT, grid.intervals(0.5), region, h, h / 2.0)
+    intervals = _uniform_intervals(0.5, 0.125)
+    steps = _front_sweep(chains, unit_square(), DRIFT, intervals, region, h, h / 2.0)
     for _, _, kept, _, _ in steps:
         region.include(kept)
     gap = region.hausdorff(direct.combined_region())
@@ -624,7 +698,7 @@ def test_semigroup_restart_from_boundary():
 
 def test_rotation_square_polyhedral_tube():
     tau = math.pi / 2
-    tube = reach_bounded_time(offset_square(), ROT, tau, grid=math.pi / 8)
+    tube = reach_bounded_time(offset_square(), ROT, tau, dt=math.pi / 8)
     assert tube.occupancy is None
     assert len(tube.segments) == 4
     for _, _, payload in tube.segments:
@@ -638,10 +712,10 @@ def test_rotation_square_polyhedral_tube():
 
 def test_rotation_square_front_path_matches_membership():
     tau = math.pi / 4
-    poly = reach_bounded_time(offset_square(), ROT, tau, grid=math.pi / 16)
+    poly = reach_bounded_time(offset_square(), ROT, tau, dt=math.pi / 16)
     # the same rotation as an expression field takes the front path
     rot_expr = ExpressionDynamics.parse(["-x2", "x1"])
-    front = reach_bounded_time(offset_square(), rot_expr, tau, grid=math.pi / 16, h=0.04)
+    front = reach_bounded_time(offset_square(), rot_expr, tau, dt=math.pi / 16, h=0.04)
     assert front.occupancy is not None
     # the polyhedral tube over-approximates; grid cells it misses must be rare
     centers = front.combined_region().cell_centers()
@@ -652,7 +726,7 @@ def test_rotation_square_front_path_matches_membership():
 def test_mixed_face_raises_a2():
     centered = Polyhedron.box([-0.5, -0.5], [0.5, 0.5])
     with pytest.raises(AssumptionA2Violated):
-        reach_bounded_time(centered, ROT, 0.5, grid=0.25)
+        reach_bounded_time(centered, ROT, 0.5, dt=0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +736,7 @@ def test_mixed_face_raises_a2():
 def test_slide_invariant_terminates_and_covers():
     square = unit_square()
     inv = Polyhedron.box([0.0, 0.0], [3.0, 1.0])
-    tube = reach_invariant(square, SLIDE, inv, grid=0.25, h=0.05)
+    tube = reach_invariant(square, SLIDE, inv, dt=0.25, h=0.05)
     assert tube.front_collapse
     assert not tube.iteration_cap
     assert tube.iterations <= 13
@@ -679,7 +753,7 @@ def test_slide_invariant_under_flavor():
     square = unit_square()
     inv = Polyhedron.box([0.0, 0.0], [3.0, 1.0])
     tube = reach_invariant(
-        square, SLIDE, inv, grid=0.25, h=0.05, under_approximate=True
+        square, SLIDE, inv, dt=0.25, h=0.05, under=True
     )
     assert tube.direction == "under"
     combined_under = tube.combined_region()
@@ -707,11 +781,11 @@ def test_slide_invariant_under_flavor():
 def test_vacuous_invariant_gives_bounded_time_sweep(init, dyn, box):
     # with the whole grid box as invariant nothing escapes, so the exit
     # shadow prunes nothing and each step sweeps the bounded-time cells
-    bounded = reach_bounded_time(init, dyn, 1.0, grid=0.125, h=0.05, box=box)
+    bounded = reach_bounded_time(init, dyn, 1.0, dt=0.125, h=0.05, box=box)
     n = len(bounded.segments)
     assert n == 8
     tube = reach_invariant(
-        init, dyn, Polyhedron.box(*box), grid=0.125, h=0.05, box=box, max_iters=n
+        init, dyn, Polyhedron.box(*box), dt=0.125, h=0.05, box=box, max_iters=n
     )
     assert len(tube.segments) == n
     for (t0, t1, seg), (u0, u1, useg) in zip(bounded.segments, tube.segments):
@@ -731,7 +805,7 @@ def test_levelset_boundary_is_sampled_once_per_invariant_reach(monkeypatch):
         "(x1 - 0.8)*(x1 - 0.8) + (x2 - 0.5)*(x2 - 0.5) - 0.25", [0.2, -0.1], [1.4, 1.1]
     )
     inv = Polyhedron.box([0.0, 0.0], [3.0, 1.0])
-    tube = reach_invariant(disk, SLIDE, inv, grid=0.25, h=0.05)
+    tube = reach_invariant(disk, SLIDE, inv, dt=0.25, h=0.05)
     assert calls == [0.025]  # the containment check and the front share it
     # segment occupancy recorded when each consumer sampled the boundary itself
     occ = b"".join(seg.occupancy.tobytes() for _, _, seg in tube.segments)
@@ -742,13 +816,13 @@ def test_invariant_precondition():
     square = unit_square()
     inv = Polyhedron.box([0.5, 0.0], [3.0, 1.0])
     with pytest.raises(PreconditionViolated):
-        reach_invariant(square, SLIDE, inv, grid=0.25, h=0.1)
+        reach_invariant(square, SLIDE, inv, dt=0.25, h=0.1)
 
 
 def test_periodic_orbit_hits_iteration_cap():
     inv = Polyhedron.box([-2.0, -2.0], [2.0, 2.0])
     tube = reach_invariant(
-        offset_square(), ROT, inv, grid=math.pi / 16, h=0.05, max_iters=10
+        offset_square(), ROT, inv, dt=math.pi / 16, h=0.05, max_iters=10
     )
     assert tube.iteration_cap
     assert not tube.front_collapse
@@ -798,7 +872,7 @@ def test_invariant_reach_memory_is_linear_in_front_and_shadow():
             m.initial,
             m.dynamics,
             m.invariant,
-            grid=m.grid_value("dt"),
+            dt=m.grid_value("dt"),
             h=0.02,
             max_iters=m.flag("max_iters"),
             tau_max=m.grid_value("tau"),

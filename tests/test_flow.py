@@ -126,6 +126,21 @@ def test_flow_rejects_nonfinite_start():
         flow(LinearDynamics(ROT), np.array([np.inf, 0.0]), 1.0)
 
 
+def test_flow_is_the_end_of_a_one_step_trajectory():
+    rot = ExpressionDynamics.parse(["-x2", "x1"])
+    pend = ExpressionDynamics.parse(["x2", "-sin(x1) - 0.2*x2"])
+    x0 = np.array([[1.0, 0.0], [0.3, -0.7]])
+    for dyn in (rot, pend, LinearDynamics(ROT)):
+        for t in (0.1, -0.1, 0.5, -1.3, 0.0):
+            assert np.array_equal(flow(dyn, x0, t), trajectory(dyn, x0, t, 1)[:, -1])
+            one = flow(dyn, x0[1], t)
+            assert one.shape == (2,)
+            assert np.array_equal(one, trajectory(dyn, x0[1:], t, 1)[0, -1])
+    # a short horizon takes ceil(0.1 / tol^(1/4)) = 10 RK4 steps
+    t = 0.1
+    np.testing.assert_allclose(flow(rot, x0[0], t), [np.cos(t), np.sin(t)], rtol=0, atol=1e-9)
+
+
 def test_trajectory_linear_matches_chained_flow_bitwise():
     rng = np.random.default_rng(5)
     dyn = LinearDynamics(rng.normal(size=(3, 3)))
