@@ -756,7 +756,8 @@ def _check_substeps(traj, h):
         s = int(np.argmax(coarse))
         raise StepTooCoarse(
             f"a front sample moved {float(np.max(move[:, s])):.3g} in one substep "
-            f"(limit {2.0 * h:.3g}); refine the time grid"
+            f"(limit {2.0 * h:.3g}): the field sped up within one step; "
+            "lower --dt"
         )
 
 

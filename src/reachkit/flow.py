@@ -44,27 +44,47 @@ _THETA13 = 5.371920351148152
 
 def expm(A, t: float = 1.0) -> np.ndarray:
     """e^{A t} by scaling and squaring on the degree-13 Pade approximant."""
+    return expm_stack(A, (t,))[0]
+
+
+def expm_stack(A, times) -> np.ndarray:
+    """e^{A t} for every t in ``times``, as a (T, n, n) stack.
+
+    Scaling and squaring on the degree-13 Pade approximant (Al-Mohy and
+    Higham 2009), evaluated once per scaling exponent: the times that
+    share an exponent are scaled, solved and squared as one batch, so each
+    slice carries the floats of a one-time evaluation.
+    """
     A = np.asarray(A, float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expm needs a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)) or not math.isfinite(t):
+    times = np.asarray(times, float).reshape(-1)
+    if not np.all(np.isfinite(A)) or not np.all(np.isfinite(times)):
         raise NumericRange("expm input is not finite")
-    M = A * t
-    n = M.shape[0]
-    norm1 = float(np.max(np.sum(np.abs(M), axis=0))) if n else 0.0
-    s = max(0, int(math.ceil(math.log2(norm1 / _THETA13))) if norm1 > _THETA13 else 0)
-    M = M / (2.0**s)
+    M = A * times[:, None, None]
+    n = A.shape[0]
+    norm1 = np.max(np.sum(np.abs(M), axis=1), axis=1) if n else np.zeros(times.size)
+    scale = np.array(
+        [int(math.ceil(math.log2(v / _THETA13))) if v > _THETA13 else 0 for v in norm1.tolist()],
+        dtype=int,
+    )
+    M = M / 2.0**scale[:, None, None]
 
     eye = np.eye(n)
     b = _PADE13
-    M2 = M @ M
-    M4 = M2 @ M2
-    M6 = M2 @ M4
-    U = M @ (M6 @ (b[13] * M6 + b[11] * M4 + b[9] * M2) + b[7] * M6 + b[5] * M4 + b[3] * M2 + b[1] * eye)
-    V = M6 @ (b[12] * M6 + b[10] * M4 + b[8] * M2) + b[6] * M6 + b[4] * M4 + b[2] * M2 + b[0] * eye
-    out = np.linalg.solve(V - U, V + U)
-    for _ in range(s):
-        out = out @ out
+    out = np.empty((times.size, n, n))
+    for s in np.unique(scale).tolist():
+        idx = np.flatnonzero(scale == s)
+        Ms = M[idx]
+        M2 = Ms @ Ms
+        M4 = M2 @ M2
+        M6 = M2 @ M4
+        U = Ms @ (M6 @ (b[13] * M6 + b[11] * M4 + b[9] * M2) + b[7] * M6 + b[5] * M4 + b[3] * M2 + b[1] * eye)
+        V = M6 @ (b[12] * M6 + b[10] * M4 + b[8] * M2) + b[6] * M6 + b[4] * M4 + b[2] * M2 + b[0] * eye
+        E = np.linalg.solve(V - U, V + U)
+        for _ in range(s):
+            E = E @ E
+        out[idx] = E
     if not np.all(np.isfinite(out)):
         raise NumericRange("expm overflowed the representable range")
     return out
@@ -213,17 +233,19 @@ def trajectory(dyn: Dynamics, x0, t: float, nsub: int, tol: float = 1e-8) -> np.
 # face norm maximization
 
 
-def max_norm_over_face(face: Face) -> float:
+def max_norm_over_face(face: Face, vertices=None) -> float:
     """max ||x|| over a bounded face.
 
-    Exact in 2D (the norm peaks at a vertex); in higher dimensions returns
+    Exact in 2D (the norm peaks at a vertex; ``vertices`` spares the
+    enumeration when the caller has them); in higher dimensions returns
     the certified coordinate-box upper bound ||(max_j |x_j|)_j||. Callers
     that care which regime applied should check face.dim.
     """
     P = face.as_polyhedron()
     try:
         if face.dim == 2:
-            return float(np.max(np.linalg.norm(vertices_2d(P), axis=1)))
+            V = vertices_2d(P) if vertices is None else vertices
+            return float(np.max(np.linalg.norm(V, axis=1)))
         lo, hi = P.bounding_box()
     except Unbounded2D:
         raise UnboundedFace("norm has no maximum over an unbounded face") from None

@@ -25,7 +25,7 @@ from .facelift import (
     reach_bounded_time,
     reach_invariant,
 )
-from .flow import expm, flow, max_norm_over_face, operator_norm, rk4
+from .flow import expm, expm_stack, flow, max_norm_over_face, operator_norm, rk4
 from .flow import ExpressionDynamics
 from .geometry import Face, Polyhedron, is_bounded, vertices_2d
 from .hybrid import PostParams, RegionSet, replay_witness, semi_decide_reach
@@ -97,7 +97,8 @@ def _segment_lattice(face, n):
 
 def _tube_lattice(face, A, delta, nx, nt):
     X0 = _segment_lattice(face, nx)
-    return np.vstack([X0 @ expm(A, float(t)).T for t in np.linspace(0.0, delta, nt)])
+    Y = X0 @ expm_stack(A, np.linspace(0.0, delta, nt)).transpose(0, 2, 1)
+    return Y.reshape(-1, X0.shape[1])
 
 
 def _max_residual(P, pts):

@@ -23,12 +23,14 @@ from .errors import (
     DenominatorAllDegenerate,
     DimUnsupported,
     NumericRange,
+    UnboundedFace,
 )
-from .flow import expm, max_norm_over_face, operator_norm
+from .flow import expm, expm_stack, max_norm_over_face, operator_norm
 from .geometry import (
     Face,
     Halfspace,
     Polyhedron,
+    Unbounded2D,
     convex_hull_2d,
     grid_points,
     intersect,
@@ -51,9 +53,12 @@ class StepProblem:
     delta_min is the LP minimum of the outward derivative over the face;
     delta0 the chosen positive margin (None when no positive margin exists
     at this horizon, in which case only shrinking the horizon helps);
-    c1_min the sampled-in-t, LP-exact-in-x minimum over [-Delta, Delta].
+    c1_min the minimum over [-Delta, Delta], sampled in t and exact over
+    the face: endpoint values in 2D, LP in 3D+.
     expm_table holds e^{At} at the t_samples times linspace(-Delta, Delta),
     the one time lattice on which the outward condition is checked.
+    face_vertices lists the vertices of a 2D face, enumerated once per
+    build (None in higher dimensions).
     """
 
     face: Face
@@ -67,6 +72,7 @@ class StepProblem:
     norm_a: float
     face_delta: Face
     base_transport_norm: float
+    face_vertices: np.ndarray | None = field(compare=False, repr=False)
     expm_table: np.ndarray = field(compare=False, repr=False)
     t_samples: int = field(default=65, compare=False)
 
@@ -93,13 +99,15 @@ class StepProblem:
         if A.shape != (face.dim, face.dim):
             raise ValueError(f"matrix shape {A.shape} does not fit dimension {face.dim}")
         dmin = check_A2(face, A)
-        m0 = max_norm_over_face(face)
+        verts = _vertices(face)
+        m0 = max_norm_over_face(face, verts)
         m0_mode = "vertex" if face.dim == 2 else "box"
         norm_a = operator_norm(A)
-        fdelta = propagate_face(face, A, delta)
-        transport = float(np.linalg.norm(expm(-A.T, delta) @ face.base_normal))
-        table = np.array([expm(A, float(t)) for t in np.linspace(-delta, delta, t_samples)])
-        c1 = c1_minimum(face, A, table)
+        back = expm(-A.T, delta)
+        fdelta = propagate_face(face, A, delta, back)
+        transport = float(np.linalg.norm(back @ face.base_normal))
+        table = expm_stack(A, np.linspace(-delta, delta, t_samples))
+        c1 = c1_minimum(face, A, table, verts)
         if delta0 is None:
             chosen = c1 if c1 > _DEGEN_TOL else None
         else:
@@ -118,6 +126,7 @@ class StepProblem:
             norm_a=norm_a,
             face_delta=fdelta,
             base_transport_norm=transport,
+            face_vertices=verts,
             expm_table=table,
             t_samples=t_samples,
         )
@@ -142,6 +151,16 @@ def check_A2(face: Face, A) -> float:
     return float(delta)
 
 
+def _vertices(face: Face) -> np.ndarray | None:
+    """The vertices of a 2D face (its segment ends), None in 3D+."""
+    if face.dim != 2:
+        return None
+    try:
+        return vertices_2d(face.as_polyhedron())
+    except Unbounded2D:
+        raise UnboundedFace("norm has no maximum over an unbounded face") from None
+
+
 def _face_lp_min(face: Face, c):
     res = face.as_polyhedron().maximize(-np.asarray(c, float))
     if res.status != "optimal":
@@ -149,12 +168,27 @@ def _face_lp_min(face: Face, c):
     return -res.value
 
 
-def c1_minimum(face: Face, A, table) -> float:
+def _face_minima(face: Face, C, vertices) -> np.ndarray:
+    """Minimum of each row c of C of c . x over the face.
+
+    A linear function on a 2D face (a segment) peaks at its ends, so the
+    minima are the smaller endpoint values, read off one product with the
+    face's vertices; faces of dimension 3 or more solve one LP per row.
+    """
+    C = np.atleast_2d(C)
+    if face.dim == 2:
+        return np.min(C @ vertices.T, axis=1)
+    return np.array([_face_lp_min(face, c) for c in C])
+
+
+def c1_minimum(face: Face, A, table, vertices) -> float:
     """min over the lattice times t (table[j] = e^{A t_j}) and x0 in F0
-    (LP-exact) of the transported outward derivative a_k . A e^{At} x0."""
+    (exact over the face: endpoint values in 2D, LP in 3D+) of the
+    transported outward derivative a_k . A e^{At} x0. ``vertices`` are
+    the 2D face's vertices (None in 3D+)."""
     g = np.asarray(A, float).T @ face.base_normal
-    # each row vector a_k^T A e^{At} enters the LP as a column
-    return float(min(_face_lp_min(face, E.T @ g) for E in table))
+    # row j is the vector a_k^T A e^{A t_j}, minimized over the face
+    return float(np.min(_face_minima(face, table.transpose(0, 2, 1) @ g, vertices)))
 
 
 def check_C1(prob: StepProblem) -> bool:
@@ -163,22 +197,24 @@ def check_C1(prob: StepProblem) -> bool:
     True iff the sampled minimum of a_k . A e^{At} x0 over the lattice
     times in [-Delta, Delta] stays >= delta0 - 1e-9, and the base-crossing
     signs hold: outward at every lattice time t > 0, inward at its mirror
-    -t. Reads prob.expm_table and computes no exponential of its own.
+    -t, both exact over the face (endpoint values in 2D, LP in 3D+).
+    Reads prob.expm_table and computes no exponential of its own.
     """
     if prob.delta0 is None:
         return False
     if prob.c1_min < prob.delta0 - _C1_SLACK:
         return False
     ak, bk = prob.face.base_normal, prob.face.base_offset
-    table = prob.expm_table
     times = np.linspace(-prob.delta, prob.delta, prob.t_samples)
-    for j in np.flatnonzero(times > 0.0):
-        if _face_lp_min(prob.face, table[j].T @ ak) - bk < -_C1_SLACK:
-            return False  # a forward point fell back through the base plane
-        cm = table[prob.t_samples - 1 - j].T @ ak  # the mirrored time -t
-        if -_face_lp_min(prob.face, -cm) - bk > _C1_SLACK:
-            return False  # a backward point sits past the base plane
-    return True
+    fwd = np.flatnonzero(times > 0.0)
+    rows = prob.expm_table.transpose(0, 2, 1) @ ak
+    # a forward point must not fall back through the base plane, and the
+    # point at the mirrored time -t must not sit past it (max = -min(-c))
+    C = np.vstack([rows[fwd], -rows[prob.t_samples - 1 - fwd]])
+    mins = _face_minima(prob.face, C, prob.face_vertices)
+    fell_back = mins[: fwd.size] - bk < -_C1_SLACK
+    past_base = -mins[fwd.size :] - bk > _C1_SLACK
+    return not (fell_back.any() or past_base.any())
 
 
 def select_delta(m0: float, norm_a: float, delta: float, delta0: float) -> float:
@@ -194,15 +230,16 @@ def select_delta(m0: float, norm_a: float, delta: float, delta0: float) -> float
     return math.log1p((delta - delta0) / (m0 * norm_a)) / norm_a
 
 
-def propagate_face(face: Face, A, delta: float) -> Face:
+def propagate_face(face: Face, A, delta: float, back=None) -> Face:
     """Exact image e^{A Delta} F0, re-orthonormalized in place.
 
-    Normals transport through e^{-A^T Delta}; the base is renormalized and
-    side rows are re-projected within the far hyperplane so the returned
-    face is orthonormal and describes the image point set exactly.
+    Normals transport through e^{-A^T Delta} (``back``, computed here when
+    the caller has not); the base is renormalized and side rows are
+    re-projected within the far hyperplane so the returned face is
+    orthonormal and describes the image point set exactly.
     """
     A = np.asarray(A, float)
-    E = expm(-A.T, delta)
+    E = expm(-A.T, delta) if back is None else back
     vk = E @ face.base_normal
     nk = float(np.linalg.norm(vk))
     bhat = vk / nk
@@ -303,11 +340,11 @@ def conservative_bounds(prob: StepProblem) -> BoundSet:
     return BoundSet(l, lp, "conservative")
 
 
-def _face_lattice(face: Face, target: int) -> np.ndarray:
-    """Deterministic lattice on a face: endpoint linspace in 2D, a projected
-    box grid filtered by the side rows in higher dimensions."""
+def _face_lattice(face: Face, target: int, ends) -> np.ndarray:
+    """Deterministic lattice on a face: linspace between the vertices
+    ``ends`` in 2D, a projected box grid filtered by the side rows in
+    higher dimensions."""
     if face.dim == 2:
-        ends = vertices_2d(face.as_polyhedron())
         if ends.shape[0] == 1:
             return ends
         s = np.linspace(0.0, 1.0, max(2, target))[:, None]
@@ -336,41 +373,32 @@ def sampled_bounds(prob: StepProblem, nx: int = 40, nt: int = 40) -> BoundSet:
     conservative mode, not here.
     """
     k = prob.k
-    X0 = _face_lattice(prob.face, nx)
+    X0 = _face_lattice(prob.face, nx, prob.face_vertices)
     f0, fd = prob.face, prob.face_delta
 
-    rot = np.full(k - 1, -math.inf)
-    rotp = np.full(k - 1, -math.inf)
-    trans = np.full(k - 1, -math.inf)
-    transp = np.full(k - 1, -math.inf)
-    cap = -math.inf
-    capp = -math.inf
-    any_den = False
-    any_denp = False
-
-    for t in np.linspace(0.0, prob.delta, nt):
-        Y = X0 @ expm(prob.matrix, float(t)).T
-        den = Y @ f0.base_normal - f0.base_offset
-        denp = fd.base_offset - Y @ fd.base_normal
-        cap = max(cap, float(np.max(den)))
-        capp = max(capp, float(np.max(denp)))
-        ok = den > _DEGEN_TOL
-        okp = denp > _DEGEN_TOL
-        any_den |= bool(ok.any())
-        any_denp |= bool(okp.any())
-        for i in range(k - 1):
-            num = Y @ f0.side_normals[i] - f0.side_offsets[i]
-            nump = Y @ fd.side_normals[i] - fd.side_offsets[i]
-            trans[i] = max(trans[i], float(np.max(num)))
-            transp[i] = max(transp[i], float(np.max(nump)))
-            if ok.any():
-                rot[i] = max(rot[i], float(np.max(num[ok] / den[ok])))
-            if okp.any():
-                rotp[i] = max(rotp[i], float(np.max(nump[okp] / denp[okp])))
-    if k > 1 and not any_den:
+    # every lattice point at every lattice time: Y[j] = X0 e^{A t_j}^T
+    Y = X0 @ expm_stack(prob.matrix, np.linspace(0.0, prob.delta, nt)).transpose(0, 2, 1)
+    den = Y @ f0.base_normal - f0.base_offset
+    denp = fd.base_offset - Y @ fd.base_normal
+    ok = den > _DEGEN_TOL
+    okp = denp > _DEGEN_TOL
+    if k > 1 and not ok.any():
         raise DenominatorAllDegenerate("no flow sample rose above the start plane")
-    if k > 1 and not any_denp:
+    if k > 1 and not okp.any():
         raise DenominatorAllDegenerate("no flow sample stayed below the far plane")
+    cap = float(np.max(den))
+    capp = float(np.max(denp))
+    rot = np.empty(k - 1)
+    rotp = np.empty(k - 1)
+    trans = np.empty(k - 1)
+    transp = np.empty(k - 1)
+    for i in range(k - 1):
+        num = Y @ f0.side_normals[i] - f0.side_offsets[i]
+        nump = Y @ fd.side_normals[i] - fd.side_offsets[i]
+        trans[i] = np.max(num)
+        transp[i] = np.max(nump)
+        rot[i] = np.max(num[ok] / den[ok])
+        rotp[i] = np.max(nump[okp] / denp[okp])
 
     l = np.zeros(2 * k)
     lp = np.zeros(2 * k)
@@ -440,13 +468,16 @@ def hull_bloat_epsilon(m0: float, norm_a: float, delta: float) -> float:
     return m0 * (math.exp(x) - 1.0 - x - 0.375 * x * x)
 
 
-def bloat_hull(face: Face, face_delta: Face, eps: float) -> Polyhedron:
+def bloat_hull(face: Face, face_delta: Face, eps: float, vertices=None) -> Polyhedron:
     """2D enclosure by the convex hull of both faces' endpoints, every row
     pushed outward by eps. The step driver passes hull_bloat_epsilon of
-    its problem's m0, ||A|| and horizon; eps=0 gives the bare chord hull."""
+    its problem's m0, ||A|| and horizon, and the start face's vertices
+    when it has them; eps=0 gives the bare chord hull."""
     if face.dim != 2:
         raise DimUnsupported("bloat_hull is only available in two dimensions")
-    pts = np.vstack([vertices_2d(face.as_polyhedron()), vertices_2d(face_delta.as_polyhedron())])
+    if vertices is None:
+        vertices = vertices_2d(face.as_polyhedron())
+    pts = np.vstack([vertices, vertices_2d(face_delta.as_polyhedron())])
     hull = convex_hull_2d(pts)
     return Polyhedron(tuple(Halfspace(h.normal, h.offset + eps) for h in hull.ineqs))
 
@@ -527,7 +558,7 @@ def overapproximate_step(
         hull = None
         if face.dim == 2:
             eps = hull_bloat_epsilon(prob.m0, prob.norm_a, prob.delta)
-            hull = bloat_hull(prob.face, prob.face_delta, eps)
+            hull = bloat_hull(prob.face, prob.face_delta, eps, prob.face_vertices)
         result.problems.append(prob)
         result.bounds.append(bounds)
         result.assembled.append(poly)

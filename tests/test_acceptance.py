@@ -2,8 +2,11 @@
 
 Each test delegates to the matching golden-suite check so pytest -v
 prints a single pass/fail line per criterion; the detail string carries
-the measured values and tolerances on failure.
+the measured values and tolerances on failure. The suite runner itself
+is tested on stub criteria, so every criterion runs once per test run.
 """
+
+import io
 
 from reachkit import golden
 
@@ -61,7 +64,33 @@ def test_a12_hybrid_semi_decision():
     _run(golden.check_a12)
 
 
-def test_suite_reports_all_pass(capsys):
-    assert golden.run_golden_suite() == 0
-    out = capsys.readouterr().out
-    assert "12/12 criteria passed" in out
+def test_suite_runs_exactly_the_tested_checks():
+    # the per-criterion tests above call these same functions
+    want = [(f"A{i}", getattr(golden, f"check_a{i}")) for i in range(1, 13)]
+    assert [(cid, fn) for cid, _, fn in golden.CRITERIA] == want
+
+
+def _run_stub_suite(monkeypatch, *checks):
+    criteria = [(f"S{i}", "stub", fn) for i, fn in enumerate(checks, 1)]
+    monkeypatch.setattr(golden, "CRITERIA", criteria)
+    out = io.StringIO()
+    code = golden.run_golden_suite(out)
+    return code, out.getvalue().splitlines()
+
+
+def test_suite_reports_all_pass(monkeypatch):
+    code, lines = _run_stub_suite(monkeypatch, lambda: (True, "fine"), lambda: (True, "also fine"))
+    assert code == 0
+    assert lines[-1] == "2/2 criteria passed"
+    assert lines[1].split()[:2] == ["S1", "PASS"] and lines[1].endswith("fine")
+
+
+def test_suite_counts_a_failure_and_a_crash(monkeypatch):
+    def crash():
+        raise RuntimeError("boom")
+
+    code, lines = _run_stub_suite(monkeypatch, lambda: (True, "ok"), lambda: (False, "off"), crash)
+    assert code == 1
+    assert lines[-1] == "1/3 criteria passed"
+    assert lines[2].split()[:2] == ["S2", "FAIL"] and lines[2].endswith("off")
+    assert lines[3].split()[:2] == ["S3", "FAIL"] and lines[3].endswith("RuntimeError: boom")

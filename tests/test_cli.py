@@ -152,6 +152,26 @@ def test_nonfinite_field_exits_3_without_traceback(tmp_path, capfd):
     assert "Traceback" not in err
 
 
+def test_too_coarse_step_exits_3_and_names_dt(tmp_path, capfd):
+    # x1' = x1^2 from x1 = 2 blows up at t = 0.5, inside the one step
+    path = write_model(
+        tmp_path,
+        {
+            "schema": 1,
+            "kind": "reach",
+            "dynamics": {"expressions": ["x1*x1", "0"]},
+            "initial": {"box": [[2.0, 0.0], [3.0, 1.0]]},
+            "grid": {"cell": 0.05, "dt": 1.0, "tau": 1.0},
+        },
+    )
+    with np.errstate(over="ignore"):
+        assert run(["reach", path, "--out", str(tmp_path / "o")]) == 3
+    err = capfd.readouterr().err
+    assert "StepTooCoarse" in err
+    assert "the field sped up within one step; lower --dt" in err
+    assert "time grid" not in err
+
+
 def test_unbounded_initial_set_exits_2_without_traceback(tmp_path, capfd):
     # the single row x1 <= 1 leaves the initial set without a bounding box
     path = write_model(

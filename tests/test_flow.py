@@ -13,6 +13,7 @@ from reachkit.flow import (
     ExpressionDynamics,
     LinearDynamics,
     expm,
+    expm_stack,
     flow,
     max_norm_over_face,
     operator_norm,
@@ -68,6 +69,53 @@ def test_expm_rotation_is_exact_rotation():
 def test_expm_rejects_nonfinite():
     with pytest.raises(NumericRange):
         expm(np.array([[np.nan, 0.0], [0.0, 0.0]]))
+
+
+def _scaling_exponent(A, t):
+    # the squaring count of the one-time kernel: ||A t||_1 against theta_13
+    norm1 = float(np.max(np.sum(np.abs(A * t), axis=0)))
+    return int(np.ceil(np.log2(norm1 / 5.371920351148152))) if norm1 > 5.371920351148152 else 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_expm_stack_equals_one_time_expm_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    exponents = set()
+    for _ in range(60):
+        n = int(rng.integers(1, 5))
+        A = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-2.0, 1.0)
+        if rng.random() < 0.3:
+            A = -A.T  # a transposed view, as the far-face transport passes
+        times = rng.uniform(-4.0, 4.0, int(rng.integers(1, 12)))
+        times[rng.random(times.size) < 0.2] = 0.0
+        stack = expm_stack(A, times)
+        assert stack.shape == (times.size, n, n)
+        for j, t in enumerate(times):
+            one = expm(A, float(t))
+            assert one.flags.c_contiguous and stack[j].flags.c_contiguous
+            assert np.array_equal(stack[j], one), (n, float(t))
+            exponents.add(_scaling_exponent(A, float(t)))
+    assert {0, 1, 2, 3, 4} <= exponents
+
+
+def test_expm_stack_covers_negative_and_zero_times():
+    A = np.array([[0.3, -2.0], [1.5, -0.4]])
+    times = np.array([-3.0, -0.5, 0.0, 0.5, 3.0])
+    stack = expm_stack(A, times)
+    np.testing.assert_allclose(stack[2], np.eye(2), rtol=0.0, atol=1e-15)
+    for j, t in enumerate(times):
+        assert np.array_equal(stack[j], expm(A, t))
+        np.testing.assert_allclose(stack[j], scipy.linalg.expm(A * t), rtol=1e-12, atol=1e-12)
+    assert expm_stack(A, []).shape == (0, 2, 2)
+
+
+def test_expm_stack_errors_match_expm():
+    with pytest.raises(ValueError, match="square matrix"):
+        expm_stack(np.ones((2, 3)), [1.0])
+    with pytest.raises(NumericRange, match="not finite"):
+        expm_stack(ROT, [0.5, np.inf])
+    with pytest.raises(NumericRange, match="overflowed"), np.errstate(over="ignore"):
+        expm_stack(np.array([[800.0]]), [0.1, 1.0])
 
 
 def test_operator_norm_matches_svd():

@@ -7,6 +7,7 @@ re-checked against independent arithmetic oracles before use.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -171,29 +172,95 @@ def test_step_problem_validation():
         StepProblem.build(face, ROT, DELTA, t_samples=2)  # no positive lattice time
 
 
+def count_kernels(monkeypatch):
+    """Count the exponentials and face LPs polyapprox asks for, and the
+    rows handed to each _face_minima call."""
+    calls = {"expm": 0, "expm_stack": 0, "_face_lp_min": 0, "minima_rows": []}
+    for name in ("expm", "expm_stack", "_face_lp_min", "_face_minima"):
+
+        def wrapper(*args, _name=name, _real=getattr(polyapprox, name)):
+            if _name == "_face_minima":
+                calls["minima_rows"].append(len(args[1]))
+            else:
+                calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(polyapprox, name, wrapper)
+    return calls
+
+
+def counts(expm, expm_stack, lp, minima_rows):
+    return {"expm": expm, "expm_stack": expm_stack, "_face_lp_min": lp, "minima_rows": minima_rows}
+
+
+def box_face_3d():
+    return Face(
+        np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, -1.0, 0]]),
+        np.array([1.5, -1.0, 0.4, 0.2]),
+        np.array([0.0, 0.0, 1.0]),
+        0.3,
+        orthonormal=True,
+    )
+
+
+A_3D = np.array([[0.1, 0.0, 0.0], [0.0, 0.2, 0.0], [0.5, 0.3, 0.4]])
+
+
 @pytest.mark.parametrize("t_samples,forward", [(65, 32), (64, 32), (33, 16), (3, 1)])
 def test_one_expm_table_serves_both_outward_checks(monkeypatch, t_samples, forward):
-    calls = {"expm": 0, "lp": 0}
-    real_expm, real_lp = polyapprox.expm, polyapprox._face_lp_min
-
-    def counting_expm(*args):
-        calls["expm"] += 1
-        return real_expm(*args)
-
-    def counting_lp(*args):
-        calls["lp"] += 1
-        return real_lp(*args)
-
-    monkeypatch.setattr(polyapprox, "expm", counting_expm)
-    monkeypatch.setattr(polyapprox, "_face_lp_min", counting_lp)
+    calls = count_kernels(monkeypatch)
     prob = example_problem(t_samples=t_samples)
-    # the lattice, the far face and the base transport
-    assert calls == {"expm": t_samples + 2, "lp": t_samples}
+    # one batched lattice, one e^{-A^T Delta} shared by the far face and
+    # the base transport, and no LP at all on a segment face
+    assert calls == counts(1, 1, 0, [t_samples])
     assert prob.expm_table.shape == (t_samples, 2, 2)
-    calls.update(expm=0, lp=0)
+    calls.update(counts(0, 0, 0, []))
     assert check_C1(prob)
-    # two sign checks at every lattice time t > 0, none of them a new expm
-    assert calls == {"expm": 0, "lp": 2 * forward}
+    # both sign checks at every lattice time t > 0 in one call, none of
+    # them a new exponential
+    assert calls == counts(0, 0, 0, [2 * forward])
+
+
+@pytest.mark.parametrize("t_samples,forward", [(65, 32), (8, 4)])
+def test_three_dimensional_face_keeps_one_lp_per_row(monkeypatch, t_samples, forward):
+    calls = count_kernels(monkeypatch)
+    prob = StepProblem.build(box_face_3d(), A_3D, 0.2, delta0=0.28, t_samples=t_samples)
+    assert prob.face_vertices is None
+    assert calls == counts(1, 1, t_samples, [t_samples])
+    calls.update(counts(0, 0, 0, []))
+    check_C1(prob)
+    assert calls == counts(0, 0, 2 * forward, [2 * forward])
+
+
+def test_check_c1_rejects_each_wrong_base_crossing():
+    # the crossing signs read only the table, so putting the mirrored
+    # time's exponential at one lattice time flips exactly one sign check
+    prob = example_problem(t_samples=9)
+    assert check_C1(prob)
+    times = np.linspace(-DELTA, DELTA, 9)
+    for j in (6, 8, 2, 0):  # forward points fall back, backward ones pass the base
+        table = prob.expm_table.copy()
+        table[j] = expm(ROT, -times[j])
+        assert not check_C1(replace(prob, expm_table=table)), j
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    theta=st.floats(0.0, 2.0 * math.pi),
+    along=st.floats(-2.0, 2.0),
+    height=st.floats(-2.0, 2.0),
+    half=st.floats(0.0, 1.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_face_minima_match_the_face_lp_on_segments(theta, along, height, half, seed):
+    ak = np.array([math.cos(theta), math.sin(theta)])
+    u = np.array([-ak[1], ak[0]])
+    offsets = np.array([along + half, -along + half])
+    face = Face(np.array([u, -u]), offsets, ak, height, orthonormal=True)
+    C = np.random.default_rng(seed).normal(size=(9, 2)) * 3.0
+    got = polyapprox._face_minima(face, C, vertices_2d(face.as_polyhedron()))
+    want = [polyapprox._face_lp_min(face, c) for c in C]
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 def test_propagated_face_matches_rotated_rows():
@@ -623,14 +690,8 @@ def test_chained_steps_enclose_the_flow(seed, stretch):
 
 
 def test_three_dimensional_step_encloses_tube():
-    A = np.array([[0.1, 0.0, 0.0], [0.0, 0.2, 0.0], [0.5, 0.3, 0.4]])
-    face = Face(
-        np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, -1.0, 0]]),
-        np.array([1.5, -1.0, 0.4, 0.2]),
-        np.array([0.0, 0.0, 1.0]),
-        0.3,
-        orthonormal=True,
-    )
+    A = A_3D
+    face = box_face_3d()
     prob = StepProblem.build(face, A, 0.2, delta0=0.28)
     assert prob.k == 5 and prob.m0_mode == "box"
     res = overapproximate_step(face, A, 0.2, delta0=0.28)
