@@ -660,7 +660,10 @@ def run(argv=None) -> int:
         model = load_model(args.model)
         out = _outdir(args)
         started = time.perf_counter()
-        code, report, _ = _BODIES[args.command](model, args, out)
+        # non-finite values are reported by NonFiniteState and StepTooCoarse,
+        # so numpy's floating-point warnings would only repeat them on stderr
+        with np.errstate(all="ignore"):
+            code, report, _ = _BODIES[args.command](model, args, out)
         report.elapsed = time.perf_counter() - started
         _write_report(report, out)
     except (ModelError, DimUnsupported) as exc:

@@ -35,7 +35,6 @@ from .geometry import (
     grid_points,
     is_empty,
     normalize_and_orthogonalize,
-    vertices_2d,
 )
 from .polyapprox import overapproximate_step, propagate_tube
 
@@ -123,7 +122,7 @@ def _polyhedron_faces(P: Polyhedron):
 
 def _segment_interior_lattice(face: Face, h_b: float):
     """Points along a 2D facet, offset half a spacing from both endpoints."""
-    ends = vertices_2d(face.as_polyhedron())
+    ends = face.vertices
     if ends.shape[0] < 2:
         return ends
     a, b = ends[0], ends[-1]
@@ -977,7 +976,7 @@ def _linear_poly_reach(init, dyn, intervals, bounds):
             step_cache[dkey] = [P for r in results for P in r.polyhedra]
         polys = step_cache[dkey]
         if t0 != 0.0:
-            polys = [propagate_tube(P, A, t0, 1)[0] for P in polys]
+            polys = [propagate_tube(P, A, t0) for P in polys]
         segments.append((t0, t1, tuple(polys)))
     return ReachTube(segments=segments, direction="over", initial=init, delta_shrunk=shrunk)
 

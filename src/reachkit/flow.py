@@ -21,7 +21,7 @@ import numpy as np
 
 from . import expr as _expr
 from .errors import NonFiniteState, NumericRange, Unbounded2D, UnboundedFace
-from .geometry import Face, vertices_2d
+from .geometry import Face
 
 _PADE13 = (
     64764752532480000.0,
@@ -118,9 +118,6 @@ class LinearDynamics:
     def evaluate(self, points):
         pts = np.asarray(points, float)
         return pts @ self.matrix.T
-
-    def negated(self) -> "LinearDynamics":
-        return LinearDynamics(-self.matrix)
 
 
 @dataclass(frozen=True)
@@ -233,20 +230,18 @@ def trajectory(dyn: Dynamics, x0, t: float, nsub: int, tol: float = 1e-8) -> np.
 # face norm maximization
 
 
-def max_norm_over_face(face: Face, vertices=None) -> float:
+def max_norm_over_face(face: Face) -> float:
     """max ||x|| over a bounded face.
 
-    Exact in 2D (the norm peaks at a vertex; ``vertices`` spares the
-    enumeration when the caller has them); in higher dimensions returns
-    the certified coordinate-box upper bound ||(max_j |x_j|)_j||. Callers
-    that care which regime applied should check face.dim.
+    Exact in 2D (the norm peaks at one of face.vertices); in higher
+    dimensions returns the certified coordinate-box upper bound
+    ||(max_j |x_j|)_j||. Callers that care which regime applied should
+    check face.dim. An unbounded face raises UnboundedFace.
     """
-    P = face.as_polyhedron()
     try:
         if face.dim == 2:
-            V = vertices_2d(P) if vertices is None else vertices
-            return float(np.max(np.linalg.norm(V, axis=1)))
-        lo, hi = P.bounding_box()
+            return float(np.max(np.linalg.norm(face.vertices, axis=1)))
+        lo, hi = face.as_polyhedron().bounding_box()
     except Unbounded2D:
         raise UnboundedFace("norm has no maximum over an unbounded face") from None
     return float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi))))

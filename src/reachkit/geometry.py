@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -316,6 +317,15 @@ class Face:
         )
         return Polyhedron(sides, (Halfspace(self.base_normal, self.base_offset),))
 
+    @cached_property
+    def vertices(self) -> np.ndarray:
+        """Vertices of a 2D face (its segment ends, or one point), enumerated
+        once per face by vertices_2d; raises as vertices_2d does. Every
+        reader shares the one array, so it is read-only."""
+        verts = vertices_2d(self.as_polyhedron())
+        verts.flags.writeable = False
+        return verts
+
     def check_orthonormal(self, tol=1e-10) -> bool:
         if abs(np.linalg.norm(self.base_normal) - 1.0) > tol:
             return False
@@ -331,7 +341,7 @@ class Face:
 # predicates
 
 
-def is_empty(P: Polyhedron, tol=TIGHT_TOL) -> bool:
+def is_empty(P: Polyhedron) -> bool:
     """Feasibility of the row system, decided by the phase-1 simplex."""
     return P.maximize(np.zeros(P.dim)).status == "infeasible"
 

@@ -89,14 +89,9 @@ def _example2_problem():
     )
 
 
-def _segment_lattice(face, n):
-    ends = vertices_2d(face.as_polyhedron())
-    s = np.linspace(0.0, 1.0, n)[:, None]
-    return ends[0] * (1.0 - s) + ends[-1] * s
-
-
 def _tube_lattice(face, A, delta, nx, nt):
-    X0 = _segment_lattice(face, nx)
+    s = np.linspace(0.0, 1.0, nx)[:, None]
+    X0 = face.vertices[0] * (1.0 - s) + face.vertices[-1] * s
     Y = X0 @ expm_stack(A, np.linspace(0.0, delta, nt)).transpose(0, 2, 1)
     return Y.reshape(-1, X0.shape[1])
 
@@ -219,7 +214,7 @@ def check_a5():
         cases.append(_random_problem(rng))
     worst = -math.inf
     for face, A, delta, d0 in cases:
-        p = StepProblem.build(face, A, delta, delta0=d0, t_samples=33)
+        p = StepProblem.build(face, A, delta, delta0=d0)
         P = assemble_polyhedron(p, conservative_bounds(p))
         worst = max(worst, _max_residual(P, _tube_lattice(face, A, delta, 300, 300)))
     elapsed = time.perf_counter() - started
@@ -236,7 +231,7 @@ def check_a6():
     rng = np.random.default_rng(1207)
     while len(cases) < 51:
         face, A, delta, d0 = _random_problem(rng)
-        cases.append(StepProblem.build(face, A, delta, delta0=d0, t_samples=33))
+        cases.append(StepProblem.build(face, A, delta, delta0=d0))
     for i, p in enumerate(cases):
         P = assemble_polyhedron(p, conservative_bounds(p))
         if not is_bounded(Polyhedron(tuple(P.ineqs[: p.k + 1]))):
@@ -342,7 +337,7 @@ def check_a10():
     rng = np.random.default_rng(407)
     for i in range(50):
         face, A, delta, d0 = _random_problem(rng)
-        p = StepProblem.build(face, A, delta, delta0=d0, t_samples=33)
+        p = StepProblem.build(face, A, delta, delta0=d0)
         cons = conservative_bounds(p)
         samp = sampled_bounds(p, nx=25, nt=25)
         if np.any(samp.l > cons.l + 1e-12) or np.any(samp.l_prime > cons.l_prime + 1e-12):

@@ -23,23 +23,22 @@ from .errors import (
     DenominatorAllDegenerate,
     DimUnsupported,
     NumericRange,
-    UnboundedFace,
 )
 from .flow import expm, expm_stack, max_norm_over_face, operator_norm
 from .geometry import (
     Face,
     Halfspace,
     Polyhedron,
-    Unbounded2D,
     convex_hull_2d,
     grid_points,
     intersect,
     normalize_and_orthogonalize,
-    vertices_2d,
 )
 
 _DEGEN_TOL = 1e-12
 _C1_SLACK = 1e-9
+# lattice times linspace(-Delta, Delta, _T_SAMPLES) of the outward check
+_T_SAMPLES = 65
 
 
 # ---------------------------------------------------------------------------
@@ -54,11 +53,10 @@ class StepProblem:
     delta0 the chosen positive margin (None when no positive margin exists
     at this horizon, in which case only shrinking the horizon helps);
     c1_min the minimum over [-Delta, Delta], sampled in t and exact over
-    the face: endpoint values in 2D, LP in 3D+.
-    expm_table holds e^{At} at the t_samples times linspace(-Delta, Delta),
-    the one time lattice on which the outward condition is checked.
-    face_vertices lists the vertices of a 2D face, enumerated once per
-    build (None in higher dimensions).
+    the face: endpoint values in 2D (face.vertices), LP in 3D+.
+    m0 is max ||x|| over the face: exact in 2D, a box bound in 3D+.
+    expm_table holds e^{At} at the 65 times linspace(-Delta, Delta), the
+    one time lattice on which the outward condition is checked.
     """
 
     face: Face
@@ -68,13 +66,10 @@ class StepProblem:
     delta0: float | None
     c1_min: float
     m0: float
-    m0_mode: str
     norm_a: float
     face_delta: Face
     base_transport_norm: float
-    face_vertices: np.ndarray | None = field(compare=False, repr=False)
     expm_table: np.ndarray = field(compare=False, repr=False)
-    t_samples: int = field(default=65, compare=False)
 
     @property
     def k(self) -> int:
@@ -88,26 +83,22 @@ class StepProblem:
         return self.delta0 / self.base_transport_norm
 
     @classmethod
-    def build(cls, face: Face, A, delta: float, delta0: float | None = None, t_samples: int = 65):
+    def build(cls, face: Face, A, delta: float, delta0: float | None = None):
         A = np.asarray(A, float)
         if delta <= 0.0:
             raise ValueError(f"step horizon must be positive, got {delta}")
-        if t_samples < 3:
-            raise ValueError(f"t_samples must be at least 3, got {t_samples}")
         if not face.orthonormal:
             face = normalize_and_orthogonalize(face)
         if A.shape != (face.dim, face.dim):
             raise ValueError(f"matrix shape {A.shape} does not fit dimension {face.dim}")
         dmin = check_A2(face, A)
-        verts = _vertices(face)
-        m0 = max_norm_over_face(face, verts)
-        m0_mode = "vertex" if face.dim == 2 else "box"
+        m0 = max_norm_over_face(face)
         norm_a = operator_norm(A)
         back = expm(-A.T, delta)
         fdelta = propagate_face(face, A, delta, back)
         transport = float(np.linalg.norm(back @ face.base_normal))
-        table = expm_stack(A, np.linspace(-delta, delta, t_samples))
-        c1 = c1_minimum(face, A, table, verts)
+        table = expm_stack(A, np.linspace(-delta, delta, _T_SAMPLES))
+        c1 = c1_minimum(face, A, table)
         if delta0 is None:
             chosen = c1 if c1 > _DEGEN_TOL else None
         else:
@@ -122,13 +113,10 @@ class StepProblem:
             delta0=chosen,
             c1_min=c1,
             m0=m0,
-            m0_mode=m0_mode,
             norm_a=norm_a,
             face_delta=fdelta,
             base_transport_norm=transport,
-            face_vertices=verts,
             expm_table=table,
-            t_samples=t_samples,
         )
 
 
@@ -151,16 +139,6 @@ def check_A2(face: Face, A) -> float:
     return float(delta)
 
 
-def _vertices(face: Face) -> np.ndarray | None:
-    """The vertices of a 2D face (its segment ends), None in 3D+."""
-    if face.dim != 2:
-        return None
-    try:
-        return vertices_2d(face.as_polyhedron())
-    except Unbounded2D:
-        raise UnboundedFace("norm has no maximum over an unbounded face") from None
-
-
 def _face_lp_min(face: Face, c):
     res = face.as_polyhedron().maximize(-np.asarray(c, float))
     if res.status != "optimal":
@@ -168,27 +146,28 @@ def _face_lp_min(face: Face, c):
     return -res.value
 
 
-def _face_minima(face: Face, C, vertices) -> np.ndarray:
+def _face_minima(face: Face, C) -> np.ndarray:
     """Minimum of each row c of C of c . x over the face.
 
     A linear function on a 2D face (a segment) peaks at its ends, so the
-    minima are the smaller endpoint values, read off one product with the
-    face's vertices; faces of dimension 3 or more solve one LP per row.
+    minima are the smaller endpoint values, read off one product with
+    face.vertices. Faces of dimension 3 or more, and segments shorter
+    than vertices_2d's 1e-9 merge distance (one vertex, which is not an
+    end), solve one LP per row.
     """
     C = np.atleast_2d(C)
-    if face.dim == 2:
-        return np.min(C @ vertices.T, axis=1)
+    if face.dim == 2 and face.vertices.shape[0] == 2:
+        return np.min(C @ face.vertices.T, axis=1)
     return np.array([_face_lp_min(face, c) for c in C])
 
 
-def c1_minimum(face: Face, A, table, vertices) -> float:
+def c1_minimum(face: Face, A, table) -> float:
     """min over the lattice times t (table[j] = e^{A t_j}) and x0 in F0
-    (exact over the face: endpoint values in 2D, LP in 3D+) of the
-    transported outward derivative a_k . A e^{At} x0. ``vertices`` are
-    the 2D face's vertices (None in 3D+)."""
+    (exact over the face: values at face.vertices in 2D, LP in 3D+) of
+    the transported outward derivative a_k . A e^{At} x0."""
     g = np.asarray(A, float).T @ face.base_normal
     # row j is the vector a_k^T A e^{A t_j}, minimized over the face
-    return float(np.min(_face_minima(face, table.transpose(0, 2, 1) @ g, vertices)))
+    return float(np.min(_face_minima(face, table.transpose(0, 2, 1) @ g)))
 
 
 def check_C1(prob: StepProblem) -> bool:
@@ -205,13 +184,13 @@ def check_C1(prob: StepProblem) -> bool:
     if prob.c1_min < prob.delta0 - _C1_SLACK:
         return False
     ak, bk = prob.face.base_normal, prob.face.base_offset
-    times = np.linspace(-prob.delta, prob.delta, prob.t_samples)
+    times = np.linspace(-prob.delta, prob.delta, _T_SAMPLES)
     fwd = np.flatnonzero(times > 0.0)
     rows = prob.expm_table.transpose(0, 2, 1) @ ak
     # a forward point must not fall back through the base plane, and the
     # point at the mirrored time -t must not sit past it (max = -min(-c))
-    C = np.vstack([rows[fwd], -rows[prob.t_samples - 1 - fwd]])
-    mins = _face_minima(prob.face, C, prob.face_vertices)
+    C = np.vstack([rows[fwd], -rows[_T_SAMPLES - 1 - fwd]])
+    mins = _face_minima(prob.face, C)
     fell_back = mins[: fwd.size] - bk < -_C1_SLACK
     past_base = -mins[fwd.size :] - bk > _C1_SLACK
     return not (fell_back.any() or past_base.any())
@@ -340,11 +319,12 @@ def conservative_bounds(prob: StepProblem) -> BoundSet:
     return BoundSet(l, lp, "conservative")
 
 
-def _face_lattice(face: Face, target: int, ends) -> np.ndarray:
-    """Deterministic lattice on a face: linspace between the vertices
-    ``ends`` in 2D, a projected box grid filtered by the side rows in
-    higher dimensions."""
+def _face_lattice(face: Face, target: int) -> np.ndarray:
+    """Deterministic lattice on a face: linspace between face.vertices in
+    2D, a projected box grid filtered by the side rows in higher
+    dimensions."""
     if face.dim == 2:
+        ends = face.vertices
         if ends.shape[0] == 1:
             return ends
         s = np.linspace(0.0, 1.0, max(2, target))[:, None]
@@ -373,7 +353,7 @@ def sampled_bounds(prob: StepProblem, nx: int = 40, nt: int = 40) -> BoundSet:
     conservative mode, not here.
     """
     k = prob.k
-    X0 = _face_lattice(prob.face, nx, prob.face_vertices)
+    X0 = _face_lattice(prob.face, nx)
     f0, fd = prob.face, prob.face_delta
 
     # every lattice point at every lattice time: Y[j] = X0 e^{A t_j}^T
@@ -468,16 +448,15 @@ def hull_bloat_epsilon(m0: float, norm_a: float, delta: float) -> float:
     return m0 * (math.exp(x) - 1.0 - x - 0.375 * x * x)
 
 
-def bloat_hull(face: Face, face_delta: Face, eps: float, vertices=None) -> Polyhedron:
-    """2D enclosure by the convex hull of both faces' endpoints, every row
+def bloat_hull(face: Face, face_delta: Face, eps: float) -> Polyhedron:
+    """2D enclosure by the convex hull of both faces' vertices, every row
     pushed outward by eps. The step driver passes hull_bloat_epsilon of
-    its problem's m0, ||A|| and horizon, and the start face's vertices
-    when it has them; eps=0 gives the bare chord hull."""
+    its problem's m0, ||A|| and horizon; eps=0 gives the bare chord hull.
+    The far face's vertices, enumerated here, serve the next chained
+    sub-step, whose start face it is."""
     if face.dim != 2:
         raise DimUnsupported("bloat_hull is only available in two dimensions")
-    if vertices is None:
-        vertices = vertices_2d(face.as_polyhedron())
-    pts = np.vstack([vertices, vertices_2d(face_delta.as_polyhedron())])
+    pts = np.vstack([face.vertices, face_delta.vertices])
     hull = convex_hull_2d(pts)
     return Polyhedron(tuple(Halfspace(h.normal, h.offset + eps) for h in hull.ineqs))
 
@@ -558,7 +537,7 @@ def overapproximate_step(
         hull = None
         if face.dim == 2:
             eps = hull_bloat_epsilon(prob.m0, prob.norm_a, prob.delta)
-            hull = bloat_hull(prob.face, prob.face_delta, eps, prob.face_vertices)
+            hull = bloat_hull(prob.face, prob.face_delta, eps)
         result.problems.append(prob)
         result.bounds.append(bounds)
         result.assembled.append(poly)
@@ -571,14 +550,10 @@ def overapproximate_step(
     return result
 
 
-def propagate_tube(P0: Polyhedron, A, delta: float, steps: int) -> list[Polyhedron]:
-    """Images e^{A i Delta} P0 for i = 1..steps: normals transported through
-    e^{-A^T i Delta}, offsets kept, rows renormalized to unit normals."""
-    A = np.asarray(A, float)
-    out = []
-    for i in range(1, steps + 1):
-        E = expm(-A.T, i * delta)
-        ineqs = tuple(Halfspace(E @ h.normal, h.offset).unit() for h in P0.ineqs)
-        eqs = tuple(Halfspace(E @ h.normal, h.offset).unit() for h in P0.eqs)
-        out.append(Polyhedron(ineqs, eqs))
-    return out
+def propagate_tube(P0: Polyhedron, A, t: float) -> Polyhedron:
+    """The image e^{At} P0: normals transported through e^{-A^T t},
+    offsets kept, rows renormalized to unit normals."""
+    E = expm(-np.asarray(A, float).T, t)
+    ineqs = tuple(Halfspace(E @ h.normal, h.offset).unit() for h in P0.ineqs)
+    eqs = tuple(Halfspace(E @ h.normal, h.offset).unit() for h in P0.eqs)
+    return Polyhedron(ineqs, eqs)

@@ -6,8 +6,8 @@ import json
 import math
 import os
 import re
+import warnings
 
-import numpy as np
 import pytest
 
 import reachkit.golden as golden
@@ -146,10 +146,14 @@ def test_nonfinite_field_exits_3_without_traceback(tmp_path, capfd):
             "grid": {"cell": 0.05, "dt": 0.5, "tau": 1.0},
         },
     )
-    assert run(["reach", path, "--out", str(tmp_path / "o")]) == 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # a numpy warning would raise
+        assert run(["reach", path, "--out", str(tmp_path / "o")]) == 3
     err = capfd.readouterr().err
     assert "NonFiniteState" in err
     assert "Traceback" not in err
+    (line,) = err.splitlines()
+    assert line.startswith("assumption violated: ")
 
 
 def test_too_coarse_step_exits_3_and_names_dt(tmp_path, capfd):
@@ -164,12 +168,15 @@ def test_too_coarse_step_exits_3_and_names_dt(tmp_path, capfd):
             "grid": {"cell": 0.05, "dt": 1.0, "tau": 1.0},
         },
     )
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # a numpy warning would raise
         assert run(["reach", path, "--out", str(tmp_path / "o")]) == 3
     err = capfd.readouterr().err
     assert "StepTooCoarse" in err
     assert "the field sped up within one step; lower --dt" in err
     assert "time grid" not in err
+    (line,) = err.splitlines()
+    assert line.startswith("assumption violated: ")
 
 
 def test_unbounded_initial_set_exits_2_without_traceback(tmp_path, capfd):

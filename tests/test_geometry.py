@@ -219,6 +219,15 @@ def test_orthogonalize_tilted_side_describes_same_segment():
     np.testing.assert_allclose(ends, [[1.0, 0.0], [SQRT2, 0.0]], atol=1e-9)
 
 
+def test_face_vertices_are_its_segment_ends_shared_read_only():
+    face = Face([[1, 0], [-1, 0]], [SQRT2, -1.0], [0, 1], 0.0)
+    ends = face.vertices
+    np.testing.assert_array_equal(ends, vertices_2d(face.as_polyhedron()))
+    assert face.vertices is ends
+    with pytest.raises(ValueError):
+        ends[0, 0] = 0.0
+
+
 def test_orthogonalize_is_idempotent_and_scales_base():
     face = Face([[3, 0], [-2, 0]], [3 * SQRT2, 2.0], [0, 4], 0.0)
     once = normalize_and_orthogonalize(face)

@@ -11,9 +11,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
+import reachkit.geometry as geometry
 import reachkit.polyapprox as polyapprox
 from reachkit.errors import AssumptionA2Violated, BadDeltaOrder, DenominatorAllDegenerate
 from reachkit.flow import expm, max_norm_over_face, operator_norm
@@ -147,7 +148,6 @@ def test_step_problem_derived_fields():
     assert prob.k == 3
     assert prob.delta_min == pytest.approx(1.0, abs=1e-10)
     assert prob.m0 == pytest.approx(SQRT2, abs=1e-12)
-    assert prob.m0_mode == "vertex"
     assert prob.norm_a == pytest.approx(1.0, abs=1e-9)
     # the time lattice contains both endpoints, so the sampled minimum of
     # the transported outward derivative is exactly cos(pi/6)
@@ -168,8 +168,6 @@ def test_step_problem_validation():
         StepProblem.build(face, ROT, DELTA, delta0=1.5)  # above the LP minimum
     with pytest.raises(BadDeltaOrder):
         StepProblem.build(face, ROT, DELTA, delta0=-0.1)
-    with pytest.raises(ValueError):
-        StepProblem.build(face, ROT, DELTA, t_samples=2)  # no positive lattice time
 
 
 def count_kernels(monkeypatch):
@@ -206,10 +204,10 @@ def box_face_3d():
 A_3D = np.array([[0.1, 0.0, 0.0], [0.0, 0.2, 0.0], [0.5, 0.3, 0.4]])
 
 
-@pytest.mark.parametrize("t_samples,forward", [(65, 32), (64, 32), (33, 16), (3, 1)])
+@pytest.mark.parametrize("t_samples,forward", [(65, 32)])
 def test_one_expm_table_serves_both_outward_checks(monkeypatch, t_samples, forward):
     calls = count_kernels(monkeypatch)
-    prob = example_problem(t_samples=t_samples)
+    prob = example_problem()
     # one batched lattice, one e^{-A^T Delta} shared by the far face and
     # the base transport, and no LP at all on a segment face
     assert calls == counts(1, 1, 0, [t_samples])
@@ -221,11 +219,10 @@ def test_one_expm_table_serves_both_outward_checks(monkeypatch, t_samples, forwa
     assert calls == counts(0, 0, 0, [2 * forward])
 
 
-@pytest.mark.parametrize("t_samples,forward", [(65, 32), (8, 4)])
+@pytest.mark.parametrize("t_samples,forward", [(65, 32)])
 def test_three_dimensional_face_keeps_one_lp_per_row(monkeypatch, t_samples, forward):
     calls = count_kernels(monkeypatch)
-    prob = StepProblem.build(box_face_3d(), A_3D, 0.2, delta0=0.28, t_samples=t_samples)
-    assert prob.face_vertices is None
+    prob = StepProblem.build(box_face_3d(), A_3D, 0.2, delta0=0.28)
     assert calls == counts(1, 1, t_samples, [t_samples])
     calls.update(counts(0, 0, 0, []))
     check_C1(prob)
@@ -235,10 +232,10 @@ def test_three_dimensional_face_keeps_one_lp_per_row(monkeypatch, t_samples, for
 def test_check_c1_rejects_each_wrong_base_crossing():
     # the crossing signs read only the table, so putting the mirrored
     # time's exponential at one lattice time flips exactly one sign check
-    prob = example_problem(t_samples=9)
+    prob = example_problem()
     assert check_C1(prob)
-    times = np.linspace(-DELTA, DELTA, 9)
-    for j in (6, 8, 2, 0):  # forward points fall back, backward ones pass the base
+    times = np.linspace(-DELTA, DELTA, 65)
+    for j in (48, 64, 16, 0):  # forward points fall back, backward ones pass the base
         table = prob.expm_table.copy()
         table[j] = expm(ROT, -times[j])
         assert not check_C1(replace(prob, expm_table=table)), j
@@ -252,13 +249,15 @@ def test_check_c1_rejects_each_wrong_base_crossing():
     half=st.floats(0.0, 1.5),
     seed=st.integers(0, 2**32 - 1),
 )
+# a segment shorter than vertices_2d's merge distance has one vertex
+@example(theta=0.0, along=0.0, height=0.0, half=1e-10, seed=0)
 def test_face_minima_match_the_face_lp_on_segments(theta, along, height, half, seed):
     ak = np.array([math.cos(theta), math.sin(theta)])
     u = np.array([-ak[1], ak[0]])
     offsets = np.array([along + half, -along + half])
     face = Face(np.array([u, -u]), offsets, ak, height, orthonormal=True)
     C = np.random.default_rng(seed).normal(size=(9, 2)) * 3.0
-    got = polyapprox._face_minima(face, C, vertices_2d(face.as_polyhedron()))
+    got = polyapprox._face_minima(face, C)
     want = [polyapprox._face_lp_min(face, c) for c in C]
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
@@ -558,10 +557,20 @@ def test_overapproximate_step_rejects_unknown_mode():
         overapproximate_step(example_face(), ROT, DELTA, mode="exact")
 
 
-def test_overapproximate_step_shrinks_until_certified():
+def test_overapproximate_step_shrinks_until_certified(monkeypatch):
+    enumerated = []
+
+    def counted(P):
+        enumerated.append(P)
+        return vertices_2d(P)
+
+    monkeypatch.setattr(geometry, "vertices_2d", counted)
     res = overapproximate_step(example_face(), ROT, 2.0)
     assert res.delta_shrunk
     assert len(res.polyhedra) >= 2
+    # each face is enumerated once: the start face, then every sub-step's
+    # far face, which the next sub-step starts from
+    assert len(enumerated) == 1 + len(res.polyhedra)
     assert sum(res.deltas) == pytest.approx(2.0, abs=1e-9)
     face = example_face()
     for t in np.linspace(0.0, 2.0, 81):
@@ -632,7 +641,7 @@ def test_random_problems_stay_enclosed():
     rng = np.random.default_rng(20260819)
     for _ in range(8):
         face, A, delta, d0 = random_segment_problem(rng)
-        prob = StepProblem.build(face, A, delta, delta0=d0, t_samples=33)
+        prob = StepProblem.build(face, A, delta, delta0=d0)
         assert check_C1(prob)
         cons = conservative_bounds(prob)
         samp = sampled_bounds(prob, nx=30, nt=30)
@@ -693,7 +702,7 @@ def test_three_dimensional_step_encloses_tube():
     A = A_3D
     face = box_face_3d()
     prob = StepProblem.build(face, A, 0.2, delta0=0.28)
-    assert prob.k == 5 and prob.m0_mode == "box"
+    assert prob.k == 5
     res = overapproximate_step(face, A, 0.2, delta0=0.28)
     P = res.polyhedron
     assert len(P.ineqs) == 20
@@ -716,9 +725,8 @@ def test_three_dimensional_step_encloses_tube():
 
 def test_propagate_tube_identity_for_zero_matrix():
     P0 = Polyhedron.box([-1.0, 0.0], [2.0, 1.0])
-    out = propagate_tube(P0, np.zeros((2, 2)), 0.5, 3)
-    assert len(out) == 3
-    for P in out:
+    for i in range(1, 4):
+        P = propagate_tube(P0, np.zeros((2, 2)), i * 0.5)
         for h, h0 in zip(P.ineqs, P0.ineqs):
             np.testing.assert_allclose(h.normal, h0.normal, atol=1e-12)
             assert h.offset == pytest.approx(h0.offset, abs=1e-12)
@@ -726,7 +734,7 @@ def test_propagate_tube_identity_for_zero_matrix():
 
 def test_propagate_tube_rotates_a_square():
     P0 = Polyhedron.box([-1.0, -1.0], [1.0, 1.0])
-    (P1,) = propagate_tube(P0, ROT, math.pi / 4.0, 1)
+    P1 = propagate_tube(P0, ROT, math.pi / 4.0)
     verts = vertices_2d(P1)
     want = np.array([[-SQRT2, 0.0], [0.0, -SQRT2], [SQRT2, 0.0], [0.0, SQRT2]])
     cyclic_match(verts, want, 1e-9)
@@ -736,12 +744,11 @@ def test_propagate_tube_matches_pointwise_transport():
     rng = np.random.default_rng(5)
     A = rng.uniform(-1.0, 1.0, (2, 2))
     P0 = Polyhedron.box([-1.0, 0.0], [2.0, 1.0])
-    steps = propagate_tube(P0, A, 0.3, 3)
     pts = rng.uniform(-2.0, 3.0, (1000, 2))
     A_ub, b_ub, _, _ = P0.matrices()
     margin = np.min(np.abs(pts @ A_ub.T - b_ub), axis=1) > 1e-7
     pts = pts[margin]
     base = P0.contains(pts, tol=0.0)
-    for i, Pi in enumerate(steps, start=1):
+    for i in range(1, 4):
         moved = pts @ expm(A, i * 0.3).T
-        assert np.array_equal(Pi.contains(moved, tol=1e-9), base)
+        assert np.array_equal(propagate_tube(P0, A, i * 0.3).contains(moved, tol=1e-9), base)
