@@ -3,8 +3,10 @@
 Grammar: infix ``+ - * /`` with unary minus, parentheses, float literals
 (scientific notation allowed), functions ``sin``, ``cos``, ``exp``, and
 variables ``x1 .. xn``. The power operator ``^`` is rejected with a clear
-message. Trees evaluate vectorized over point batches and differentiate
-symbolically, which is what the boundary classifier needs for gradients.
+message. Trees evaluate vectorized over point batches, with numpy float
+semantics even where no variable is read (a constant ``1/0`` is inf), and
+differentiate symbolically, which is what the boundary classifier needs
+for gradients.
 """
 
 from __future__ import annotations
@@ -34,7 +36,9 @@ class Const(Expr):
     value: float
 
     def eval(self, points):
-        return self.value
+        # numpy scalar semantics, so a constant 1/0 is inf rather than a
+        # ZeroDivisionError, like the same division over a point batch
+        return np.float64(self.value)
 
     def diff(self, index):
         return Const(0.0)
@@ -123,6 +127,15 @@ class Binary(Expr):
 
     def __str__(self):
         return f"({self.left} {self.op} {self.right})"
+
+
+def is_constant(e: Expr) -> bool:
+    """True when the tree reads no variable, so it has one value everywhere."""
+    if isinstance(e, (Call, Neg)):
+        return is_constant(e.arg)
+    if isinstance(e, Binary):
+        return is_constant(e.left) and is_constant(e.right)
+    return isinstance(e, Const)
 
 
 def _const_of(e):

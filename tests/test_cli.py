@@ -135,13 +135,17 @@ def test_initial_outside_invariant_exits_3(tmp_path):
     assert run(["reach-inv", path, "--out", str(tmp_path / "o")]) == 3
 
 
-def test_nonfinite_field_exits_3_without_traceback(tmp_path, capfd):
+@pytest.mark.parametrize(
+    "component", ["1/(x1-x1)", "1/0", "0/0"], ids=["reads-x1", "const-1-over-0", "const-0-over-0"]
+)
+def test_nonfinite_field_exits_3_without_traceback(tmp_path, capfd, component):
+    # a constant 1/0 or 0/0 is inf or nan, as over a point batch, not a ZeroDivisionError
     path = write_model(
         tmp_path,
         {
             "schema": 1,
             "kind": "reach",
-            "dynamics": {"expressions": ["1/(x1-x1)", "1"]},
+            "dynamics": {"expressions": [component, "1"]},
             "initial": {"box": [[0.0, 0.0], [1.0, 1.0]]},
             "grid": {"cell": 0.05, "dt": 0.5, "tau": 1.0},
         },

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from reachkit.errors import ExpressionError
-from reachkit.expr import Const, parse
+from reachkit.expr import Const, is_constant, parse
 
 CASES = [
     ("1", 2),
@@ -78,3 +78,16 @@ def test_grammar_rejections():
         parse("x1 + ", 1)
     with pytest.raises(ExpressionError):
         parse("(x1", 1)
+
+
+def test_constant_trees_evaluate_with_numpy_semantics():
+    for text in ("1", "-(2.5)", "exp(1) * 3", "cos(1/0)", "(1 - 2) / 7"):
+        assert is_constant(parse(text, 2))
+    for text in ("x1", "x1 - x1", "exp(1/x2)", "0 * x1"):
+        assert not is_constant(parse(text, 2))
+    with np.errstate(all="ignore"):
+        assert parse("1/0", 1).eval(None) == np.inf
+        assert parse("-1/0", 1).eval(None) == -np.inf
+        assert np.isnan(parse("0/0", 1).eval(None))
+    # the same floats as Python arithmetic where both are defined
+    assert parse("(0.1 + 0.2) / 3 - exp(0.5)", 1).eval(None) == (0.1 + 0.2) / 3 - np.exp(0.5)

@@ -667,6 +667,7 @@ def test_deterministic_rerun():
     assert [s[:2] for s in a.segments] == [s[:2] for s in b.segments]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the blow-up raises, it does not warn
 def test_step_too_coarse_on_blowup():
     square = Polyhedron.box([2.0, 0.0], [3.0, 1.0])
     dyn = ExpressionDynamics.parse(["x1*x1", "0"])

@@ -1,11 +1,16 @@
 """Flow-layer tests: the matrix exponential against a long Taylor sum and
 scipy, RK4 against closed-form orbits and an order check, operator norm
-against the SVD, and the trajectory kernel against chained flow calls
-and closed-form orbits."""
+against the SVD, the trajectory kernel against chained flow calls and
+closed-form orbits, and the constant-field shortcut against a
+stage-by-stage RK4 loop, byte for byte."""
+
+import math
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reachkit.errors import NonFiniteState, NumericRange, StepTooCoarse, UnboundedFace
 from reachkit.facelift import _advect
@@ -221,6 +226,128 @@ def test_trajectory_constant_field_moves_exactly():
     for s in range(nsub + 1):
         want = x0 + (t * s / nsub) * np.array([1.0, -0.5])
         assert np.max(np.abs(traj[:, s] - want)) <= 1e-12
+
+
+def stage_trajectory(dyn, x0, t, nsub, tol=1e-8):
+    """Reference: trajectory's expression path, every RK4 stage evaluated."""
+    out = np.empty((x0.shape[0], nsub + 1, x0.shape[1]))
+    out[:, 0] = x0
+    dt = t / nsub
+    if dt == 0.0:
+        out[:, 1:] = x0[:, None]
+        return out
+    fwd = dyn if t > 0 else dyn.negated()
+    nsteps = max(1, int(math.ceil(abs(dt) / tol**0.25)))
+    h = abs(dt) / nsteps
+    x = x0
+    with np.errstate(all="ignore"):
+        for s in range(nsub):
+            for _ in range(nsteps):
+                k1 = fwd.evaluate(x)
+                k2 = fwd.evaluate(x + 0.5 * h * k1)
+                k3 = fwd.evaluate(x + 0.5 * h * k2)
+                k4 = fwd.evaluate(x + h * k3)
+                x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                if not np.all(np.isfinite(x)):
+                    exc = NonFiniteState("integration produced a non-finite state")
+                    exc.partial = out[:, : s + 1]
+                    raise exc
+            out[:, s + 1] = x
+    return out
+
+
+def outcome(fn, *args):
+    """The result's bytes, or the NonFiniteState message and partial bytes."""
+    try:
+        res = fn(*args)
+    except NonFiniteState as exc:
+        partial = getattr(exc, "partial", None)
+        return ("raised", str(exc), None if partial is None else partial.tobytes())
+    return ("ok", res.shape, res.tobytes())
+
+
+_LITERAL = st.floats(-4.0, 4.0, allow_nan=False).map(repr)
+_CONSTANT_TEXT = st.recursive(
+    _LITERAL,
+    lambda inner: st.one_of(
+        inner.map(lambda e: f"-({e})"),
+        inner.map(lambda e: f"exp({e})"),
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda a: f"({a[0]} {a[1]} {a[2]})"),
+    ),
+    max_leaves=6,
+)
+
+
+@st.composite
+def constant_problems(draw):
+    dim = draw(st.integers(1, 3))
+    texts = draw(st.lists(_CONSTANT_TEXT, min_size=dim, max_size=dim))
+    m = draw(st.integers(1, 5))
+    x0 = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=m * dim, max_size=m * dim)))
+    t = draw(st.floats(0.0, 2.0)) * draw(st.sampled_from([1.0, -1.0]))
+    nsub = draw(st.integers(1, 40))
+    tol = 10.0 ** draw(st.floats(-12.0, -4.0))
+    return ExpressionDynamics.parse(texts), x0.reshape(m, dim), t, nsub, tol
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=constant_problems())
+def test_constant_field_matches_stage_rk4_bytewise(case):
+    dyn, x0, t, nsub, tol = case
+    assert dyn.constant is not None
+    assert outcome(trajectory, dyn, x0, t, nsub, tol) == outcome(stage_trajectory, dyn, x0, t, nsub, tol)
+    want = outcome(lambda: stage_trajectory(dyn, x0, t, 1, tol)[:, -1])
+    assert outcome(flow, dyn, x0, t, tol) == want
+    if want[0] == "ok":
+        assert np.array_equal(flow(dyn, x0[0], t, tol), stage_trajectory(dyn, x0[:1], t, 1, tol)[0, -1])
+
+
+def test_constant_field_skips_field_evaluation(monkeypatch):
+    calls = []
+    original = ExpressionDynamics.evaluate
+
+    def counted(self, points):
+        calls.append(np.shape(points))
+        return original(self, points)
+
+    monkeypatch.setattr(ExpressionDynamics, "evaluate", counted)
+    x0 = np.array([[0.0, 0.0], [1.0, 2.0]])
+    for t in (0.75, -0.75):
+        trajectory(ExpressionDynamics.parse(["1", "-exp(0.5)/3"]), x0, t, 12)
+    assert calls == []
+    # x1 - x1 is zero everywhere, but it reads a variable: the stage path
+    reads = ExpressionDynamics.parse(["x1 - x1", "1"])
+    assert reads.constant is None
+    traj = trajectory(reads, x0, 0.75, 12)
+    # four stages per RK4 step, ceil(0.0625 / 0.01) = 7 steps per lattice step
+    assert len(calls) == 4 * 12 * 7
+    assert np.array_equal(traj, stage_trajectory(reads, x0, 0.75, 12))
+
+
+def test_negated_constant_field_stays_constant():
+    dyn = ExpressionDynamics.parse(["1", "-(2/3)", "exp(0.1) - 1"])
+    neg = dyn.negated()
+    assert np.array_equal(neg.constant, -dyn.constant)
+    assert not dyn.constant.flags.writeable
+    assert ExpressionDynamics.parse(["1", "x1"]).negated().constant is None
+
+
+def test_constant_overflow_raises_with_the_stage_partial():
+    x0 = np.array([[0.0, 1.0], [2.0, -3.0]])
+    # exp(1000) is inf: the first lattice step already fails
+    dyn = ExpressionDynamics.parse(["exp(1000)", "1"])
+    with pytest.raises(NonFiniteState) as info:
+        trajectory(dyn, x0, 1.0, 4)
+    assert np.array_equal(info.value.partial, x0[:, None])
+    assert outcome(trajectory, dyn, x0, 1.0, 4) == outcome(stage_trajectory, dyn, x0, 1.0, 4)
+    # a finite increment that overflows the state part-way through the
+    # lattice: 1.6e308 + k * 0.5e307 passes the largest double at k = 4
+    big = ExpressionDynamics.parse(["1e307", "0"])
+    x0[1, 0] = 1.6e308
+    with pytest.raises(NonFiniteState) as info:
+        trajectory(big, x0, 4.0, 8)
+    assert info.value.partial.shape == (2, 4, 2)
+    assert outcome(trajectory, big, x0, 4.0, 8) == outcome(stage_trajectory, big, x0, 4.0, 8)
 
 
 def test_trajectory_shape_and_start_row():
