@@ -44,6 +44,7 @@ INFLOW = "inflow"
 
 _HAUSDORFF_CAP_CELLS = 8  # GridRegion.hausdorff gives up (inf) beyond this many cells
 _CONTACT_TOL = 1e-9  # cell widths of gap that cells_touching still counts as contact
+_RESAMPLE_ROUNDS = 6  # midpoint insertion rounds per front step and chain run
 
 
 # ---------------------------------------------------------------------------
@@ -237,31 +238,22 @@ def _levelset_boundary(ls: LevelSet, h_b: float):
     return _levelset_boundary_nd(ls, h_b)
 
 
-def _split_runs(m, closed, keep):
+def _split_runs(keep, closed):
     """Maximal kept index runs of a chain. A fully kept closed chain stays
     closed; a partially kept one is rotated to start at a drop and split
     into open runs. closed=None (unordered points) yields unordered runs."""
-    idx = np.arange(m)
     keep = np.asarray(keep, bool)
-    if m == 0 or not keep.any():
+    idx = np.arange(keep.size)
+    if not keep.any():
         return []
     if keep.all():
         return [(idx, closed)]
-    open_flag = None if closed is None else False
     if closed is True:
-        drop = int(np.nonzero(~keep)[0][0])
-        idx = np.roll(idx, -drop)
+        idx = np.roll(idx, -int(np.argmin(keep)))
         keep = keep[idx]
-    runs, start = [], None
-    for i in range(m):
-        if keep[i] and start is None:
-            start = i
-        elif not keep[i] and start is not None:
-            runs.append((idx[start:i], open_flag))
-            start = None
-    if start is not None:
-        runs.append((idx[start:], open_flag))
-    return runs
+    edges = np.diff(np.concatenate(([0], keep.astype(np.int8), [0])))
+    flag = None if closed is None else False
+    return [(idx[a:b], flag) for a, b in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1))]
 
 
 # ---------------------------------------------------------------------------
@@ -298,13 +290,11 @@ class BoundaryFront:
     def front_chains(self):
         """Ordered point runs of the lifted front, split where inflow
         samples interrupt a chain."""
-        out = []
-        for start, stop, closed in self.chains:
-            mask = self.front_mask[start:stop]
-            pts = self.points[start:stop]
-            for idxs, rclosed in _split_runs(stop - start, closed, mask):
-                out.append((pts[idxs].copy(), rclosed))
-        return [(p, c) for p, c in out if p.shape[0] > 0]
+        return [
+            (self.points[start:stop][idxs], rclosed)
+            for start, stop, closed in self.chains
+            for idxs, rclosed in _split_runs(self.front_mask[start:stop], closed)
+        ]
 
     def all_chains(self):
         return [
@@ -678,7 +668,10 @@ class ReachTube:
     front_collapse: bool = False
     iteration_cap: bool = False
     delta_shrunk: bool = False
-    iterations: int = 0
+
+    @property
+    def iterations(self) -> int:
+        return len(self.segments)
 
     def region(self) -> GridRegion:
         reg = self.occupancy if self.direction == "over" else self.under_occupancy
@@ -760,12 +753,11 @@ def _check_substeps(traj, h):
         )
 
 
-def _resample_chain(dyn, pre, pts, closed, h_b, delta, h, max_rounds=6):
+def _resample_chain(dyn, pre, pts, closed, h_b, delta, h):
     """Insert flowed pre-image midpoints wherever advected neighbors drift
-    more than 2 h_b apart, keeping the front h_b-dense."""
-    pre = pre.copy()
-    pts = pts.copy()
-    for _ in range(max_rounds):
+    more than 2 h_b apart, keeping the front h_b-dense; at most
+    _RESAMPLE_ROUNDS rounds."""
+    for _ in range(_RESAMPLE_ROUNDS):
         if pts.shape[0] < 2:
             return pts
         cur = pts if closed else pts[:-1]
@@ -774,18 +766,9 @@ def _resample_chain(dyn, pre, pts, closed, h_b, delta, h, max_rounds=6):
         wide = np.nonzero(gaps > 2.0 * h_b)[0]
         if wide.size == 0:
             return pts
-        mids = np.array([0.5 * (pre[i] + pre[(i + 1) % pre.shape[0]]) for i in wide])
-        moved = _advect(dyn, mids, delta, h)[:, -1]
-        pos = {int(i): j for j, i in enumerate(wide)}
-        new_pts, new_pre = [], []
-        for i in range(pts.shape[0]):
-            new_pts.append(pts[i])
-            new_pre.append(pre[i])
-            if i in pos:
-                new_pts.append(moved[pos[i]])
-                new_pre.append(mids[pos[i]])
-        pts = np.array(new_pts)
-        pre = np.array(new_pre)
+        mids = 0.5 * (pre[wide] + pre[(wide + 1) % pre.shape[0]])
+        pts = np.insert(pts, wide + 1, _advect(dyn, mids, delta, h)[:, -1], axis=0)
+        pre = np.insert(pre, wide + 1, mids, axis=0)
     return pts
 
 
@@ -834,22 +817,6 @@ def _interior_lattice(init, spacing):
     if isinstance(init, LevelSet):
         return mesh[init.value(mesh) < 0.0]
     return mesh[init.contains(mesh, tol=0.0)]
-
-
-def _advance_front(advected, cum, init, dyn, h_b, delta, h):
-    """Next front from (pre-image, advected end, closed) chains: ends that
-    fell into cum (swept before this step) or strictly inside init are
-    pruned, chains split at the pruned samples, ordered runs resampled."""
-    nxt = []
-    for pre, ends, closed in advected:
-        keep = ~(cum.contains_points(ends) | _inside_init_strict(init, ends))
-        for idxs, rclosed in _split_runs(pre.shape[0], closed, keep):
-            if rclosed is None:
-                run = ends[idxs]
-            else:
-                run = _resample_chain(dyn, pre[idxs], ends[idxs], rclosed, h_b, delta, h)
-            nxt.append((run, rclosed))
-    return [c for c in nxt if c[0].shape[0]]
 
 
 def _near_shadow(pts, v_pts, h, thr):
@@ -903,12 +870,15 @@ def _exit_shadow_keep(chains, trajs, invariant, dyn, delta, h):
 
 
 def _front_sweep(chains, init, dyn, intervals, cum, h, h_b, invariant=None):
-    """Advect the front over each interval until it empties. Yields
-    (t0, t1, kept, lost, next_chains) per step: kept holds the cells swept
-    by the samples that survive the exit-shadow prune (all of them without
-    an invariant), lost the cells swept by the pruned ones. The next front
-    is cut against cum as it stood before the step; the caller adds the
-    step's cells to cum."""
+    """Advect the front over each interval until it empties, adding each
+    step's swept cells to cum. Yields (t0, t1, swept, kept, next_chains)
+    per step: kept holds the cells swept by the samples that survive the
+    exit-shadow prune (all of them without an invariant), swept adds to
+    kept the pruned samples' cells that touch the invariant. A sample
+    lives on when it survives the prune and its end lies neither in cum,
+    as it stood before the step, nor strictly inside init; each chain
+    splits once at the other samples and its ordered runs are resampled."""
+    touch = None if invariant is None else cum.cells_touching(invariant)
     for t0, t1 in intervals:
         if not chains:
             return
@@ -919,14 +889,54 @@ def _front_sweep(chains, init, dyn, intervals, cum, h, h_b, invariant=None):
         else:
             keeps = _exit_shadow_keep(chains, trajs, invariant, dyn, delta, h)
         kept, lost = cum.blank(), cum.blank()
-        survivors = []
+        nxt = []
         for (pts, closed), traj, keep in zip(chains, trajs, keeps):
+            kept.mark_points(traj[keep].reshape(-1, pts.shape[1]))
             lost.mark_points(traj[~keep].reshape(-1, pts.shape[1]))
-            for idxs, rclosed in _split_runs(pts.shape[0], closed, keep):
-                kept.mark_points(traj[idxs].reshape(-1, pts.shape[1]))
-                survivors.append((pts[idxs], traj[idxs][:, -1], rclosed))
-        chains = _advance_front(survivors, cum, init, dyn, h_b, delta, h)
-        yield t0, t1, kept, lost, chains
+            ends = traj[:, -1]
+            alive = keep & ~(cum.contains_points(ends) | _inside_init_strict(init, ends))
+            for idxs, rclosed in _split_runs(alive, closed):
+                if rclosed is None:
+                    run = ends[idxs]
+                else:
+                    run = _resample_chain(dyn, pts[idxs], ends[idxs], rclosed, h_b, delta, h)
+                nxt.append((run, rclosed))
+        swept = kept
+        if invariant is not None:
+            swept = cum.blank()
+            swept.occupancy = kept.occupancy | (lost.occupancy & touch)
+            swept.out_of_box = kept.out_of_box + lost.out_of_box
+        cum.include(swept)
+        chains = nxt
+        yield t0, t1, swept, kept, chains
+
+
+def _sweep_tube(init, dyn, chains, intervals, cum, h, h_b, invariant=None, under=False):
+    """Tube of one front sweep: its segments hold each step's swept cells,
+    which accumulate in cum (the tube's occupancy). under=True keeps
+    instead the kept cells certified inside the invariant, accumulated in
+    under_occupancy."""
+    tube = ReachTube(
+        segments=[],
+        direction="under" if under else "over",
+        initial=init,
+        initial_region=_initial_region(init, cum, GridRegion.cells_touching),
+        occupancy=cum,
+    )
+    if under:
+        tube.under_occupancy = cum.blank()
+        tube.under_initial_region = _initial_region(init, cum, GridRegion.cells_inside)
+        cert = cum.cells_inside(invariant)
+    for t0, t1, swept, kept, chains in _front_sweep(
+        chains, init, dyn, intervals, cum, h, h_b, invariant
+    ):
+        if under:
+            swept = cum.blank()
+            swept.occupancy = kept.occupancy & cert
+            tube.under_occupancy.include(swept)
+        tube.segments.append((t0, t1, swept))
+    tube.front_collapse = not chains
+    return tube
 
 
 def _flow_samples(pts, dyn, intervals, h):
@@ -1014,22 +1024,8 @@ def reach_bounded_time(
         box = _default_box(init, dyn, tau, h)
     lo, hi = box
     cum = GridRegion(lo, hi, h)
-    init_over = _initial_region(init, cum, GridRegion.cells_touching)
-
     chains = classify_boundary(init, dyn, h_b).front_chains()
-    segments = []
-    for t0, t1, kept, _, chains in _front_sweep(chains, init, dyn, intervals, cum, h, h_b):
-        cum.include(kept)
-        segments.append((t0, t1, kept))
-    tube = ReachTube(
-        segments=segments,
-        direction="over",
-        initial=init,
-        initial_region=init_over,
-        occupancy=cum,
-        front_collapse=not chains,
-        iterations=len(segments),
-    )
+    tube = _sweep_tube(init, dyn, chains, intervals, cum, h, h_b)
     if not under:
         return tube
 
@@ -1038,11 +1034,11 @@ def reach_bounded_time(
     under_cum = cum.blank()
     tube.under_initial_region = _initial_region(init, cum, GridRegion.cells_inside)
     flows = _flow_samples(
-        _interior_lattice(init, h), dyn, [(t0, t1) for t0, t1, _ in segments], h
+        _interior_lattice(init, h), dyn, [(t0, t1) for t0, t1, _ in tube.segments], h
     )
-    prefix = init_over.copy()
+    prefix = tube.initial_region.copy()
     under_segments = []
-    for (t0, t1, seg), flat in zip(segments, flows):
+    for (t0, t1, seg), flat in zip(tube.segments, flows):
         prefix.include(seg)
         useg = under_cum.blank()
         useg.mark_points(flat[prefix.contains_points(flat)])
@@ -1145,46 +1141,16 @@ def reach_invariant(
         box = _invariant_box(init, invariant, dyn, dt, h)
     lo, hi = box
 
-    cum = GridRegion(lo, hi, h)
-    init_over = _initial_region(init, cum, GridRegion.cells_touching)
-    touch_q = cum.cells_touching(invariant)
-    under_cum = under_init = cert_q = None
-    if under:
-        under_cum = cum.blank()
-        under_init = _initial_region(init, cum, GridRegion.cells_inside)
-        cert_q = cum.cells_inside(invariant)
-
     if isinstance(init, GridRegion):
         # restart from a cell set: its rim cells are the front, unordered
         bnd = init.boundary_cell_centers()
         chains = [(bnd, None)] if bnd.shape[0] else []
     else:
         chains = classify_boundary(init, dyn, h_b, boundary).front_chains()
-    tube = ReachTube(
-        segments=[],
-        direction="under" if under else "over",
-        initial=init,
-        initial_region=init_over,
-        occupancy=cum,
-        under_occupancy=under_cum,
-        under_initial_region=under_init,
-    )
-    for t0, t1, kept, lost, chains in _front_sweep(
-        chains, init, dyn, _step_intervals(dt, max_iters), cum, h, h_b, invariant
-    ):
-        over_add = cum.blank()
-        over_add.occupancy = kept.occupancy | (lost.occupancy & touch_q)
-        over_add.out_of_box = kept.out_of_box + lost.out_of_box
-        cum.include(over_add)
-        payload = over_add
-        if under:
-            payload = under_cum.blank()
-            payload.occupancy = kept.occupancy & cert_q
-            under_cum.include(payload)
-        tube.segments.append((t0, t1, payload))
-    tube.iterations = len(tube.segments)
-    tube.iteration_cap = bool(chains)
-    tube.front_collapse = not chains
+    intervals = _step_intervals(dt, max_iters)
+    cum = GridRegion(lo, hi, h)
+    tube = _sweep_tube(init, dyn, chains, intervals, cum, h, h_b, invariant, under)
+    tube.iteration_cap = not tube.front_collapse
     return tube
 
 
@@ -1215,8 +1181,8 @@ def check_boundary_equivalence(init, dyn, tau: float, h: float = 0.05) -> dict:
 
     def swept(chains):
         cum = init_over.blank()
-        for _, _, kept, _, _ in _front_sweep(chains, init, dyn, intervals, cum, h, h_b):
-            cum.include(kept)
+        for _ in _front_sweep(chains, init, dyn, intervals, cum, h, h_b):
+            pass
         cum.include(init_over)
         return cum
 

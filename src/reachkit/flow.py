@@ -240,7 +240,10 @@ def trajectory(dyn: Dynamics, x0, t: float, nsub: int, tol: float = 1e-8) -> np.
         step_map = expm(dyn.matrix, dt).T
 
         def step(x):
-            return x @ step_map
+            x = x @ step_map
+            if not np.all(np.isfinite(x)):
+                raise NonFiniteState("integration produced a non-finite state")
+            return x
 
     else:
         fwd = dyn if t > 0 else dyn.negated()

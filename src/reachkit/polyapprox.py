@@ -535,7 +535,9 @@ def overapproximate_step(
         bounds = conservative_bounds(prob) if mode == "conservative" else sampled_bounds(prob)
         poly = assemble_polyhedron(prob, bounds)
         hull = None
-        if face.dim == 2:
+        # a face shorter than the vertex merge gap gives one vertex, and
+        # two of them span no hull: the bare enclosure stands alone
+        if face.dim == 2 and len(prob.face.vertices) + len(prob.face_delta.vertices) >= 3:
             eps = hull_bloat_epsilon(prob.m0, prob.norm_a, prob.delta)
             hull = bloat_hull(prob.face, prob.face_delta, eps)
         result.problems.append(prob)

@@ -453,6 +453,10 @@ PINNED_OUTPUTS = {
         0,
         {"report.json": "97d2bc3ee3b1db39", "segments.csv": "3a29bae5e8d853a9"},
     ),
+    ("reach", "rotation_disk.json", "--under"): (
+        0,
+        {"report.json": "972d1c20eb931056", "segments.csv": "e3c5257699db1ebc"},
+    ),
     ("reach", "rotation_disk.json"): (
         0,
         {"report.json": "d2ae84b653bbbc9a", "segments.csv": "503e12d738cb31dc"},
@@ -460,6 +464,10 @@ PINNED_OUTPUTS = {
     ("reach", "rotation_square.json"): (
         0,
         {"polyhedra.csv": "4a50f7c51cb58a70", "report.json": "e18918a47b890a67"},
+    ),
+    ("reach", "rotation_square.json", "--under"): (
+        0,
+        {"report.json": "0d12d27421f1503f", "segments.csv": "1b0f32e5efb9912f"},
     ),
     ("reach-inv", "drift_invariant.json"): (
         0,
@@ -469,9 +477,17 @@ PINNED_OUTPUTS = {
         0,
         {"report.json": "8289609051ca6282", "segments.csv": "0ec253b40bb62a0a"},
     ),
+    ("reach-inv", "drift_invariant.json", "--cell", "0.02"): (
+        0,
+        {"report.json": "c2a9085575b74112", "segments.csv": "df15b812ad64ce75"},
+    ),
     ("reach-inv", "rotation_cap.json"): (
         4,
         {"report.json": "3b6853467044f8fb", "segments.csv": "97342e3713128b7a"},
+    ),
+    ("reach-inv", "rotation_cap.json", "--under"): (
+        4,
+        {"report.json": "0db5eb3c14663d5b", "segments.csv": "97342e3713128b7a"},
     ),
     ("polyapprox", "example2.json"): (
         0,
@@ -484,6 +500,10 @@ PINNED_OUTPUTS = {
     ("hybrid-reach", "hybrid_drift.json"): (
         0,
         {"cells.csv": "a87f527b70d71ca6", "report.json": "75a4fdd9a22e08f4"},
+    ),
+    ("hybrid-reach", "hybrid_drift.json", "--cell", "0.02"): (
+        0,
+        {"cells.csv": "6cde6fd201cd3b9a", "report.json": "81baa929e13484a0"},
     ),
     ("hybrid-reach", "hybrid_disjoint.json"): (
         4,

@@ -20,9 +20,12 @@ from reachkit.errors import (
 from reachkit.facelift import (
     GridRegion,
     LevelSet,
+    _advect,
     _front_sweep,
     _levelset_boundary,
     _near_shadow,
+    _resample_chain,
+    _split_runs,
     _uniform_intervals,
     check_boundary_equivalence,
     classify_boundary,
@@ -686,11 +689,107 @@ def test_semigroup_restart_from_boundary():
     region = first.combined_region()
     chains = [(region.boundary_cell_centers(), None)]
     intervals = _uniform_intervals(0.5, 0.125)
-    steps = _front_sweep(chains, unit_square(), DRIFT, intervals, region, h, h / 2.0)
-    for _, _, kept, _, _ in steps:
-        region.include(kept)
+    # the sweep adds each step's swept cells to region itself
+    for _ in _front_sweep(chains, unit_square(), DRIFT, intervals, region, h, h / 2.0):
+        pass
     gap = region.hausdorff(direct.combined_region())
     assert gap <= 2.0 * h + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# front step kernels against their loop references
+
+
+def loop_split_runs(m, closed, keep):
+    """Index-loop reference for _split_runs."""
+    idx = np.arange(m)
+    keep = np.asarray(keep, bool)
+    if m == 0 or not keep.any():
+        return []
+    if keep.all():
+        return [(idx, closed)]
+    open_flag = None if closed is None else False
+    if closed is True:
+        drop = int(np.nonzero(~keep)[0][0])
+        idx = np.roll(idx, -drop)
+        keep = keep[idx]
+    runs, start = [], None
+    for i in range(m):
+        if keep[i] and start is None:
+            start = i
+        elif not keep[i] and start is not None:
+            runs.append((idx[start:i], open_flag))
+            start = None
+    if start is not None:
+        runs.append((idx[start:], open_flag))
+    return runs
+
+
+def loop_resample_chain(dyn, pre, pts, closed, h_b, delta, h, max_rounds=6):
+    """Row-loop reference for _resample_chain."""
+    pre = pre.copy()
+    pts = pts.copy()
+    for _ in range(max_rounds):
+        if pts.shape[0] < 2:
+            return pts
+        cur = pts if closed else pts[:-1]
+        nxt = np.roll(pts, -1, axis=0) if closed else pts[1:]
+        gaps = np.linalg.norm(nxt - cur, axis=1)
+        wide = np.nonzero(gaps > 2.0 * h_b)[0]
+        if wide.size == 0:
+            return pts
+        mids = np.array([0.5 * (pre[i] + pre[(i + 1) % pre.shape[0]]) for i in wide])
+        moved = _advect(dyn, mids, delta, h)[:, -1]
+        pos = {int(i): j for j, i in enumerate(wide)}
+        new_pts, new_pre = [], []
+        for i in range(pts.shape[0]):
+            new_pts.append(pts[i])
+            new_pre.append(pre[i])
+            if i in pos:
+                new_pts.append(moved[pos[i]])
+                new_pre.append(mids[pos[i]])
+        pts = np.array(new_pts)
+        pre = np.array(new_pre)
+    return pts
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    keep=st.lists(st.booleans(), min_size=0, max_size=60),
+    closed=st.sampled_from([True, False, None]),
+)
+def test_split_runs_matches_loop_reference(keep, closed):
+    got = _split_runs(np.array(keep, bool), closed)
+    want = loop_split_runs(len(keep), closed, keep)
+    assert len(got) == len(want)
+    for (idx, flag), (ref_idx, ref_flag) in zip(got, want):
+        assert np.array_equal(idx, ref_idx)
+        assert flag is ref_flag
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    # angular gaps along a wobbly loop: most below 2 h_b, some several
+    # rounds of halving wide, a few beyond the round cap
+    gaps=st.lists(
+        st.one_of(st.floats(0.001, 0.04), st.floats(0.04, 0.5), st.floats(0.5, 3.0)),
+        min_size=1,
+        max_size=25,
+    ),
+    radius=st.floats(0.3, 2.0),
+    delta=st.floats(0.01, 0.6),
+    closed=st.booleans(),
+)
+def test_resample_chain_matches_loop_reference(gaps, radius, delta, closed):
+    h = 0.05
+    theta = np.cumsum(gaps)
+    r = radius * (1.0 + 0.1 * np.sin(3.0 * theta))
+    pre = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
+    ends = _advect(ROT, pre, delta, h)[:, -1]
+    got = _resample_chain(ROT, pre, ends, closed, h / 2.0, delta, h)
+    want = loop_resample_chain(ROT, pre, ends, closed, h / 2.0, delta, h)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -828,6 +927,33 @@ def test_periodic_orbit_hits_iteration_cap():
     assert tube.iteration_cap
     assert not tube.front_collapse
     assert tube.iterations == 10
+
+
+def test_exit_shadow_cut_loop_is_pinned(monkeypatch):
+    # a closed level-set loop that the exit shadow cuts: one split per
+    # step lists the loop's runs from another start than a split at the
+    # shadow followed by one at cum and init did, and no cell moves
+    cuts = []
+    shadow_keep = facelift._exit_shadow_keep
+
+    def spy(chains, *args):
+        keeps = shadow_keep(chains, *args)
+        cuts.extend(c is True and not k.all() for (_, c), k in zip(chains, keeps))
+        return keeps
+
+    monkeypatch.setattr(facelift, "_exit_shadow_keep", spy)
+    init = LevelSet("x1*x1 + x2*x2 - 0.0625", [-0.5, -0.5], [0.5, 0.5])
+    inv = Polyhedron.box([-1.0, -1.0], [0.27, 0.27])
+    dyn = LinearDynamics(np.diag([0.2, 0.2]))
+    tube = reach_invariant(init, dyn, inv, dt=0.25, h=0.02, max_iters=12)
+    assert any(cuts)
+    assert tube.iterations == 12 and not tube.front_collapse
+    assert tube.combined_region().count() == 716
+    digest = hashlib.sha256()
+    for t0, t1, seg in tube.segments:
+        digest.update(repr((t0, t1)).encode())
+        digest.update(seg.occupancy.tobytes())
+    assert digest.hexdigest().startswith("c9c515bcc563ca33")
 
 
 def test_invariant_requires_step():

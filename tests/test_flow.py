@@ -350,6 +350,19 @@ def test_constant_overflow_raises_with_the_stage_partial():
     assert outcome(trajectory, big, x0, 4.0, 8) == outcome(stage_trajectory, big, x0, 4.0, 8)
 
 
+def test_linear_overflow_raises_with_the_finite_partial():
+    # e^{2 * 0.5} 1e308 overflows at the first lattice step; the exact
+    # path reports it as the RK4 path does, it does not return inf or nan
+    dyn = LinearDynamics(2.0 * np.eye(2))
+    with pytest.raises(NonFiniteState) as info:
+        trajectory(dyn, [[1e308, 0.0]], 1.0, 2)
+    assert np.array_equal(info.value.partial, [[[1e308, 0.0]]])
+    with pytest.raises(NonFiniteState):
+        flow(dyn, [1e308, 0.0], 1.0)
+    # a finite run is untouched
+    assert np.array_equal(trajectory(dyn, [[1e300, 0.0]], 1.0, 2)[0, 0], [1e300, 0.0])
+
+
 def test_trajectory_shape_and_start_row():
     x0 = np.array([[0.5, 1.0], [2.0, -1.0], [0.0, 0.0]])
     for dyn in (LinearDynamics(ROT), ExpressionDynamics.parse(["x1*x2", "cos(x1)"])):

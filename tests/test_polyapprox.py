@@ -552,6 +552,26 @@ def test_overapproximate_step_single_step_fields():
     assert max_residual(res.polyhedron, pts) <= 1e-9
 
 
+@pytest.mark.parametrize("hi", [1.0 + 1e-10, 1.0])
+def test_overapproximate_step_point_face_keeps_the_bare_enclosure(hi):
+    # a face shorter than vertices_2d's 1e-9 merge gap has one vertex, so
+    # both faces give two points and no hull: the 4k rows stand alone
+    face = Face(
+        np.array([[1.0, 0.0], [-1.0, 0.0]]),
+        np.array([hi, -1.0]),
+        np.array([0.0, 1.0]),
+        0.0,
+        orthonormal=True,
+    )
+    res = overapproximate_step(face, ROT, 0.3)
+    assert res.hulls == [None]
+    assert res.polyhedron is res.assembled[0]
+    assert len(res.polyhedron.ineqs) == 12
+    assert geometry.is_bounded(res.polyhedron)
+    pts = np.array([expm(ROT, float(t)) @ [1.0, 0.0] for t in np.linspace(0.0, 0.3, 50)])
+    assert res.polyhedron.contains(pts, tol=1e-9).all()
+
+
 def test_overapproximate_step_rejects_unknown_mode():
     with pytest.raises(ValueError):
         overapproximate_step(example_face(), ROT, DELTA, mode="exact")
