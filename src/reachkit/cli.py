@@ -103,11 +103,16 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def _write_csv(path, header, rows):
+def _write_csv(path, header, blocks):
+    """Write the header line, then each block of whole CSV lines."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(_fmt, row)) + "\n")
+        fh.writelines(blocks)
+
+
+def _csv_lines(rows):
+    """CSV text of rows of fields, each field formatted by _fmt."""
+    return "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
 def _write_report(report: RunReport, out: str):
@@ -122,23 +127,36 @@ def _coord_header(dim):
     return [f"x{j + 1}" for j in range(dim)]
 
 
-def _center_strings(region: GridRegion):
-    """CSV text of each occupied cell's center, in cell_centers order.
-    Coordinate j of a center depends only on the cell's index along axis
-    j, so each axis value is formatted once."""
-    idx = np.argwhere(region.occupancy)
-    cols = []
-    for j, n in enumerate(region.shape):
-        axis = region.lo[j] + (np.arange(n) + 0.5) * region.h
-        cols.append(np.array([_fmt(c) for c in axis], object)[idx[:, j]])
-    return [",".join(coords) for coords in zip(*cols)]
+def _cell_text():
+    """A function (head, region) -> CSV text with one line per occupied
+    cell of region, in cell_centers order: head (one string, or one per
+    cell), then the cell's centre. Coordinate j of a centre depends only
+    on the cell's index along axis j, so each axis value is formatted
+    once per grid layout, with its separator."""
+    tables = {}
+
+    def lines(head, region: GridRegion):
+        key = (region.lo.tobytes(), region.h, region.shape)
+        if key not in tables:
+            seps = [","] * (region.dim - 1) + ["\n"]
+            tables[key] = [
+                np.array([_fmt(c) + sep for c in lo + (np.arange(n) + 0.5) * region.h], object)
+                for lo, n, sep in zip(region.lo, region.shape, seps)
+            ]
+        idx = np.argwhere(region.occupancy)
+        text = np.empty((idx.shape[0], region.dim + 1), object)
+        text[:, 0] = head
+        for j, table in enumerate(tables[key]):
+            text[:, j + 1] = table[idx[:, j]]
+        return "".join(text.ravel().tolist())
+
+    return lines
 
 
-def _grid_segment_rows(segments):
+def _grid_segment_blocks(segments):
+    cells = _cell_text()
     for i, (t0, t1, seg) in enumerate(segments):
-        head = f"{i},{_fmt(t0)},{_fmt(t1)}"
-        for coords in _center_strings(seg):
-            yield [head, coords]
+        yield cells(f"{i},{_fmt(t0)},{_fmt(t1)},", seg)
 
 
 def _poly_rows(P: Polyhedron):
@@ -214,7 +232,7 @@ def _run_reach(m: ModelFile, args, out: str):
         _write_csv(
             os.path.join(out, name),
             ["segment", "t0", "t1", *_coord_header(dim)],
-            _grid_segment_rows(tube.segments),
+            _grid_segment_blocks(tube.segments),
         )
         report.diagnostics = {
             "path": "front",
@@ -234,7 +252,7 @@ def _run_reach(m: ModelFile, args, out: str):
         _write_csv(
             os.path.join(out, name),
             ["segment", "t0", "t1", "member", "row", "kind", *[f"a{j+1}" for j in range(dim)], "b"],
-            rows,
+            [_csv_lines(rows)],
         )
         report.diagnostics = {
             "path": "polyhedral",
@@ -286,7 +304,7 @@ def _run_reach_inv(m: ModelFile, args, out: str):
     _write_csv(
         os.path.join(out, "segments.csv"),
         ["segment", "t0", "t1", *_coord_header(dim)],
-        _grid_segment_rows(tube.segments),
+        _grid_segment_blocks(tube.segments),
     )
     report.outputs.append("segments.csv")
     report.diagnostics = {
@@ -334,7 +352,7 @@ def _run_polyapprox(m: ModelFile, args, out: str):
     _write_csv(
         os.path.join(out, "bounds.csv"),
         ["step", "index", "label", "l", "l_prime"],
-        bound_rows,
+        [_csv_lines(bound_rows)],
     )
     hs_rows = []
     for s, P in enumerate(result.polyhedra):
@@ -343,7 +361,7 @@ def _run_polyapprox(m: ModelFile, args, out: str):
     _write_csv(
         os.path.join(out, "halfspaces.csv"),
         ["step", "row", "kind", *[f"a{j+1}" for j in range(dim)], "b"],
-        hs_rows,
+        [_csv_lines(hs_rows)],
     )
     report.outputs += ["bounds.csv", "halfspaces.csv"]
     report.diagnostics = {
@@ -381,11 +399,11 @@ def _run_hybrid(m: ModelFile, args, out: str):
         settings={"dt": dt, "cell": cell, "tau": tau, "max_k": max_k},
     )
     dim = H.dim
-    rows = []
-    for q in H.locations:
-        rows.extend([q, coords] for coords in _center_strings(reached.regions[q]))
+    cells = _cell_text()
     _write_csv(
-        os.path.join(out, "cells.csv"), ["location", *_coord_header(dim)], rows
+        os.path.join(out, "cells.csv"),
+        ["location", *_coord_header(dim)],
+        [cells(f"{q},", reached.regions[q]) for q in H.locations],
     )
     report.outputs.append("cells.csv")
 
@@ -494,15 +512,17 @@ def emit_plot(groups, path, fmt):
     <g> element per group, in the given order.
     """
     if fmt == "csv":
-        rows = []
+        cells = _cell_text()
+        blocks = []
         for tag, payload in groups:
-            for j, poly in enumerate(payload.get("polys", [])):
-                for v, pt in enumerate(poly):
-                    rows.append([tag, j, v, pt[0], pt[1]])
+            polys = enumerate(payload.get("polys", []))
+            blocks.append(
+                _csv_lines([tag, j, v, *pt] for j, poly in polys for v, pt in enumerate(poly))
+            )
             if "region" in payload:
-                for j, coords in enumerate(_center_strings(payload["region"])):
-                    rows.append([f"{tag},{j},0", coords])
-        _write_csv(path, ["group", "item", "vertex", "x1", "x2"], rows)
+                region = payload["region"]
+                blocks.append(cells([f"{tag},{j},0," for j in range(region.count())], region))
+        _write_csv(path, ["group", "item", "vertex", "x1", "x2"], blocks)
         return path
     if fmt != "svg":
         raise ModelError(f"unknown plot format {fmt!r}")

@@ -10,6 +10,7 @@ report either an over- or an under-flavored grid set.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -362,9 +363,10 @@ class GridRegion:
     A set becomes cells in one of two ways, each returning a mask:
     cells_touching (over: every closed cell that meets the set) and
     cells_inside (under: cells certified inside it), for a Polyhedron or
-    a LevelSet. Sampled points are marked by mark_points (flooring) and
-    coordinate boxes by mark_boxes. Points outside the box are never
-    marked, only counted in out_of_box.
+    a LevelSet. Coordinate boxes are marked by mark_boxes. Sampled points
+    become cell numbers by the one rule of _cells, which mark_points,
+    contains_points and interior_contains_points read; points outside
+    the box are never marked, only counted in out_of_box.
     """
 
     def __init__(self, lo, hi, h: float):
@@ -380,6 +382,8 @@ class GridRegion:
             for j in range(self.lo.size)
         )
         self.hi = self.lo + np.array(self.shape) * self.h
+        # C-order cell numbers: cell i is number i @ _strides
+        self._strides = np.cumprod((1, *self.shape[:0:-1]))[::-1].astype(np.intp)
         self.occupancy = np.zeros(self.shape, dtype=bool)
         self.out_of_box = 0
 
@@ -395,31 +399,50 @@ class GridRegion:
             and abs(self.h - other.h) < 1e-15
         )
 
-    def blank(self):
-        return GridRegion(self.lo, self.hi, self.h)
-
-    def copy(self):
-        g = self.blank()
-        g.occupancy = self.occupancy.copy()
-        g.out_of_box = self.out_of_box
+    def _like(self, occupancy, out_of_box=0):
+        """A region holding occupancy on this region's layout: lo, h,
+        shape and strides are carried over, never recomputed from hi."""
+        g = copy.copy(self)
+        g.occupancy, g.out_of_box = occupancy, out_of_box
         return g
 
-    def _indices(self, pts):
+    def blank(self):
+        return self._like(np.zeros(self.shape, dtype=bool))
+
+    def copy(self):
+        return self._like(self.occupancy.copy(), self.out_of_box)
+
+    def _cells(self, pts):
+        """One C-order cell number per point of the (m, d) array pts, -1
+        outside the box. A point p lies in cell floor((p - lo)/h); within
+        1e-9 cells of the box it is clamped into the edge cell, and further
+        out (or not finite) it is outside."""
         pts = np.asarray(pts, float)
         if pts.size == 0:
-            return np.zeros((0, self.dim), int), np.zeros(0, bool)
-        pts = np.atleast_2d(pts)
-        t = (pts - self.lo) / self.h
-        shape = np.array(self.shape)
-        inbox = np.all((t > -1e-9) & (t < shape + 1e-9), axis=1)
-        idx = np.clip(np.floor(t).astype(int), 0, shape - 1)
-        return idx, inbox
+            return np.zeros(0, np.intp)
+        t = (np.atleast_2d(pts).T - self.lo[:, None]) / self.h
+        inbox = np.ones(t.shape[1], bool)
+        cells = np.zeros(t.shape[1], np.intp)
+        with np.errstate(invalid="ignore"):  # casts of non-finite points are discarded
+            for tj, n, stride in zip(t, self.shape, self._strides):
+                inbox &= (tj > -1e-9) & (tj < n + 1e-9)
+                cells += np.clip(tj, 0.0, n - 1.0).astype(np.intp) * stride
+        cells[~inbox] = -1
+        return cells
+
+    def _mark_cells(self, cells):
+        """Mark the cells numbered by _cells; -1 counts in out_of_box."""
+        inbox = cells >= 0
+        self.out_of_box += int(cells.size - np.count_nonzero(inbox))
+        np.put(self.occupancy, cells[inbox], True)
+
+    def _marked(self, cells, occupancy=None):
+        """Whether each cell numbered by _cells is marked (False for -1)."""
+        occupancy = self.occupancy if occupancy is None else occupancy
+        return np.take(occupancy, cells) & (cells >= 0)
 
     def mark_points(self, pts):
-        idx, inbox = self._indices(pts)
-        self.out_of_box += int(np.sum(~inbox))
-        if inbox.any():
-            self.occupancy[tuple(idx[inbox].T)] = True
+        self._mark_cells(self._cells(pts))
 
     def include(self, other):
         if not self.compatible(other):
@@ -528,11 +551,7 @@ class GridRegion:
         return self._mask(idx, np.all(inside, axis=0))
 
     def contains_points(self, pts):
-        idx, inbox = self._indices(pts)
-        out = np.zeros(idx.shape[0], bool)
-        if inbox.any():
-            out[inbox] = self.occupancy[tuple(idx[inbox].T)]
-        return out
+        return self._marked(self._cells(pts))
 
     def count(self) -> int:
         return int(np.sum(self.occupancy))
@@ -577,11 +596,7 @@ class GridRegion:
 
     def interior_contains_points(self, pts):
         """Membership restricted to the eroded (non-boundary) cells."""
-        idx, inbox = self._indices(pts)
-        out = np.zeros(idx.shape[0], bool)
-        if inbox.any():
-            out[inbox] = self._interior_mask()[tuple(idx[inbox].T)]
-        return out
+        return self._marked(self._cells(pts), self._interior_mask())
 
     def mark_boxes(self, lo, hi):
         """Mark every cell whose closed box meets one of the coordinate
@@ -891,10 +906,11 @@ def _front_sweep(chains, init, dyn, intervals, cum, h, h_b, invariant=None):
         kept, lost = cum.blank(), cum.blank()
         nxt = []
         for (pts, closed), traj, keep in zip(chains, trajs, keeps):
-            kept.mark_points(traj[keep].reshape(-1, pts.shape[1]))
-            lost.mark_points(traj[~keep].reshape(-1, pts.shape[1]))
+            cells = cum._cells(traj.reshape(-1, pts.shape[1])).reshape(traj.shape[:2])
+            kept._mark_cells(cells[keep].ravel())
+            lost._mark_cells(cells[~keep].ravel())
             ends = traj[:, -1]
-            alive = keep & ~(cum.contains_points(ends) | _inside_init_strict(init, ends))
+            alive = keep & ~(cum._marked(cells[:, -1]) | _inside_init_strict(init, ends))
             for idxs, rclosed in _split_runs(alive, closed):
                 if rclosed is None:
                     run = ends[idxs]
@@ -903,9 +919,9 @@ def _front_sweep(chains, init, dyn, intervals, cum, h, h_b, invariant=None):
                 nxt.append((run, rclosed))
         swept = kept
         if invariant is not None:
-            swept = cum.blank()
-            swept.occupancy = kept.occupancy | (lost.occupancy & touch)
-            swept.out_of_box = kept.out_of_box + lost.out_of_box
+            swept = cum._like(
+                kept.occupancy | (lost.occupancy & touch), kept.out_of_box + lost.out_of_box
+            )
         cum.include(swept)
         chains = nxt
         yield t0, t1, swept, kept, chains
@@ -931,8 +947,7 @@ def _sweep_tube(init, dyn, chains, intervals, cum, h, h_b, invariant=None, under
         chains, init, dyn, intervals, cum, h, h_b, invariant
     ):
         if under:
-            swept = cum.blank()
-            swept.occupancy = kept.occupancy & cert
+            swept = cum._like(kept.occupancy & cert)
             tube.under_occupancy.include(swept)
         tube.segments.append((t0, t1, swept))
     tube.front_collapse = not chains
@@ -1040,8 +1055,9 @@ def reach_bounded_time(
     under_segments = []
     for (t0, t1, seg), flat in zip(tube.segments, flows):
         prefix.include(seg)
+        cells = prefix._cells(flat)
         useg = under_cum.blank()
-        useg.mark_points(flat[prefix.contains_points(flat)])
+        useg._mark_cells(cells[prefix._marked(cells)])
         under_cum.include(useg)
         under_segments.append((t0, t1, useg))
     tube.segments = under_segments

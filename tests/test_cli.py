@@ -83,6 +83,25 @@ def test_reach_linear_polyhedral_path(tmp_path):
     assert len(lines) > 20
 
 
+@pytest.mark.parametrize("x1", [0.0, 1e6])
+def test_reach_far_from_the_origin(tmp_path, x1):
+    # a blank region far out must keep its template's layout, or the
+    # sweep cannot add it back and the run exits 2 with DimMismatch
+    path = write_model(
+        tmp_path,
+        {
+            "schema": 1,
+            "kind": "reach",
+            "dynamics": {"expressions": ["1", "1"]},
+            "initial": {"box": [[x1, 0.0], [x1, 1.0]]},
+            "grid": {"cell": 0.05, "dt": 0.5, "tau": 1.0},
+        },
+    )
+    out = str(tmp_path / "o")
+    assert run(["reach", path, "--out", out]) == 0
+    assert read_report(out)["diagnostics"]["cells"] == 441
+
+
 def test_reach_kind_mismatch_exits_2(tmp_path):
     assert run(["reach", model("example2.json"), "--out", str(tmp_path)]) == 2
 
@@ -508,6 +527,23 @@ PINNED_OUTPUTS = {
     ("hybrid-reach", "hybrid_disjoint.json"): (
         4,
         {"cells.csv": "b9dd7b51baf61185", "report.json": "991808f1ecfa8d49"},
+    ),
+    # the four grid-fine benchmark jobs
+    ("reach", "example1.json", "--cell", "0.01"): (
+        0,
+        {"report.json": "7dff33a3ce162959", "segments.csv": "74fdffeaed9ef6a1"},
+    ),
+    ("reach", "example1.json", "--cell", "0.02", "--under"): (
+        0,
+        {"report.json": "4af85641f65c819a", "segments.csv": "1493d9e1cea75ce6"},
+    ),
+    ("reach", "rotation_disk.json", "--cell", "0.01"): (
+        0,
+        {"report.json": "f447a9d99c16da17", "segments.csv": "f7a0cc3acfe21702"},
+    ),
+    ("reach-inv", "drift_invariant.json", "--cell", "0.01"): (
+        0,
+        {"report.json": "1b108af52f27f3a7", "segments.csv": "2c48fabe2edb1a8c"},
     ),
 }
 

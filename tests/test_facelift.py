@@ -410,6 +410,120 @@ def test_boundary_cell_centers_strips_interior():
     assert not any(np.allclose(c, [0.5, 0.5]) for c in centers)
 
 
+def floor_reference(g, pts):
+    """The per-axis point raster that flat cell numbers replaced: cell
+    indices floor((p - lo)/h) clamped into the grid, and an in-box mask
+    that admits 1e-9 cells of slack at the box faces."""
+    pts = np.asarray(pts, float)
+    if pts.size == 0:
+        return np.zeros((0, g.dim), int), np.zeros(0, bool)
+    t = (np.atleast_2d(pts) - g.lo) / g.h
+    shape = np.array(g.shape)
+    inbox = np.all((t > -1e-9) & (t < shape + 1e-9), axis=1)
+    return np.clip(np.floor(t).astype(int), 0, shape - 1), inbox
+
+
+@st.composite
+def grid_and_points(draw):
+    """A 1D-3D grid with a drawn occupancy, and a batch of 0-12 points
+    whose coordinates lie on cell edges, within a few 1e-9 cells of a box
+    face, or anywhere up to two cells past the box."""
+    dim = draw(st.integers(1, 3))
+    h = draw(st.sampled_from([0.01, 0.05, 0.1, 0.25, 0.3]))
+    lo = np.array([draw(st.integers(-40, 40)) for _ in range(dim)]) * 0.0625
+    n = np.array([draw(st.integers(1, 6)) for _ in range(dim)])
+    g = GridRegion(lo, lo + n * h, h)
+    g.occupancy = np.array(
+        draw(st.lists(st.booleans(), min_size=g.occupancy.size, max_size=g.occupancy.size)),
+        bool,
+    ).reshape(g.shape)
+    n = np.array(g.shape)
+
+    def coordinate(j):
+        kind = draw(st.sampled_from(["edge", "face", "any"]))
+        if kind == "edge":
+            return g.lo[j] + draw(st.integers(-2, n[j] + 2)) * g.h
+        if kind == "face":
+            off = draw(st.sampled_from([-3e-9, -1e-9, -5e-10, 0.0, 5e-10, 1e-9, 3e-9]))
+            return g.lo[j] + (draw(st.sampled_from([0, n[j]])) + off) * g.h
+        return draw(st.floats(g.lo[j] - 2 * g.h, g.lo[j] + (n[j] + 2) * g.h))
+
+    m = draw(st.integers(0, 12))
+    pts = np.array([[coordinate(j) for j in range(dim)] for _ in range(m)]).reshape(m, dim)
+    return g, pts, draw(st.integers(0, m))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=grid_and_points())
+def test_flat_cells_match_the_floor_rule(case):
+    g, pts, k = case
+    ref = g.occupancy.copy()
+    idx, inbox = floor_reference(g, pts)
+    want_in = np.zeros(len(pts), bool)
+    want_in[inbox] = ref[tuple(idx[inbox].T)]
+    interior = g._interior_mask()
+    want_interior = np.zeros(len(pts), bool)
+    want_interior[inbox] = interior[tuple(idx[inbox].T)]
+    assert np.array_equal(g.contains_points(pts), want_in)
+    assert np.array_equal(g.interior_contains_points(pts), want_interior)
+
+    # mark a prefix of the batch, then one point alone and an empty batch
+    idx, inbox = floor_reference(g, pts[:k])
+    ref[tuple(idx[inbox].T)] = True
+    oob = int(np.sum(~inbox))
+    g.mark_points(pts[:k])
+    if k < len(pts):
+        idx, inbox = floor_reference(g, pts[k])
+        ref[tuple(idx[inbox].T)] = True
+        oob += int(np.sum(~inbox))
+        g.mark_points(pts[k])
+    g.mark_points(np.zeros((0, g.dim)))
+    assert np.array_equal(g.occupancy, ref)
+    assert g.out_of_box == oob
+
+
+def test_non_finite_points_lie_outside():
+    g = GridRegion([0.0, 0.0], [1.0, 1.0], 0.25)
+    pts = [[np.nan, 0.5], [0.5, np.inf], [-np.inf, 0.5], [0.5, 0.5]]
+    g.mark_points(pts)
+    assert g.count() == 1 and g.out_of_box == 3
+    assert g.contains_points(pts).tolist() == [False, False, False, True]
+
+
+def test_marking_writes_into_the_regions_own_array():
+    g = GridRegion([0.0, 0.0], [1.0, 0.5], 0.25)
+    for region in (g.copy(), g.blank()):
+        region.mark_points([[0.1, 0.1]])
+        assert region.count() == 1
+    assert g.count() == 0
+    a, b = g.blank(), g.blank()
+    b.mark_points([[0.9, 0.4]])
+    a.occupancy = a.occupancy | b.occupancy
+    a.mark_points([[0.1, 0.1]])
+    assert a.count() == 2 and b.count() == 1
+    # an occupancy that is not C-ordered is written in place too
+    a.occupancy = np.zeros(g.shape[::-1], bool).T
+    a.mark_points([[0.6, 0.3]])
+    assert np.argwhere(a.occupancy).tolist() == [[2, 1]]
+    assert a.contains_points([[0.6, 0.3], [0.3, 0.6]]).tolist() == [True, False]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    exponent=st.integers(0, 6),
+    lo=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2),
+    width=st.lists(st.floats(0.01, 1.0), min_size=2, max_size=2),
+    h=st.sampled_from([0.01, 0.02, 0.05, 0.1]),
+)
+def test_blank_and_copy_keep_the_layout(exponent, lo, width, h):
+    lo = np.array(lo) * 10.0**exponent
+    g = GridRegion(lo, lo + np.array(width), h)
+    for other in (g.blank(), g.copy()):
+        assert other.shape == g.shape
+        other.include(g)
+        g.include(other)
+
+
 # ---------------------------------------------------------------------------
 # time steps
 
