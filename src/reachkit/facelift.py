@@ -395,7 +395,7 @@ class GridRegion:
         return (
             isinstance(other, GridRegion)
             and self.shape == other.shape
-            and bool(np.allclose(self.lo, other.lo))
+            and np.array_equal(self.lo, other.lo)
             and abs(self.h - other.h) < 1e-15
         )
 
@@ -744,7 +744,8 @@ def _advect(dyn, pts, delta, h):
     """Substepped flow over [0, delta]: (m, nsub+1, dim) trajectories, with
     nsub set so the fastest sample at the start covers at most h/2 per
     substep. Raises StepTooCoarse when one substep moves a sample further
-    than 2h (the field sped up along the way)."""
+    than 2h (the field sped up along the way); a constant field moves every
+    sample by the same h/2 at most, so its substeps are not checked."""
     nsub = max(1, int(math.ceil(abs(delta) * _max_speed(dyn, pts) / (0.5 * h))))
     try:
         traj = trajectory(dyn, pts, delta, nsub)
@@ -752,7 +753,8 @@ def _advect(dyn, pts, delta, h):
         # a too-coarse substep before the blow-up is the error to report
         _check_substeps(exc.partial, h)
         raise
-    _check_substeps(traj, h)
+    if dyn.constant is None:
+        _check_substeps(traj, h)
     return traj
 
 

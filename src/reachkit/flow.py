@@ -111,9 +111,11 @@ def operator_norm(A) -> float:
 
 @dataclass(frozen=True)
 class LinearDynamics:
-    """Vector field f(x) = A x."""
+    """Vector field f(x) = A x. ``constant`` is always None: a linear field
+    flows through expm, never the constant-field shortcut."""
 
     matrix: np.ndarray
+    constant = None
 
     def __post_init__(self):
         A = np.asarray(self.matrix, float)
@@ -186,7 +188,7 @@ def rk4(dyn: Dynamics, x0, t: float, nsteps: int) -> np.ndarray:
     """
     x = np.array(x0, float)
     h = t / nsteps
-    c = dyn.constant if isinstance(dyn, ExpressionDynamics) else None
+    c = dyn.constant
     if c is not None:
         inc = (h / 6.0) * (c + 2.0 * c + 2.0 * c + c)
         for _ in range(nsteps):

@@ -4,6 +4,10 @@ All halfspaces are written ``a.x - b <= 0``; equalities ``a.x - b = 0``.
 Row systems here are tiny (tens of rows, dimension <= 10), so everything
 is dense and deterministic: the LP is a two-phase tableau simplex with
 Bland's rule, vertex enumeration in 2D is pairwise row intersection.
+2D vertices and boxes run no LP when the row normals certify the polygon
+bounded, and intersect dedupes rows in one array pass. The simplex
+remains for 3D and above, for is_empty, for polyapprox's check_A2 and for
+2D polyhedra whose normals do not certify boundedness (or that are empty).
 """
 
 from __future__ import annotations
@@ -253,10 +257,19 @@ class Polyhedron:
         return bool(ok[0]) if single else ok
 
     def bounding_box(self):
-        """Tight coordinate box (lo, hi) from the LPs max/min x_j, j in
-        order; raises EmptyPolyhedron if empty, Unbounded2D at the first
-        unbounded coordinate. Phase 1 of the simplex does not depend on
-        the objective, so the first LP already decides emptiness."""
+        """Tight coordinate box (lo, hi); raises EmptyPolyhedron if empty,
+        Unbounded2D at the first unbounded coordinate. A 2D polyhedron
+        whose normals certify it bounded reads the box off its vertices;
+        every other input (and an empty one) runs the LPs of _lp_box."""
+        if self.dim == 2 and _normals_bound_plane(self):
+            pts = _plane_vertices(self)
+            if pts is not None:
+                return pts.min(axis=0), pts.max(axis=0)
+        return self._lp_box()
+
+    def _lp_box(self):
+        """The LPs max/min x_j, j in order. Phase 1 of the simplex does not
+        depend on the objective, so the first LP already decides emptiness."""
         n = self.dim
         lo, hi = np.zeros(n), np.zeros(n)
         for j in range(n):
@@ -371,45 +384,79 @@ def grid_points(axes) -> np.ndarray:
 # 2D vertex machinery
 
 
+def _first_of_each(close) -> np.ndarray:
+    """Keep mask over n items: item j is kept unless ``close[j, i]`` holds
+    for an earlier *kept* item i, so closeness is never chained."""
+    earlier = np.tril(close, -1)
+    keep = ~earlier.any(axis=1)
+    for j in np.flatnonzero(~keep):
+        keep[j] = not (earlier[j] & keep).any()
+    return keep
+
+
+def _normals_bound_plane(P: Polyhedron) -> bool:
+    """True when the row normals of a 2D polyhedron (equality rows in both
+    directions) leave no angular gap of pi - 1e-9 or more: they then
+    positively span the plane, so P is bounded whatever its offsets."""
+    A_ub, _, A_eq, _ = P.matrices()
+    A = np.vstack([A_ub, A_eq, -A_eq])
+    A = A[np.any(A != 0.0, axis=1)]
+    if A.shape[0] < 3:
+        return False
+    ang = np.sort(np.arctan2(A[:, 1], A[:, 0]))
+    gaps = np.diff(ang, append=ang[0] + 2.0 * np.pi)
+    return bool(gaps.max() < np.pi - 1e-9)
+
+
+def _plane_vertices(P: Polyhedron) -> np.ndarray | None:
+    """Pairwise row intersections of a 2D polyhedron that satisfy every row
+    within FEAS_TOL, deduplicated at TIGHT_TOL in pair order (i < j); None
+    when there is none. A pair is skipped as parallel unless |det| exceeds
+    1e-12 |a_i| |a_j|, a test that does not depend on the rows' scaling
+    (and that skips every pair with a zero row)."""
+    A_ub, b_ub, A_eq, b_eq = P.matrices()
+    A, b = np.vstack([A_ub, A_eq]), np.concatenate([b_ub, b_eq])
+    i, j = np.triu_indices(b.size, k=1)
+    M = np.stack([A[i], A[j]], axis=1)
+    nrm = np.linalg.norm(A, axis=1)
+    ok = np.abs(np.linalg.det(M)) > 1e-12 * nrm[i] * nrm[j]
+    rhs = np.stack([b[i], b[j]], axis=1)[ok]
+    pts = np.linalg.solve(M[ok], rhs[..., None])[..., 0]
+    pts = pts[np.all(np.isfinite(pts), axis=1)]
+    feas = np.all(pts @ A_ub.T - b_ub <= FEAS_TOL, axis=1) & np.all(
+        np.abs(pts @ A_eq.T - b_eq) <= FEAS_TOL, axis=1
+    )
+    pts = pts[feas]
+    if not len(pts):
+        return None
+    close = np.linalg.norm(pts[:, None] - pts[None], axis=2) <= TIGHT_TOL
+    return pts[_first_of_each(close)]
+
+
 def vertices_2d(P: Polyhedron) -> np.ndarray:
     """Vertices of a bounded nonempty 2D polyhedron, counter-clockwise.
 
     Pairwise row intersections filtered by feasibility (residual <= 1e-8),
     deduplicated at 1e-9, anchored at the lexicographically smallest vertex.
-    Degenerate inputs (a segment or a point) return 2 or 1 rows.
+    Degenerate inputs (a segment or a point) return 2 or 1 rows. When the
+    normals certify boundedness and an intersection is feasible, no LP
+    runs; otherwise the bounding-box LPs tell Empty2D from Unbounded2D.
     """
     if P.dim != 2:
         raise DimMismatch(f"vertices_2d needs dim 2, got {P.dim}")
-    try:
-        P.bounding_box()
-    except EmptyPolyhedron:
-        raise Empty2D("no vertices: polyhedron is empty") from None
-    except Unbounded2D:
-        raise Unbounded2D("no finite vertex set: polyhedron is unbounded") from None
-
-    rows = P.rows
-    cand = []
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            M = np.array([rows[i].normal, rows[j].normal])
-            if abs(np.linalg.det(M)) < 1e-12:
-                continue
-            p = np.linalg.solve(M, np.array([rows[i].offset, rows[j].offset]))
-            if not np.all(np.isfinite(p)):
-                continue
-            feas = all(h.value(p) <= FEAS_TOL for h in P.ineqs) and all(
-                abs(h.value(p)) <= FEAS_TOL for h in P.eqs
-            )
-            if feas:
-                cand.append(p)
-    if not cand:
-        raise Empty2D("no pairwise intersection point is feasible")
-
-    uniq: list[np.ndarray] = []
-    for p in cand:
-        if all(np.linalg.norm(p - q) > TIGHT_TOL for q in uniq):
-            uniq.append(p)
-    pts = np.array(uniq)
+    certified = _normals_bound_plane(P)
+    pts = _plane_vertices(P) if certified else None
+    if pts is None:
+        try:
+            P._lp_box()
+        except EmptyPolyhedron:
+            raise Empty2D("no vertices: polyhedron is empty") from None
+        except Unbounded2D:
+            raise Unbounded2D("no finite vertex set: polyhedron is unbounded") from None
+        if not certified:
+            pts = _plane_vertices(P)
+        if pts is None:
+            raise Empty2D("no pairwise intersection point is feasible")
     if len(pts) <= 2:
         order = np.lexsort((pts[:, 1], pts[:, 0]))
         return pts[order]
@@ -494,18 +541,18 @@ def intersect(polys) -> Polyhedron:
         raise DimMismatch(f"mixed dimensions {sorted(dims)}")
 
     def dedupe(rows):
-        kept, units = [], []
-        for h in rows:
-            u = h.unit()
-            dup = any(
-                np.max(np.abs(u.normal - v.normal)) <= TIGHT_TOL
-                and abs(u.offset - v.offset) <= TIGHT_TOL
-                for v in units
-            )
-            if not dup:
-                kept.append(h)
-                units.append(u)
-        return tuple(kept)
+        if not rows:
+            return ()
+        A = np.array([h.normal for h in rows])
+        nrm = np.linalg.norm(A, axis=1)
+        if np.any(nrm < 1e-14):
+            raise DegenerateNormal("cannot normalize a vanishing normal")
+        U = A / nrm[:, None]
+        off = np.array([h.offset for h in rows]) / nrm
+        close = (np.abs(U[:, None] - U[None]).max(axis=2) <= TIGHT_TOL) & (
+            np.abs(off[:, None] - off[None]) <= TIGHT_TOL
+        )
+        return tuple(rows[j] for j in np.flatnonzero(_first_of_each(close)))
 
     ineqs = dedupe([h for P in polys for h in P.ineqs])
     eqs = dedupe([h for P in polys for h in P.eqs])

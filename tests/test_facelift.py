@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import reachkit.facelift as facelift
 from reachkit.errors import (
     AssumptionA2Violated,
+    DimMismatch,
     EmptyBoundary,
     PreconditionViolated,
     StepTooCoarse,
@@ -522,6 +523,16 @@ def test_blank_and_copy_keep_the_layout(exponent, lo, width, h):
         assert other.shape == g.shape
         other.include(g)
         g.include(other)
+
+
+def test_layouts_a_few_cells_apart_far_from_the_origin_differ():
+    g = GridRegion([1e6, 0.0], [1e6 + 1.0, 1.0], 0.05)
+    shifted = GridRegion([1e6 + 0.5, 0.0], [1e6 + 1.5, 1.0], 0.05)  # ten cells right
+    assert g.compatible(g.blank()) and g.compatible(g.copy())
+    assert not g.compatible(shifted)
+    shifted.mark_points([[1e6 + 0.51, 0.5]])
+    with pytest.raises(DimMismatch, match="grid layouts differ"):
+        g.include(shifted)
 
 
 # ---------------------------------------------------------------------------

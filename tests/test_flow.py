@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reachkit.errors import NonFiniteState, NumericRange, StepTooCoarse, UnboundedFace
+import reachkit.facelift as facelift
 from reachkit.facelift import _advect
 from reachkit.flow import (
     ExpressionDynamics,
@@ -383,6 +384,42 @@ def test_advect_rejects_coarse_substep():
     # from x1 = 1 the exact solution 1/(1 - t) reaches 10 at t = 0.9
     with pytest.raises(StepTooCoarse, match="in one substep \\(limit 0.1\\)"):
         _advect(dyn, fast, 0.9, 0.05)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    c=st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2),
+    delta=st.floats(-1.0, 1.0),
+    h=st.sampled_from([0.01, 0.02, 0.05, 0.1]),
+)
+def test_constant_field_substeps_stay_within_half_a_cell(c, delta, h):
+    # _advect picks nsub from the one speed |c|, so no substep can move a
+    # sample beyond h/2 and the 2h check is skipped for constant fields
+    dyn = ExpressionDynamics.parse([repr(v) for v in c])
+    assert dyn.constant is not None
+    pts = np.array([[0.0, 0.0], [3.0, -1.0], [-7.5, 2.25]])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(facelift, "_check_substeps", None)
+        traj = _advect(dyn, pts, delta, h)
+    move = np.linalg.norm(np.diff(traj, axis=1), axis=2)
+    assert np.all(move <= 0.5 * h * (1.0 + 1e-9))
+
+
+def test_accelerating_field_still_runs_the_substep_check(monkeypatch):
+    calls, check = [], facelift._check_substeps
+
+    def counted(traj, h):
+        calls.append(h)
+        return check(traj, h)
+
+    monkeypatch.setattr(facelift, "_check_substeps", counted)
+    dyn = ExpressionDynamics.parse(["x1*x1", "0"])
+    with pytest.raises(StepTooCoarse, match="in one substep \\(limit 0.1\\)"):
+        _advect(dyn, np.array([[1.0, 0.0], [0.5, 1.0]]), 0.9, 0.05)
+    assert calls == [0.05]
+    # a linear field is not constant either: it is checked too
+    _advect(LinearDynamics(ROT), np.array([[1.0, 0.0]]), 0.5, 0.05)
+    assert calls == [0.05, 0.05]
 
 
 def test_max_norm_over_face_2d_exact():

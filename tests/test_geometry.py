@@ -1,15 +1,22 @@
 """Geometry layer tests. The LP is checked against scipy.optimize.linprog
-and the hull against scipy.spatial.ConvexHull as independent oracles."""
+and the hull against scipy.spatial.ConvexHull as independent oracles; the
+LP-free 2D vertices, boxes and row dedupe against their LP and loop forms."""
+
+import math
 
 import numpy as np
 import pytest
 import scipy.optimize
 import scipy.spatial
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import reachkit.geometry as geometry
 from reachkit.errors import (
     DegenerateNormal,
     DimMismatch,
     Empty2D,
+    EmptyPolyhedron,
     EmptyPolyhedronWarning,
     InfeasibleFace,
     TooFewPoints,
@@ -163,6 +170,12 @@ def test_vertices_errors():
         vertices_2d(Polyhedron.from_inequalities([[1, 0], [0, 1]], [1, 1]))
     with pytest.raises(Empty2D):
         vertices_2d(Polyhedron.from_inequalities([[1, 0], [-1, 0]], [-1, -1]))
+    # a vacuous 0 . x <= 1 row has no direction: it closes no angular gap
+    open_right = Polyhedron.from_inequalities([[0, 1], [-1, 0], [0, -1], [0, 0]], [1, 1, 1, 1])
+    with pytest.raises(Unbounded2D):
+        vertices_2d(open_right)
+    with pytest.raises(Unbounded2D):
+        open_right.bounding_box()
     with pytest.raises(DimMismatch):
         vertices_2d(Polyhedron.box([0, 0, 0], [1, 1, 1]))
 
@@ -252,3 +265,258 @@ def test_orthogonalize_drops_vacuous_row_and_rejects_contradiction():
     crossed = Face([[1, 0], [-1, 0]], [-2.0, 1.0], [0, 1], 0.0)
     with pytest.raises(InfeasibleFace):
         normalize_and_orthogonalize(crossed)
+
+
+# ---------------------------------------------------------------------------
+# the LP-free 2D kernel against its LP and loop forms
+
+
+def lp_vertices_2d(P):
+    """vertices_2d with the bounding-box LPs always run first and a
+    pairwise row loop: the reference for the kernel, with its scale-free
+    parallel test."""
+    try:
+        P._lp_box()
+    except EmptyPolyhedron:
+        raise Empty2D("no vertices: polyhedron is empty") from None
+    except Unbounded2D:
+        raise Unbounded2D("no finite vertex set: polyhedron is unbounded") from None
+    rows = P.rows
+    cand = []
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            M = np.array([rows[i].normal, rows[j].normal])
+            if abs(np.linalg.det(M)) <= 1e-12 * np.prod(np.linalg.norm(M, axis=1)):
+                continue
+            p = np.linalg.solve(M, np.array([rows[i].offset, rows[j].offset]))
+            if not np.all(np.isfinite(p)):
+                continue
+            feas = all(h.value(p) <= 1e-8 for h in P.ineqs) and all(
+                abs(h.value(p)) <= 1e-8 for h in P.eqs
+            )
+            if feas:
+                cand.append(p)
+    if not cand:
+        raise Empty2D("no pairwise intersection point is feasible")
+    uniq = []
+    for p in cand:
+        if all(np.linalg.norm(p - q) > 1e-9 for q in uniq):
+            uniq.append(p)
+    pts = np.array(uniq)
+    if len(pts) <= 2:
+        return pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    centroid = pts.mean(axis=0)
+    ang = np.arctan2(pts[:, 1] - centroid[1], pts[:, 0] - centroid[0])
+    pts = pts[np.argsort(ang, kind="stable")]
+    return np.roll(pts, -int(np.lexsort((pts[:, 1], pts[:, 0]))[0]), axis=0)
+
+
+def loop_dedupe(rows):
+    """intersect's pairwise dedupe loop in its first form: the reference."""
+    kept, units = [], []
+    for h in rows:
+        u = h.unit()
+        dup = any(
+            np.max(np.abs(u.normal - v.normal)) <= 1e-9 and abs(u.offset - v.offset) <= 1e-9
+            for v in units
+        )
+        if not dup:
+            kept.append(h)
+            units.append(u)
+    return tuple(kept)
+
+
+def same_rows(got, want):
+    """The same row objects in the same order: kept rows keep their scaling."""
+    return len(got) == len(want) and all(g is w for g, w in zip(got, want))
+
+
+def outcome(fn, P):
+    try:
+        return np.asarray(fn(P))
+    except (Empty2D, EmptyPolyhedron, Unbounded2D) as exc:
+        return type(exc)
+
+
+def unit2(angle):
+    return np.array([math.cos(angle), math.sin(angle)])
+
+
+BOUNDED_KINDS = ("box", "triangle", "segment", "point")
+ALL_KINDS = BOUNDED_KINDS + ("empty", "strip", "halfstrip", "halfplane", "wedge")
+# a third of the rows shrunk by 1e-1 to 1e-7, the rest of unit order
+MIXED_SCALES = st.one_of(
+    st.floats(0.2, 5.0), st.floats(0.2, 5.0), st.floats(-7.0, -1.0).map(lambda e: 10.0**e)
+)
+
+
+@st.composite
+def planar_polyhedra(draw, kinds=ALL_KINDS, scales=st.floats(0.2, 5.0)):
+    """(kind, P): a random 2D polyhedron drawn as local rows around the
+    origin, with redundant rows added to bounded kinds, then rotated,
+    moved, rescaled row by row (each row by a draw of ``scales``) and
+    shuffled."""
+    kind = draw(st.sampled_from(kinds))
+    a, b = draw(st.floats(0.05, 3.0)), draw(st.floats(0.05, 3.0))
+    e1, e2 = np.eye(2)
+    ineqs, eqs = [], []
+    if kind in ("box", "empty"):
+        ineqs = [(e1, a), (-e1, a), (e2, b), (-e2, b)]
+        if kind == "empty":
+            gap = draw(st.floats(0.01, 1.0))
+            (eqs if draw(st.booleans()) else ineqs).append((e1, -a - gap))
+    elif kind == "triangle":
+        v = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6))).reshape(3, 2)
+        (ux, uy), (wx, wy) = v[1] - v[0], v[2] - v[0]
+        turn = ux * wy - uy * wx
+        assume(abs(turn) > 0.1)
+        for k in range(3):
+            p, q = v[k], v[(k + 1) % 3]
+            n = np.sign(turn) * np.array([q[1] - p[1], p[0] - q[0]])
+            ineqs.append((n, float(n @ p)))
+    elif kind == "segment":
+        ineqs, eqs = [(e1, a), (-e1, a)], [(e2, 0.0)]
+    elif kind == "point":
+        eqs = [(e1, 0.0), (e2, 0.0)]
+    elif kind == "strip":
+        ineqs = [(e1, a), (-e1, a)]
+    elif kind == "halfstrip":  # three normals, one gap of exactly pi
+        ineqs = [(e1, a), (-e1, a), (e2, b)]
+    elif kind == "halfplane":
+        ineqs = [(e1, a)]
+    else:  # a wedge whose normals span less than pi: unbounded but pointed
+        phi = draw(st.floats(0.6, 2.5))
+        ineqs = [(e1, a), (unit2(phi), b), (unit2(phi / 2.0), a + b)]
+    if kind in BOUNDED_KINDS:
+        verts = lp_vertices_2d(
+            Polyhedron(tuple(Halfspace(*r) for r in ineqs), tuple(Halfspace(*r) for r in eqs))
+        )
+        for angle in draw(st.lists(st.floats(0.0, 2.0 * math.pi), max_size=3)):
+            n = unit2(angle)
+            margin = draw(st.sampled_from([0.0, 1e-3, 0.5, 2.0]))
+            ineqs.append((n, float(np.max(verts @ n)) + margin))
+    theta = draw(st.floats(0.0, 2.0 * math.pi))
+    shift = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2)))
+    R = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+
+    def place(rows):
+        out = []
+        for n, o in rows:
+            s = draw(scales)
+            out.append(Halfspace(s * (R @ n), s * (o + (R @ n) @ shift)))
+        return tuple(draw(st.permutations(out)))
+
+    return kind, Polyhedron(place(ineqs), place(eqs))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=planar_polyhedra())
+def test_vertices_and_boxes_match_the_lp_path(case):
+    kind, P = case
+    lps = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "lp_maximize", lambda *a: lps.append(1) or lp_maximize(*a))
+        verts = outcome(vertices_2d, P)
+        box = outcome(Polyhedron.bounding_box, P)
+    want_verts, want_box = outcome(lp_vertices_2d, P), outcome(Polyhedron._lp_box, P)
+    if isinstance(want_verts, type):
+        assert verts is want_verts
+        assert box is (Unbounded2D if want_verts is Unbounded2D else EmptyPolyhedron)
+    else:
+        assert verts.shape == want_verts.shape
+        np.testing.assert_allclose(verts, want_verts, rtol=0.0, atol=1e-9)
+    if isinstance(want_box, type):
+        assert box is want_box
+    else:
+        np.testing.assert_allclose(box, want_box, rtol=0.0, atol=1e-9)
+    assert (kind in BOUNDED_KINDS) == (not isinstance(want_verts, type))
+    if kind in BOUNDED_KINDS:
+        assert not lps
+
+
+def unit_rows(P):
+    return Polyhedron(tuple(h.unit() for h in P.ineqs), tuple(h.unit() for h in P.eqs))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=planar_polyhedra(kinds=BOUNDED_KINDS, scales=MIXED_SCALES))
+def test_mixed_row_scales_keep_every_vertex_in_the_box(case):
+    # a row scaled by 1e-7 turns FEAS_TOL into 0.1 along its normal, so the
+    # box may grow past the polygon; it must never miss a part of it
+    _, P = case
+    lps = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "lp_maximize", lambda *a: lps.append(1) or lp_maximize(*a))
+        verts = vertices_2d(P)
+        lo, hi = P.bounding_box()
+    assert not lps
+    np.testing.assert_allclose(verts, lp_vertices_2d(P), rtol=0.0, atol=1e-9)
+    assert np.array_equal(lo, verts.min(axis=0)) and np.array_equal(hi, verts.max(axis=0))
+    want_lo, want_hi = unit_rows(P)._lp_box()
+    assert np.all(lo <= want_lo + 1e-9) and np.all(hi >= want_hi - 1e-9)
+
+
+def test_small_rows_are_not_taken_for_parallel():
+    # (0, 0) is where the two 1e-7 rows meet, with det 2e-14: an absolute
+    # det test skipped that pair and the box lost x < 1
+    tri = Polyhedron.from_inequalities([[-1e-7, 1e-7], [-1e-7, -1e-7], [1, 0]], [0, 0, 1])
+    np.testing.assert_allclose(vertices_2d(tri), [[0, 0], [1, -1], [1, 1]], rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(tri.bounding_box(), tri._lp_box(), rtol=0.0, atol=1e-9)
+    np.testing.assert_allclose(tri.bounding_box(), [[0, -1], [1, 1]], rtol=0.0, atol=1e-12)
+    small = Polyhedron.box([0, 0], [1, 1])
+    small = Polyhedron(tuple(Halfspace(1e-7 * h.normal, 1e-7 * h.offset) for h in small.ineqs))
+    np.testing.assert_allclose(
+        vertices_2d(small), [[0, 0], [1, 0], [1, 1], [0, 1]], rtol=0.0, atol=1e-12
+    )
+
+
+def test_a_zero_row_adds_no_vertex():
+    box = Polyhedron.box([-1, 2], [1, 3])
+    vacuous = Polyhedron(box.ineqs + (Halfspace([0.0, 0.0], 1.0),))
+    assert np.array_equal(vertices_2d(vacuous), vertices_2d(box))
+    assert np.array_equal(vacuous.bounding_box(), box.bounding_box())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    base=st.lists(
+        st.tuples(st.floats(0.0, 2.0 * math.pi), st.floats(-2.0, 2.0)), min_size=1, max_size=6
+    ),
+    copies=st.lists(
+        st.tuples(
+            st.integers(0, 5),
+            # no two offset shifts lie 1e-9 apart: the tolerance itself is
+            # where the two norms' last bits may decide differently
+            st.sampled_from([0.0, 0.4e-9, -0.3e-9, 0.6e-9, 1.5e-9, 1e-6]),
+            st.sampled_from([0.0, 0.4e-9, 2e-9]),
+        ),
+        max_size=10,
+    ),
+    scales=st.lists(st.floats(0.2, 5.0), min_size=16, max_size=16),
+    split=st.integers(1, 15),
+    n_eq=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_intersect_keeps_the_rows_the_loop_keeps(base, copies, scales, split, n_eq, seed):
+    rows = [(angle, off) for angle, off in base]
+    rows += [(base[i % len(base)][0] + tilt, base[i % len(base)][1] + d) for i, d, tilt in copies]
+    rows = [Halfspace(s * unit2(angle), s * off) for (angle, off), s in zip(rows, scales)]
+    rows = [rows[i] for i in np.random.default_rng(seed).permutation(len(rows))]
+    eqs, ineqs = rows[:n_eq], rows[n_eq:]
+    assume(len(ineqs) >= 2)
+    k = min(split, len(ineqs) - 1)
+    got = intersect([Polyhedron(ineqs[:k]), Polyhedron(ineqs[k:], eqs)])
+    assert same_rows(got.ineqs, loop_dedupe(ineqs))
+    assert same_rows(got.eqs, loop_dedupe(eqs))
+
+
+def test_intersect_does_not_chain_the_tolerance():
+    # each row is 0.6e-9 from the next: the middle one is a duplicate of
+    # the first, the last is 1.2e-9 from it and is kept in its own scaling
+    n = unit2(0.3)
+    chain = [Halfspace(s * n, s * (1.0 + 0.6e-9 * k)) for k, s in enumerate((1.0, 2.0, 3.0))]
+    got = intersect([Polyhedron(chain[:1]), Polyhedron(chain[1:])])
+    assert same_rows(got.ineqs, loop_dedupe(chain))
+    assert same_rows(got.ineqs, [chain[0], chain[2]])
+    with pytest.raises(DegenerateNormal):
+        intersect([Polyhedron((Halfspace([1.0, 0.0], 1.0), Halfspace([0.0, 0.0], 1.0)))])

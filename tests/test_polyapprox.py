@@ -601,6 +601,45 @@ def test_overapproximate_step_shrinks_until_certified(monkeypatch):
         assert np.all(hit), f"tube points at t={t:.3f} escaped every sub-step"
 
 
+@pytest.mark.parametrize("mode", ["conservative", "sampled"])
+@pytest.mark.parametrize("delta", [DELTA, 2.0])
+def test_a_2d_step_runs_one_lp_per_build(monkeypatch, mode, delta):
+    # check_A2 is the one LP of a 2D step: face vertices, boxes and the
+    # hull intersection run none, at either horizon (2.0 shrinks and chains)
+    lps, builds, depth = [], [], []
+    build, check = StepProblem.build.__func__, polyapprox.check_A2
+
+    def counted_lp(*args):
+        lps.append("check_A2" if depth else "other")
+        return lp_maximize(*args)
+
+    def counted_check(face, A):
+        depth.append(1)
+        try:
+            return check(face, A)
+        finally:
+            depth.pop()
+
+    def counted_build(cls, *args, **kw):
+        builds.append(1)
+        return build(cls, *args, **kw)
+
+    monkeypatch.setattr(geometry, "lp_maximize", counted_lp)
+    monkeypatch.setattr(polyapprox, "check_A2", counted_check)
+    monkeypatch.setattr(StepProblem, "build", classmethod(counted_build))
+    res = overapproximate_step(example_face(), ROT, delta, mode=mode)
+    assert len(builds) >= len(res.polyhedra)
+    assert lps == ["check_A2"] * len(builds)
+
+    lps.clear()
+    far = propagate_face(example_face(), ROT, 0.3)
+    assert far.vertices.shape == (2, 2)
+    for P in (*res.polyhedra, far.as_polyhedron(), Polyhedron.box([0, 0], [2, 1])):
+        lo, hi = P.bounding_box()
+        assert np.all(lo <= hi)
+    assert lps == []
+
+
 def test_hull_intersection_tightens_the_step():
     res = overapproximate_step(example_face(), ROT, DELTA)
     area_loose = _polygon_area(vertices_2d(res.assembled[0]))
