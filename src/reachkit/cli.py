@@ -11,6 +11,7 @@ identical; timings go to stdout only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -636,7 +637,11 @@ def _add_common(sub, *names):
         )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    run: parse_args reads it without changing it, so callers must not
+    change it either."""
     parser = argparse.ArgumentParser(
         prog="reachkit", description="face-lifted reachability toolbox"
     )

@@ -26,6 +26,7 @@ from .errors import (
     InfeasibleFace,
     NonFiniteState,
     PreconditionViolated,
+    ReachkitError,
     StepTooCoarse,
 )
 from .flow import LinearDynamics, trajectory
@@ -740,13 +741,20 @@ def _max_speed(dyn, pts):
     return speed
 
 
-def _advect(dyn, pts, delta, h):
+def _substeps(dyn, pts, delta, h):
+    """Substeps over [0, delta] that move the fastest sample of pts, at its
+    start speed, by at most h/2 each."""
+    return max(1, int(math.ceil(abs(delta) * _max_speed(dyn, pts) / (0.5 * h))))
+
+
+def _advect(dyn, pts, delta, h, nsub=None):
     """Substepped flow over [0, delta]: (m, nsub+1, dim) trajectories, with
-    nsub set so the fastest sample at the start covers at most h/2 per
-    substep. Raises StepTooCoarse when one substep moves a sample further
-    than 2h (the field sped up along the way); a constant field moves every
-    sample by the same h/2 at most, so its substeps are not checked."""
-    nsub = max(1, int(math.ceil(abs(delta) * _max_speed(dyn, pts) / (0.5 * h))))
+    nsub from _substeps unless given. Raises StepTooCoarse when one substep
+    moves a sample further than 2h (the field sped up along the way); a
+    constant field moves every sample by the same h/2 at most, so its
+    substeps are not checked."""
+    if nsub is None:
+        nsub = _substeps(dyn, pts, delta, h)
     try:
         traj = trajectory(dyn, pts, delta, nsub)
     except NonFiniteState as exc:
@@ -756,6 +764,33 @@ def _advect(dyn, pts, delta, h):
     if dyn.constant is None:
         _check_substeps(traj, h)
     return traj
+
+
+def _advect_chains(dyn, chains, delta, h):
+    """_advect of every chain's points, bit for bit, in one trajectory call
+    per distinct substep count: each chain keeps the nsub of its own start
+    speed, and the chains that share it flow as one batch. BLAS multiplies
+    a lone row with other floats than a row of a batch, so a one-point
+    chain of a linear field flows alone. If the batched step raises, the
+    chains are advected again one by one in order, so the first failing
+    chain's error is the one raised."""
+    pts = [p for p, _ in chains]
+    linear = isinstance(dyn, LinearDynamics)
+    try:
+        groups = {}  # (nsub, chain index or -1) -> the chains of one batch
+        for i, p in enumerate(pts):
+            alone = i if linear and p.shape[0] == 1 else -1
+            groups.setdefault((_substeps(dyn, p, delta, h), alone), []).append(i)
+        trajs = [None] * len(pts)
+        for (nsub, _), members in groups.items():
+            batch = _advect(dyn, np.concatenate([pts[i] for i in members]), delta, h, nsub)
+            split = np.cumsum([pts[i].shape[0] for i in members])[:-1]
+            for i, traj in zip(members, np.split(batch, split)):
+                trajs[i] = traj
+        return trajs
+    except ReachkitError:
+        pass
+    return [_advect(dyn, p, delta, h) for p in pts]
 
 
 def _check_substeps(traj, h):
@@ -893,32 +928,41 @@ def _front_sweep(chains, init, dyn, intervals, cum, h, h_b, invariant=None):
     exit-shadow prune (all of them without an invariant), swept adds to
     kept the pruned samples' cells that touch the invariant. A sample
     lives on when it survives the prune and its end lies neither in cum,
-    as it stood before the step, nor strictly inside init; each chain
-    splits once at the other samples and its ordered runs are resampled."""
+    as it stood before the step, nor strictly inside init. The chains of
+    a step are advected together (_advect_chains), and rasterized, marked
+    and tested as one flat front; each chain then splits once at the
+    other samples and its ordered runs are resampled."""
     touch = None if invariant is None else cum.cells_touching(invariant)
     for t0, t1 in intervals:
         if not chains:
             return
         delta = t1 - t0
-        trajs = [_advect(dyn, pts, delta, h) for pts, _ in chains]
+        trajs = _advect_chains(dyn, chains, delta, h)
+        # every substep of every sample, chain by chain; ends[i] is the row
+        # of sample i's last substep
+        flat = np.concatenate([traj.reshape(-1, traj.shape[2]) for traj in trajs])
+        rows = np.repeat([traj.shape[1] for traj in trajs], [traj.shape[0] for traj in trajs])
+        ends = np.cumsum(rows) - 1
         if invariant is None:
-            keeps = [np.ones(pts.shape[0], bool) for pts, _ in chains]
+            keep = np.ones(ends.size, bool)
         else:
-            keeps = _exit_shadow_keep(chains, trajs, invariant, dyn, delta, h)
+            keep = np.concatenate(_exit_shadow_keep(chains, trajs, invariant, dyn, delta, h))
+        cells = cum._cells(flat)
+        kept_rows = np.repeat(keep, rows)
         kept, lost = cum.blank(), cum.blank()
+        kept._mark_cells(cells[kept_rows])
+        lost._mark_cells(cells[~kept_rows])
+        alive = keep & ~(cum._marked(cells[ends]) | _inside_init_strict(init, flat[ends]))
         nxt = []
-        for (pts, closed), traj, keep in zip(chains, trajs, keeps):
-            cells = cum._cells(traj.reshape(-1, pts.shape[1])).reshape(traj.shape[:2])
-            kept._mark_cells(cells[keep].ravel())
-            lost._mark_cells(cells[~keep].ravel())
-            ends = traj[:, -1]
-            alive = keep & ~(cum._marked(cells[:, -1]) | _inside_init_strict(init, ends))
-            for idxs, rclosed in _split_runs(alive, closed):
-                if rclosed is None:
-                    run = ends[idxs]
-                else:
-                    run = _resample_chain(dyn, pts[idxs], ends[idxs], rclosed, h_b, delta, h)
+        at = 0
+        for (pts, closed), traj in zip(chains, trajs):
+            n = pts.shape[0]
+            for idxs, rclosed in _split_runs(alive[at : at + n], closed):
+                run = traj[idxs, -1]
+                if rclosed is not None:
+                    run = _resample_chain(dyn, pts[idxs], run, rclosed, h_b, delta, h)
                 nxt.append((run, rclosed))
+            at += n
         swept = kept
         if invariant is not None:
             swept = cum._like(

@@ -12,14 +12,20 @@ ceil(|dt| / tol^(1/4)) RK4 steps per lattice step. ``flow`` is the end
 point of a one-step trajectory, so it follows the same rule.
 
 A constant expression field c (no component reads a variable) skips the
-stage evaluations: ``rk4`` adds the increment (h/6)(c + 2c + 2c + c),
-summed in the stage order once, at every step. That is bit for bit the
-stage-by-stage result, because each stage of a constant field is c at
-every point and IEEE addition and multiplication do not depend on the
-point. Finiteness is checked once per ``rk4`` call instead of once per
-step: a finite increment never makes a non-finite state finite again, and
-a non-finite one makes the state non-finite at the first step, so the
-same call raises the same NonFiniteState.
+stage evaluations: every RK4 step adds the one increment
+inc = (h/6)(c + 2c + 2c + c), summed in the stage order once. That is bit
+for bit the stage-by-stage result, because each stage of a constant field
+is c at every point and IEEE addition and multiplication do not depend on
+the point. ``rk4`` and ``trajectory`` share one kernel for it, with no
+Python loop over steps: ``np.add.accumulate`` along the time axis of the
+buffer [x0, inc, inc, ...] adds the increments strictly in order, so each
+state is the same sequence of IEEE additions as a step-by-step loop, and
+the lattice is every nsteps-th row. With one step per lattice step the
+buffer is the output itself; otherwise the steps run in blocks, so a long
+horizon does not allocate one row per step. Finiteness is checked on the
+lattice rows: a finite increment never makes a non-finite state finite
+again, and a non-finite one makes the state non-finite at the first step,
+so the first non-finite lattice row is where a step-by-step loop raises.
 """
 
 from __future__ import annotations
@@ -180,22 +186,54 @@ Dynamics = LinearDynamics | ExpressionDynamics
 # integration
 
 
+# elements of one accumulate block of a constant flow (512 KiB of float64)
+_ACCUMULATE_BLOCK = 1 << 16
+
+
+def _constant_lattice(out, c, h, nsteps):
+    """Fill the lattice out (m, L, n) of the constant field c, whose row 0
+    holds the start points: row s is the state after s * nsteps RK4 steps
+    of length h (see the module docstring). Raises NonFiniteState at the
+    first non-finite row, with the rows before it as ``partial``."""
+    inc = (h / 6.0) * (c + 2.0 * c + 2.0 * c + c)
+    m, rows, n = out.shape
+    if nsteps == 1:
+        out[:, 1:] = inc
+        np.add.accumulate(out, axis=1, out=out)
+    else:
+        total = (rows - 1) * nsteps
+        buf = np.empty((m, min(total, max(1, _ACCUMULATE_BLOCK // max(1, m * n))) + 1, n))
+        buf[:, 0] = out[:, 0]
+        for done in range(0, total, buf.shape[1] - 1):  # steps before the block
+            block = buf[:, : min(buf.shape[1], total - done + 1)]
+            block[:, 1:] = inc
+            np.add.accumulate(block, axis=1, out=block)
+            first = nsteps - done % nsteps  # the block's first lattice row
+            lattice = block[:, first::nsteps]
+            row = (done + first) // nsteps
+            out[:, row : row + lattice.shape[1]] = lattice
+            buf[:, 0] = block[:, -1]
+    finite = np.isfinite(out).all(axis=(0, 2))
+    if not finite.all():
+        exc = NonFiniteState("integration produced a non-finite state")
+        exc.partial = out[:, : int(np.argmin(finite))]
+        raise exc
+    return out
+
+
 def rk4(dyn: Dynamics, x0, t: float, nsteps: int) -> np.ndarray:
     """Classic fixed-step RK4 over [0, t], batched over leading axes of x0.
 
-    A constant field adds one precomputed increment per step and checks
-    finiteness at the end (see the module docstring).
+    A constant field adds one precomputed increment per step through the
+    accumulate kernel (see the module docstring).
     """
     x = np.array(x0, float)
     h = t / nsteps
     c = dyn.constant
     if c is not None:
-        inc = (h / 6.0) * (c + 2.0 * c + 2.0 * c + c)
-        for _ in range(nsteps):
-            x += inc
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteState("integration produced a non-finite state")
-        return x
+        lattice = np.empty((x.size // c.size, 2, c.size))
+        lattice[:, 0] = x.reshape(-1, c.size)
+        return _constant_lattice(lattice, c, h, nsteps)[:, 1].reshape(x.shape)
     for _ in range(nsteps):
         k1 = dyn.evaluate(x)
         k2 = dyn.evaluate(x + 0.5 * h * k1)
@@ -225,9 +263,10 @@ def trajectory(dyn: Dynamics, x0, t: float, nsub: int, tol: float = 1e-8) -> np.
     The batch is integrated once across the lattice: linear dynamics apply
     one e^{A t/nsub} per step (the same floats as chained flow calls);
     expression dynamics take ceil(|dt| / tol^(1/4)) RK4 steps per lattice
-    step dt. Negative t integrates the reversed field for |t|. When a
-    step goes non-finite the NonFiniteState raised carries the positions
-    up to that lattice time as its ``partial`` attribute.
+    step dt, and a constant one fills the whole lattice in one accumulate.
+    Negative t integrates the reversed field for |t|. When a step goes
+    non-finite the NonFiniteState raised carries the positions up to that
+    lattice time as its ``partial`` attribute.
     """
     x0 = np.asarray(x0, float)
     if not np.all(np.isfinite(x0)):
@@ -250,6 +289,10 @@ def trajectory(dyn: Dynamics, x0, t: float, nsub: int, tol: float = 1e-8) -> np.
     else:
         fwd = dyn if t > 0 else dyn.negated()
         nsteps = max(1, int(math.ceil(abs(dt) / tol**0.25)))
+        if fwd.constant is not None:
+            # a blow-up is reported by the finiteness check, not by numpy warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                return _constant_lattice(out, fwd.constant, abs(dt) / nsteps, nsteps)
 
         def step(x):
             return rk4(fwd, x, abs(dt), nsteps)

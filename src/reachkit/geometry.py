@@ -411,9 +411,11 @@ def _normals_bound_plane(P: Polyhedron) -> bool:
 def _plane_vertices(P: Polyhedron) -> np.ndarray | None:
     """Pairwise row intersections of a 2D polyhedron that satisfy every row
     within FEAS_TOL, deduplicated at TIGHT_TOL in pair order (i < j); None
-    when there is none. A pair is skipped as parallel unless |det| exceeds
-    1e-12 |a_i| |a_j|, a test that does not depend on the rows' scaling
-    (and that skips every pair with a zero row)."""
+    when there is none. Both tests are scale-free: a pair is skipped as
+    parallel unless |det| exceeds 1e-12 |a_i| |a_j| (which skips every
+    pair with a zero row), and row k's residual is measured in units of
+    |a_k|. A zero row 0.x <= b (or = b) keeps the plain residual: it is
+    vacuous within FEAS_TOL and otherwise rejects every point."""
     A_ub, b_ub, A_eq, b_eq = P.matrices()
     A, b = np.vstack([A_ub, A_eq]), np.concatenate([b_ub, b_eq])
     i, j = np.triu_indices(b.size, k=1)
@@ -423,8 +425,10 @@ def _plane_vertices(P: Polyhedron) -> np.ndarray | None:
     rhs = np.stack([b[i], b[j]], axis=1)[ok]
     pts = np.linalg.solve(M[ok], rhs[..., None])[..., 0]
     pts = pts[np.all(np.isfinite(pts), axis=1)]
-    feas = np.all(pts @ A_ub.T - b_ub <= FEAS_TOL, axis=1) & np.all(
-        np.abs(pts @ A_eq.T - b_eq) <= FEAS_TOL, axis=1
+    tol = FEAS_TOL * np.where(nrm > 0.0, nrm, 1.0)
+    n_ub = b_ub.size
+    feas = np.all(pts @ A_ub.T - b_ub <= tol[:n_ub], axis=1) & np.all(
+        np.abs(pts @ A_eq.T - b_eq) <= tol[n_ub:], axis=1
     )
     pts = pts[feas]
     if not len(pts):
@@ -436,8 +440,9 @@ def _plane_vertices(P: Polyhedron) -> np.ndarray | None:
 def vertices_2d(P: Polyhedron) -> np.ndarray:
     """Vertices of a bounded nonempty 2D polyhedron, counter-clockwise.
 
-    Pairwise row intersections filtered by feasibility (residual <= 1e-8),
-    deduplicated at 1e-9, anchored at the lexicographically smallest vertex.
+    Pairwise row intersections filtered by feasibility (residual <= 1e-8
+    in units of each row's norm), deduplicated at 1e-9, anchored at the
+    lexicographically smallest vertex.
     Degenerate inputs (a segment or a point) return 2 or 1 rows. When the
     normals certify boundedness and an intersection is feasible, no LP
     runs; otherwise the bounding-box LPs tell Empty2D from Unbounded2D.

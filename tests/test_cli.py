@@ -6,10 +6,13 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import reachkit
 import reachkit.golden as golden
 from reachkit.cli import run
 from reachkit.facelift import classify_boundary
@@ -560,6 +563,96 @@ def test_bundled_outputs_are_pinned(tmp_path):
                 data = re.sub(rb'\n  "model": [^\n]*', b"", data)
             got[name] = hashlib.sha256(data).hexdigest()[:16]
         assert got == digests, cmd
+
+
+# Non-constant expression fields, with the model written to tmp. Recorded
+# before the sweep advected a step's chains together: the grouping by
+# substep count and the flat front must leave every byte as it was.
+NONLINEAR_MODELS = {
+    "pendulum.json": {
+        "schema": 1,
+        "kind": "reach",
+        "dynamics": {"expressions": ["x2", "-sin(x1)"]},
+        "grid": {"cell": 0.04, "dt": 0.2, "tau": 1.2},
+        "initial": {
+            "levelset": "(x1 - 1)*(x1 - 1) + x2*x2 - 0.09",
+            "lo": [0.5, -0.5],
+            "hi": [1.5, 0.5],
+        },
+    },
+    "van_der_pol.json": {
+        "schema": 1,
+        "kind": "reach-inv",
+        "dynamics": {"expressions": ["x2", "(1 - x1*x1)*x2 - x1"]},
+        "grid": {"cell": 0.05, "dt": 0.25},
+        "flags": {"max_iters": 8},
+        "initial": {"box": [[0.2, 0.2], [0.5, 0.5]]},
+        "invariant": {"box": [[-2.5, -2.5], [2.5, 2.5]]},
+    },
+}
+PINNED_NONLINEAR_OUTPUTS = {
+    ("reach", "pendulum.json"): (
+        0,
+        {"report.json": "ac1616926b88d1a8", "segments.csv": "005fd3de528f2b2f"},
+    ),
+    ("reach", "pendulum.json", "--under"): (
+        0,
+        {"report.json": "102b8b8d6aed72fd", "segments.csv": "f0ae1dc798f2d7db"},
+    ),
+    ("reach-inv", "van_der_pol.json"): (
+        4,
+        {"report.json": "3011a234be8c4fec", "segments.csv": "6575099237c91e47"},
+    ),
+    ("reach-inv", "van_der_pol.json", "--under"): (
+        4,
+        {"report.json": "41c0a19db3c9e0f5", "segments.csv": "6575099237c91e47"},
+    ),
+}
+
+
+def output_digests(out):
+    got = {}
+    for name in sorted(os.listdir(out)):
+        with open(os.path.join(out, name), "rb") as fh:
+            data = fh.read()
+        if name == "report.json":
+            data = re.sub(rb'\n  "model": [^\n]*', b"", data)
+        got[name] = hashlib.sha256(data).hexdigest()[:16]
+    return got
+
+
+def test_nonlinear_outputs_are_pinned(tmp_path):
+    for i, (cmd, (code, digests)) in enumerate(PINNED_NONLINEAR_OUTPUTS.items()):
+        path = write_model(tmp_path, NONLINEAR_MODELS[cmd[1]], cmd[1])
+        out = str(tmp_path / str(i))
+        assert run([cmd[0], path, *cmd[2:], "--out", out]) == code, cmd
+        assert output_digests(out) == digests, cmd
+
+
+# ---------------------------------------------------------------------------
+# argument parsing
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["nosuch"], ["reach"], ["reach", "m.json", "--cell", "-1"], ["plot", "--help"]],
+    ids=["empty", "unknown-command", "no-model", "bad-cell", "help"],
+)
+def test_argv_after_a_good_run_behaves_as_in_a_fresh_process(tmp_path, capsys, monkeypatch, argv):
+    # the parser is built once per process: a run before must not change
+    # what a later argv prints or the code it exits with
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(["reach", model("example1.json"), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        run(argv)
+    got = capsys.readouterr()
+    src = os.path.dirname(os.path.dirname(reachkit.__file__))
+    env = {**os.environ, "COLUMNS": "80", "PYTHONPATH": src}
+    fresh = subprocess.run(
+        [sys.executable, "-m", "reachkit", *argv], capture_output=True, text=True, env=env
+    )
+    assert (info.value.code, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from reachkit.errors import (
     AssumptionA2Violated,
     DimMismatch,
     EmptyBoundary,
+    NonFiniteState,
     PreconditionViolated,
     StepTooCoarse,
 )
@@ -22,6 +23,7 @@ from reachkit.facelift import (
     GridRegion,
     LevelSet,
     _advect,
+    _advect_chains,
     _front_sweep,
     _levelset_boundary,
     _near_shadow,
@@ -34,6 +36,7 @@ from reachkit.facelift import (
     reach_invariant,
 )
 from reachkit.flow import ExpressionDynamics, LinearDynamics, flow
+from reachkit.flow import trajectory as flow_trajectory
 from reachkit.geometry import Halfspace, Polyhedron, convex_hull_2d, is_empty
 from reachkit.modelfile import bundled_model_path, load_model
 
@@ -915,6 +918,194 @@ def test_resample_chain_matches_loop_reference(gaps, radius, delta, closed):
     want = loop_resample_chain(ROT, pre, ends, closed, h / 2.0, delta, h)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+PENDULUM = ExpressionDynamics.parse(["x2", "-sin(x1)"])
+FIELDS = {
+    "pendulum": PENDULUM,
+    "van_der_pol": ExpressionDynamics.parse(["x2", "(1 - x1*x1)*x2 - x1"]),
+    "rotation": ROT,
+    "affine": ExpressionDynamics.parse(["x2 + 0.3", "-x1"]),
+    "constant": DRIFT,
+}
+
+
+@st.composite
+def mixed_speed_chains(draw):
+    """Chains at radii 0.1-3 around the origin, so their start speeds (and
+    substep counts) differ: closed, open and unordered, one point to 40."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    chains = []
+    for _ in range(draw(st.integers(1, 12))):
+        m = draw(st.sampled_from([1, 1, 2, 5, 17, 40]))
+        radius = draw(st.floats(0.1, 3.0))
+        theta = np.sort(rng.uniform(0.0, 2.0 * math.pi, m))
+        pts = radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        chains.append((pts, draw(st.sampled_from([True, False, None]))))
+    return chains
+
+
+def counted_trajectory(calls):
+    """A stand-in for facelift.trajectory that records each substep count."""
+
+    def traj(dyn, x0, t, nsub):
+        calls.append(nsub)
+        return flow_trajectory(dyn, x0, t, nsub)
+
+    return traj
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    field=st.sampled_from(sorted(FIELDS)),
+    chains=mixed_speed_chains(),
+    delta=st.sampled_from([0.1, 0.25, -0.25, 0.5]),
+    h=st.sampled_from([0.02, 0.05, 0.1]),
+)
+def test_grouped_advection_matches_per_chain_advect(field, chains, delta, h):
+    dyn = FIELDS[field]
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(facelift, "trajectory", counted_trajectory(calls))
+        got = _advect_chains(dyn, chains, delta, h)
+    want = [_advect(dyn, pts, delta, h) for pts, _ in chains]
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    assert [g.shape for g in got] == [w.shape for w in want]
+    # one trajectory call per distinct substep count, and one for each
+    # one-point chain of a linear field
+    lone = [w.shape[1] - 1 for w in want if dyn is ROT and w.shape[0] == 1]
+    batched = {w.shape[1] - 1 for w in want if not (dyn is ROT and w.shape[0] == 1)}
+    assert sorted(calls) == sorted(lone + list(batched))
+
+
+def test_grouped_advection_raises_the_first_chains_error():
+    # x1' = x1^2: the first chain outruns its substeps (StepTooCoarse);
+    # the second is not finite at its start, which a grouped step meets
+    # first, as it reads every chain's speed before it advects any
+    dyn = ExpressionDynamics.parse(["x1*x1", "0"])
+    coarse = (np.array([[1.0, 0.0], [0.5, 1.0]]), False)
+    slow = (np.array([[0.5, 0.5]]), None)
+    blowup = (np.array([[1e200, 0.0]]), None)
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteState):
+            _advect(dyn, blowup[0], 0.9, 0.05)
+        with pytest.raises(StepTooCoarse) as alone:
+            _advect(dyn, coarse[0], 0.9, 0.05)
+        with pytest.raises(StepTooCoarse) as grouped:
+            _advect_chains(dyn, [slow, coarse, blowup], 0.9, 0.05)
+        assert str(grouped.value) == str(alone.value)
+        with pytest.raises(NonFiniteState, match="not finite at a sample point"):
+            _advect_chains(dyn, [slow, blowup, coarse], 0.9, 0.05)
+
+
+def per_chain_front_sweep(chains, init, dyn, intervals, cum, h, h_b, invariant=None):
+    """_front_sweep as it was before a step's chains were batched: one
+    _advect, one rasterization and one alive test per chain."""
+    touch = None if invariant is None else cum.cells_touching(invariant)
+    for t0, t1 in intervals:
+        if not chains:
+            return
+        delta = t1 - t0
+        trajs = [_advect(dyn, pts, delta, h) for pts, _ in chains]
+        if invariant is None:
+            keeps = [np.ones(pts.shape[0], bool) for pts, _ in chains]
+        else:
+            keeps = facelift._exit_shadow_keep(chains, trajs, invariant, dyn, delta, h)
+        kept, lost = cum.blank(), cum.blank()
+        nxt = []
+        for (pts, closed), traj, keep in zip(chains, trajs, keeps):
+            cells = cum._cells(traj.reshape(-1, pts.shape[1])).reshape(traj.shape[:2])
+            kept._mark_cells(cells[keep].ravel())
+            lost._mark_cells(cells[~keep].ravel())
+            ends = traj[:, -1]
+            alive = keep & ~(cum._marked(cells[:, -1]) | facelift._inside_init_strict(init, ends))
+            for idxs, rclosed in _split_runs(alive, closed):
+                if rclosed is None:
+                    run = ends[idxs]
+                else:
+                    run = _resample_chain(dyn, pts[idxs], ends[idxs], rclosed, h_b, delta, h)
+                nxt.append((run, rclosed))
+        swept = kept
+        if invariant is not None:
+            swept = cum._like(
+                kept.occupancy | (lost.occupancy & touch), kept.out_of_box + lost.out_of_box
+            )
+        cum.include(swept)
+        chains = nxt
+        yield t0, t1, swept, kept, chains
+
+
+def sweep_record(sweep, chains, init, dyn, intervals, cum, h, invariant):
+    steps = []
+    for t0, t1, swept, kept, nxt in sweep(chains, init, dyn, intervals, cum, h, h / 2.0, invariant):
+        steps.append(
+            (
+                t0,
+                t1,
+                swept.occupancy.tobytes(),
+                swept.out_of_box,
+                kept.occupancy.tobytes(),
+                [(pts.tobytes(), closed) for pts, closed in nxt],
+            )
+        )
+    return steps, cum.occupancy.tobytes()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    field=st.sampled_from(sorted(FIELDS)),
+    kind=st.sampled_from(["box", "disk", "cells"]),
+    bounded=st.booleans(),
+    center=st.tuples(st.floats(-0.6, 0.6), st.floats(-0.6, 0.6)),
+    h=st.sampled_from([0.04, 0.05, 0.08]),
+    dt=st.sampled_from([0.15, 0.25]),
+)
+def test_front_sweep_matches_the_per_chain_sweep(field, kind, bounded, center, h, dt):
+    dyn = FIELDS[field]
+    cx, cy = center
+    lo, hi = [-3.0, -3.0], [3.0, 3.0]
+    if kind == "disk":
+        disk = f"(x1 - {cx})*(x1 - {cx}) + (x2 - {cy})*(x2 - {cy}) - 0.09"
+        init = LevelSet(disk, [cx - 0.5, cy - 0.5], [cx + 0.5, cy + 0.5])
+    else:
+        init = Polyhedron.box([cx - 0.3, cy - 0.2], [cx + 0.3, cy + 0.2])
+    if kind == "cells":  # the cell-rim restart of hybrid post: unordered
+        init = facelift._initial_region(init, GridRegion(lo, hi, h), GridRegion.cells_touching)
+        chains = [(init.boundary_cell_centers(), None)]
+    else:
+        chains = classify_boundary(init, dyn, h / 2.0).front_chains()
+    invariant = Polyhedron.box([-1.2, -1.2], [1.2, 1.2]) if bounded else None
+    intervals = [(k * dt, (k + 1) * dt) for k in range(6)]
+    got, want = (
+        sweep_record(sweep, chains, init, dyn, intervals, GridRegion(lo, hi, h), h, invariant)
+        for sweep in (_front_sweep, per_chain_front_sweep)
+    )
+    assert got == want
+
+
+def test_sphere_sweep_makes_one_trajectory_call_per_substep_count(monkeypatch):
+    # the 3D sphere's unordered front splits into many runs per step; they
+    # must share one trajectory call per distinct substep count
+    calls, steps = [], []
+    monkeypatch.setattr(facelift, "trajectory", counted_trajectory(calls))
+    sweep = facelift._front_sweep
+
+    def counted(chains, *args):
+        advected = len(chains)
+        for item in sweep(chains, *args):
+            steps.append((advected, calls[:]))
+            calls.clear()
+            advected = len(item[4])
+            yield item
+
+    monkeypatch.setattr(facelift, "_front_sweep", counted)
+    sphere = LevelSet("x1*x1 + x2*x2 + x3*x3 - 0.25", [-0.7] * 3, [0.7] * 3)
+    dyn = ExpressionDynamics.parse(["x2", "-x1", "0.3"])
+    tube = reach_bounded_time(sphere, dyn, 1.0, dt=0.25, h=0.1)
+    assert tube.iterations == 4 and len(steps) == 4
+    for advected, nsubs in steps:
+        assert len(nsubs) == len(set(nsubs)) <= advected
+    assert sum(a for a, _ in steps) > 10 * sum(len(n) for _, n in steps)
 
 
 # ---------------------------------------------------------------------------

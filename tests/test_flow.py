@@ -2,7 +2,8 @@
 scipy, RK4 against closed-form orbits and an order check, operator norm
 against the SVD, the trajectory kernel against chained flow calls and
 closed-form orbits, and the constant-field shortcut against a
-stage-by-stage RK4 loop, byte for byte."""
+stage-by-stage RK4 loop and its accumulate kernel against a step-by-step
+increment loop, byte for byte."""
 
 import math
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from reachkit.errors import NonFiniteState, NumericRange, StepTooCoarse, UnboundedFace
 import reachkit.facelift as facelift
+import reachkit.flow as flow_module
 from reachkit.facelift import _advect
 from reachkit.flow import (
     ExpressionDynamics,
@@ -349,6 +351,93 @@ def test_constant_overflow_raises_with_the_stage_partial():
         trajectory(big, x0, 4.0, 8)
     assert info.value.partial.shape == (2, 4, 2)
     assert outcome(trajectory, big, x0, 4.0, 8) == outcome(stage_trajectory, big, x0, 4.0, 8)
+
+
+def loop_constant_trajectory(dyn, x0, t, nsub, tol=1e-8):
+    """Reference: trajectory's constant-field path as a step loop, one
+    ``x += inc`` per RK4 step and a finiteness check per lattice step."""
+    x0 = np.asarray(x0, float)
+    if not np.all(np.isfinite(x0)):
+        raise NonFiniteState("trajectory start is not finite")
+    out = np.empty((x0.shape[0], nsub + 1, x0.shape[1]))
+    out[:, 0] = x0
+    dt = t / nsub
+    if dt == 0.0:
+        out[:, 1:] = x0[:, None]
+        return out
+    fwd = dyn if t > 0 else dyn.negated()
+    nsteps = max(1, int(math.ceil(abs(dt) / tol**0.25)))
+    x = x0.copy()
+    with np.errstate(all="ignore"):
+        for s in range(nsub):
+            try:
+                x = loop_constant_rk4(fwd, x, abs(dt), nsteps)
+            except NonFiniteState as exc:
+                exc.partial = out[:, : s + 1]
+                raise
+            out[:, s + 1] = x
+    return out
+
+
+def loop_constant_rk4(dyn, x0, t, nsteps):
+    """Reference: rk4's constant branch as a step loop."""
+    x = np.array(x0, float)
+    h = t / nsteps
+    c = dyn.constant
+    inc = (h / 6.0) * (c + 2.0 * c + 2.0 * c + c)
+    for _ in range(nsteps):
+        x += inc
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteState("integration produced a non-finite state")
+    return x
+
+
+@st.composite
+def accumulate_problems(draw):
+    dim = draw(st.integers(1, 3))
+    texts = draw(
+        st.lists(
+            st.sampled_from(["0", "-0.0", "1e-300", "1e300", "1/0", "-1e307", "0.37", "-2.5"]),
+            min_size=dim,
+            max_size=dim,
+        )
+    )
+    m = draw(st.integers(0, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x0 = rng.uniform(-10.0, 10.0, (m, dim))
+    if draw(st.booleans()):  # start near the largest double, so the state overflows
+        near = rng.random((m, dim)) < 0.3
+        big = rng.uniform(1.7e308, 1.79e308, near.sum())
+        x0[near] = np.copysign(big, rng.normal(size=near.sum()))
+    t = draw(st.one_of(st.just(0.0), st.floats(1e-3, 3.0))) * draw(st.sampled_from([1.0, -1.0]))
+    nsub = draw(st.integers(1, 200))
+    nsteps = draw(st.integers(1, 5))
+    # ceil(|dt| / tol^(1/4)) = nsteps, half a step clear of the rounding edge
+    tol = (abs(t / nsub) / (nsteps - 0.5)) ** 4 if t else 1e-8
+    block = draw(st.sampled_from([1, 2, 7, 64, flow_module._ACCUMULATE_BLOCK]))
+    return ExpressionDynamics.parse(texts), x0, t, nsub, nsteps, tol, block
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=accumulate_problems())
+def test_constant_accumulate_matches_the_step_loop(case):
+    dyn, x0, t, nsub, nsteps, tol, block = case
+    assert dyn.constant is not None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow_module, "_ACCUMULATE_BLOCK", block)  # blocks may split a lattice step
+        got = outcome(trajectory, dyn, x0, t, nsub, tol)
+        batches = (x0, x0[0]) if len(x0) else (x0,)  # rk4 takes one point too
+        with np.errstate(all="ignore"):
+            got_rk4 = [rk4_outcome(rk4, dyn, x, t, nsteps) for x in batches]
+    assert got == outcome(loop_constant_trajectory, dyn, x0, t, nsub, tol)
+    with np.errstate(all="ignore"):
+        assert got_rk4 == [rk4_outcome(loop_constant_rk4, dyn, x, t, nsteps) for x in batches]
+
+
+def rk4_outcome(fn, *args):
+    """outcome without the partial, which rk4 does not promise."""
+    res = outcome(fn, *args)
+    return res[:2] if res[0] == "raised" else res
 
 
 def test_linear_overflow_raises_with_the_finite_partial():

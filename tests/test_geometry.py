@@ -271,10 +271,14 @@ def test_orthogonalize_drops_vacuous_row_and_rejects_contradiction():
 # the LP-free 2D kernel against its LP and loop forms
 
 
+def row_scale(h):
+    return float(np.linalg.norm(h.normal)) or 1.0
+
+
 def lp_vertices_2d(P):
     """vertices_2d with the bounding-box LPs always run first and a
     pairwise row loop: the reference for the kernel, with its scale-free
-    parallel test."""
+    parallel and residual tests (a zero row keeps the plain residual)."""
     try:
         P._lp_box()
     except EmptyPolyhedron:
@@ -291,8 +295,8 @@ def lp_vertices_2d(P):
             p = np.linalg.solve(M, np.array([rows[i].offset, rows[j].offset]))
             if not np.all(np.isfinite(p)):
                 continue
-            feas = all(h.value(p) <= 1e-8 for h in P.ineqs) and all(
-                abs(h.value(p)) <= 1e-8 for h in P.eqs
+            feas = all(h.value(p) <= 1e-8 * row_scale(h) for h in P.ineqs) and all(
+                abs(h.value(p)) <= 1e-8 * row_scale(h) for h in P.eqs
             )
             if feas:
                 cand.append(p)
@@ -441,8 +445,8 @@ def unit_rows(P):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(case=planar_polyhedra(kinds=BOUNDED_KINDS, scales=MIXED_SCALES))
 def test_mixed_row_scales_keep_every_vertex_in_the_box(case):
-    # a row scaled by 1e-7 turns FEAS_TOL into 0.1 along its normal, so the
-    # box may grow past the polygon; it must never miss a part of it
+    # the residual is measured in units of |a_k|, so a row scaled by 1e-7
+    # accepts no point FEAS_TOL beyond it: the box is the unit rows' box
     _, P = case
     lps = []
     with pytest.MonkeyPatch.context() as mp:
@@ -453,7 +457,7 @@ def test_mixed_row_scales_keep_every_vertex_in_the_box(case):
     np.testing.assert_allclose(verts, lp_vertices_2d(P), rtol=0.0, atol=1e-9)
     assert np.array_equal(lo, verts.min(axis=0)) and np.array_equal(hi, verts.max(axis=0))
     want_lo, want_hi = unit_rows(P)._lp_box()
-    assert np.all(lo <= want_lo + 1e-9) and np.all(hi >= want_hi - 1e-9)
+    np.testing.assert_allclose([lo, hi], [want_lo, want_hi], rtol=0.0, atol=1e-9)
 
 
 def test_small_rows_are_not_taken_for_parallel():
@@ -475,6 +479,28 @@ def test_a_zero_row_adds_no_vertex():
     vacuous = Polyhedron(box.ineqs + (Halfspace([0.0, 0.0], 1.0),))
     assert np.array_equal(vertices_2d(vacuous), vertices_2d(box))
     assert np.array_equal(vacuous.bounding_box(), box.bounding_box())
+
+
+def test_a_small_row_accepts_no_point_beyond_it():
+    # with the residual on raw rows, the two 1e-7 rows accepted points 0.1
+    # beyond them, and the redundant row -x1 <= 0.04 added (-0.04, +-0.04)
+    tri = Polyhedron.from_inequalities(
+        [[-1e-7, 1e-7], [-1e-7, -1e-7], [1, 0], [-1, 0]], [0, 0, 1, 0.04]
+    )
+    np.testing.assert_allclose(vertices_2d(tri), [[0, 0], [1, -1], [1, 1]], rtol=0.0, atol=1e-12)
+    assert np.array_equal(tri.bounding_box(), tri._lp_box())
+
+
+def test_a_zero_row_is_vacuous_or_empty():
+    box = Polyhedron.box([-1, 2], [1, 3])
+    within = Polyhedron(box.ineqs + (Halfspace([0.0, 0.0], -0.5e-8),))
+    assert np.array_equal(vertices_2d(within), vertices_2d(box))
+    assert np.array_equal(within.bounding_box(), box.bounding_box())
+    beyond = Polyhedron(box.ineqs + (Halfspace([0.0, 0.0], -1e-6),))
+    with pytest.raises(Empty2D):
+        vertices_2d(beyond)
+    with pytest.raises(EmptyPolyhedron):
+        beyond.bounding_box()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
