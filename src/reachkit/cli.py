@@ -60,11 +60,12 @@ _ASSUMPTION_ERRORS = (
 
 @dataclass
 class RunReport:
-    """Everything a run decided and produced, minus wall-clock time."""
+    """Everything a run decided and produced, minus wall-clock time; run()
+    fills in the command, model and kind."""
 
-    command: str
-    model: str
-    kind: str
+    command: str = ""
+    model: str = ""
+    kind: str = ""
     settings: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
     outputs: list = field(default_factory=list)
@@ -154,10 +155,21 @@ def _cell_text():
     return lines
 
 
-def _grid_segment_blocks(segments):
+def _write_grid_tube(tube, report: RunReport, out: str) -> dict:
+    """Write a grid tube's segments.csv (a line per cell of each segment)
+    and list it in the report; returns the diagnostics of reach and
+    reach-inv."""
     cells = _cell_text()
-    for i, (t0, t1, seg) in enumerate(segments):
-        yield cells(f"{i},{_fmt(t0)},{_fmt(t1)},", seg)
+    blocks = (cells(f"{i},{_fmt(t0)},{_fmt(t1)},", s) for i, (t0, t1, s) in enumerate(tube.segments))
+    header = ["segment", "t0", "t1", *_coord_header(tube.region().dim)]
+    _write_csv(os.path.join(out, "segments.csv"), header, blocks)
+    report.outputs.append("segments.csv")
+    return {
+        "segments": len(tube.segments),
+        "iterations": int(tube.iterations),
+        "front_collapse": bool(tube.front_collapse),
+        "cells": int(tube.combined_region().count()),
+    }
 
 
 def _poly_rows(P: Polyhedron):
@@ -214,9 +226,6 @@ def _run_reach(m: ModelFile, args, out: str):
         m.initial, m.dynamics, tau, dt=dt, h=cell, under=under, bounds=bounds, h_b=h_b
     )
     report = RunReport(
-        command="reach",
-        model=m.path or "<memory>",
-        kind=m.kind,
         settings={
             "tau": tau,
             "dt": dt,
@@ -226,42 +235,26 @@ def _run_reach(m: ModelFile, args, out: str):
             "boundary_spacing": h_b,
         },
     )
-    grid_path = tube.occupancy is not None or tube.under_occupancy is not None
-    if grid_path:
-        name = "segments.csv"
-        dim = tube.region().dim
-        _write_csv(
-            os.path.join(out, name),
-            ["segment", "t0", "t1", *_coord_header(dim)],
-            _grid_segment_blocks(tube.segments),
-        )
-        report.diagnostics = {
-            "path": "front",
-            "segments": len(tube.segments),
-            "iterations": int(tube.iterations),
-            "front_collapse": bool(tube.front_collapse),
-            "cells": int(tube.combined_region().count()),
-        }
+    if tube.occupancy is not None or tube.under_occupancy is not None:
+        report.diagnostics = {"path": "front", **_write_grid_tube(tube, report, out)}
     else:
-        name = "polyhedra.csv"
-        dim = m.initial.dim
         rows = []
         for i, (t0, t1, payload) in enumerate(tube.segments):
             for j, P in enumerate(payload):
                 for r, (kind, a, b) in enumerate(_poly_rows(P)):
                     rows.append([i, t0, t1, j, r, kind, *a, b])
         _write_csv(
-            os.path.join(out, name),
-            ["segment", "t0", "t1", "member", "row", "kind", *[f"a{j+1}" for j in range(dim)], "b"],
+            os.path.join(out, "polyhedra.csv"),
+            ["segment", "t0", "t1", "member", "row", "kind", *[f"a{j+1}" for j in range(m.initial.dim)], "b"],
             [_csv_lines(rows)],
         )
+        report.outputs.append("polyhedra.csv")
         report.diagnostics = {
             "path": "polyhedral",
             "segments": len(tube.segments),
             "members": sum(len(p) for _, _, p in tube.segments),
             "delta_shrunk": bool(tube.delta_shrunk),
         }
-    report.outputs.append(name)
     return EXIT_OK, report, tube
 
 
@@ -289,9 +282,6 @@ def _run_reach_inv(m: ModelFile, args, out: str):
         h_b=m.grid_value("boundary_spacing"),
     )
     report = RunReport(
-        command="reach-inv",
-        model=m.path or "<memory>",
-        kind=m.kind,
         settings={
             "dt": dt,
             "cell": cell,
@@ -301,19 +291,9 @@ def _run_reach_inv(m: ModelFile, args, out: str):
             "boundary_spacing": m.grid_value("boundary_spacing"),
         },
     )
-    dim = tube.region().dim
-    _write_csv(
-        os.path.join(out, "segments.csv"),
-        ["segment", "t0", "t1", *_coord_header(dim)],
-        _grid_segment_blocks(tube.segments),
-    )
-    report.outputs.append("segments.csv")
     report.diagnostics = {
-        "segments": len(tube.segments),
-        "iterations": int(tube.iterations),
-        "front_collapse": bool(tube.front_collapse),
         "iteration_cap": bool(tube.iteration_cap),
-        "cells": int(tube.combined_region().count()),
+        **_write_grid_tube(tube, report, out),
     }
     code = EXIT_CAP if tube.iteration_cap else EXIT_OK
     return code, report, tube
@@ -334,12 +314,7 @@ def _run_polyapprox(m: ModelFile, args, out: str):
     mode = _bounds_flag(args, m)
 
     result = overapproximate_step(m.face, m.dynamics.matrix, delta, mode=mode, delta0=delta0)
-    report = RunReport(
-        command="polyapprox",
-        model=m.path or "<memory>",
-        kind=m.kind,
-        settings={"delta": delta, "delta0": delta0, "bounds": mode},
-    )
+    report = RunReport(settings={"delta": delta, "delta0": delta0, "bounds": mode})
     dim = m.face.dim
     bound_rows = []
     bounds_json = []
@@ -393,12 +368,7 @@ def _run_hybrid(m: ModelFile, args, out: str):
     verdict = semi_decide_reach(H, s1, s2, max_k, params)
     reached = verdict.reached
 
-    report = RunReport(
-        command="hybrid-reach",
-        model=m.path or "<memory>",
-        kind=m.kind,
-        settings={"dt": dt, "cell": cell, "tau": tau, "max_k": max_k},
-    )
+    report = RunReport(settings={"dt": dt, "cell": cell, "tau": tau, "max_k": max_k})
     dim = H.dim
     cells = _cell_text()
     _write_csv(
@@ -586,9 +556,6 @@ def _run_plot(m: ModelFile, args, out: str):
     name = f"plot.{fmt}"
     emit_plot(groups, os.path.join(out, name), fmt)
     report = RunReport(
-        command="plot",
-        model=m.path or "<memory>",
-        kind=m.kind,
         settings={"format": fmt, **sub.settings},
         diagnostics={
             "groups": [
@@ -613,9 +580,16 @@ def _positive_float(text):
     return v
 
 
+def _nonnegative_float(text):
+    v = float(text)
+    if not 0.0 <= v < np.inf:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative finite number, got {text!r}")
+    return v
+
+
 def _add_common(sub, *names):
     if "tau" in names:
-        sub.add_argument("--tau", type=float, default=None, help="time horizon")
+        sub.add_argument("--tau", type=_nonnegative_float, default=None, help="time horizon")
     if "dt" in names:
         sub.add_argument("--dt", type=_positive_float, default=None, help="time step")
     if "cell" in names:
@@ -689,6 +663,7 @@ def run(argv=None) -> int:
         # so numpy's floating-point warnings would only repeat them on stderr
         with np.errstate(all="ignore"):
             code, report, _ = _BODIES[args.command](model, args, out)
+        report.command, report.model, report.kind = args.command, model.path or "<memory>", model.kind
         report.elapsed = time.perf_counter() - started
         _write_report(report, out)
     except (ModelError, DimUnsupported) as exc:

@@ -34,6 +34,7 @@ from .geometry import (
     Face,
     Halfspace,
     Polyhedron,
+    _first_of_each,
     grid_points,
     is_empty,
     normalize_and_orthogonalize,
@@ -97,12 +98,11 @@ def _polyhedron_faces(P: Polyhedron):
     whose maximum over the other kept rows stays below its offset (it is
     implied); neither becomes a side. Other rows that only touch stay."""
     rows = P.ineqs
-    kept, units = [], []
-    for i, row in enumerate(rows):
-        unit = np.append(row.normal, row.offset) / (np.linalg.norm(row.normal) or 1.0)
-        if not any(np.allclose(unit, u, rtol=0.0, atol=1e-12) for u in units):
-            kept.append(i)
-            units.append(unit)
+    units = np.array(
+        [np.append(h.normal, h.offset) / (np.linalg.norm(h.normal) or 1.0) for h in rows]
+    ).reshape(len(rows), P.dim + 1)
+    close = np.all(np.abs(units[:, None] - units[None]) <= 1e-12, axis=2)
+    kept = np.flatnonzero(_first_of_each(close)).tolist()
     for i in list(kept):
         res = Polyhedron([rows[j] for j in kept if j != i]).maximize(rows[i].normal)
         if res.status == "optimal" and res.value < rows[i].offset - 1e-9:
@@ -136,19 +136,21 @@ def _segment_interior_lattice(face: Face, h_b: float):
 
 
 def _facet_interior_lattice(face: Face, h_b: float):
+    """Samples of a facet: _segment_interior_lattice in 2D; above, the
+    centred h_b lattice of the facet's box, projected onto its base plane
+    and kept at least h_b/4 inside every side (Face.lattice_points)."""
     if face.dim == 2:
         return _segment_interior_lattice(face, h_b)
-    P = face.as_polyhedron()
-    lo, hi = P.bounding_box()
-    axes = [np.arange(lo[j] + h_b / 2.0, hi[j] + 1e-12, h_b) for j in range(face.dim)]
+    lo, hi = face.as_polyhedron().bounding_box()
+    return face.lattice_points(_centred_lattice(lo, hi, h_b), -h_b / 4.0)
+
+
+def _centred_lattice(lo, hi, spacing):
+    """Points of the box [lo, hi] at the centres of spacing-wide cells
+    from lo; an axis shorter than half a spacing gets its midpoint."""
+    axes = [np.arange(lo[j] + spacing / 2.0, hi[j] + 1e-12, spacing) for j in range(lo.size)]
     axes = [a if a.size else np.array([(lo[j] + hi[j]) / 2.0]) for j, a in enumerate(axes)]
-    mesh = grid_points(axes)
-    ak, bk = face.base_normal, face.base_offset
-    mesh = mesh - np.outer(mesh @ ak - bk, ak)
-    keep = np.ones(mesh.shape[0], bool)
-    for i in range(face.side_offsets.size):
-        keep &= mesh @ face.side_normals[i] - face.side_offsets[i] <= -h_b / 4.0
-    return mesh[keep]
+    return grid_points(axes)
 
 
 def _newton_project(ls: LevelSet, x, iters: int):
@@ -863,9 +865,7 @@ def _interior_lattice(init, spacing):
         lo, hi = init.lo, init.hi
     else:
         lo, hi = init.bounding_box()
-    axes = [np.arange(lo[j] + spacing / 2.0, hi[j] + 1e-12, spacing) for j in range(lo.size)]
-    axes = [a if a.size else np.array([(lo[j] + hi[j]) / 2.0]) for j, a in enumerate(axes)]
-    mesh = grid_points(axes)
+    mesh = _centred_lattice(lo, hi, spacing)
     if isinstance(init, LevelSet):
         return mesh[init.value(mesh) < 0.0]
     return mesh[init.contains(mesh, tol=0.0)]
@@ -1074,8 +1074,6 @@ def reach_bounded_time(
     a sample that the over sweep also reached (direction tag:
     exact-sampled).
     """
-    if tau < 0:
-        raise ValueError("horizon must be nonnegative")
     intervals = _uniform_intervals(tau, dt)
     if isinstance(dyn, LinearDynamics) and isinstance(init, Polyhedron) and not under:
         return _linear_poly_reach(init, dyn, intervals, bounds)
@@ -1241,18 +1239,10 @@ def check_boundary_equivalence(init, dyn, tau: float, h: float = 0.05) -> dict:
     for flat in _flow_samples(pts, dyn, intervals, h):
         full.mark_points(flat)
 
-    def swept(chains):
-        cum = init_over.blank()
-        for _ in _front_sweep(chains, init, dyn, intervals, cum, h, h_b):
-            pass
-        cum.include(init_over)
-        return cum
-
-    regions = {
-        "full": full,
-        "boundary": swept(front.all_chains()),
-        "outflow": swept(front.front_chains()),
-    }
+    regions = {"full": full}
+    for name, chains in (("boundary", front.all_chains()), ("outflow", front.front_chains())):
+        tube = _sweep_tube(init, dyn, chains, intervals, init_over.blank(), h, h_b)
+        regions[name] = tube.combined_region()
     pairs = [("full", "boundary"), ("full", "outflow"), ("boundary", "outflow")]
     sym = {
         f"{a}_vs_{b}": regions[a].symmetric_difference_count(regions[b]) for a, b in pairs

@@ -11,12 +11,12 @@ lattice step dt = t/nsub, and expression dynamics take
 ceil(|dt| / tol^(1/4)) RK4 steps per lattice step. ``flow`` is the end
 point of a one-step trajectory, so it follows the same rule.
 
-A constant expression field c (no component reads a variable) skips the
-stage evaluations: every RK4 step adds the one increment
-inc = (h/6)(c + 2c + 2c + c), summed in the stage order once. That is bit
-for bit the stage-by-stage result, because each stage of a constant field
-is c at every point and IEEE addition and multiplication do not depend on
-the point. ``rk4`` and ``trajectory`` share one kernel for it, with no
+In ``trajectory`` a constant expression field c (no component reads a
+variable) skips the stage evaluations: every RK4 step adds the one
+increment inc = (h/6)(c + 2c + 2c + c), summed in the stage order once.
+That is bit for bit the stage-by-stage result of ``rk4``, because each
+stage of a constant field is c at every point and IEEE addition and
+multiplication do not depend on the point. The lattice is filled with no
 Python loop over steps: ``np.add.accumulate`` along the time axis of the
 buffer [x0, inc, inc, ...] adds the increments strictly in order, so each
 state is the same sequence of IEEE additions as a step-by-step loop, and
@@ -224,16 +224,11 @@ def _constant_lattice(out, c, h, nsteps):
 def rk4(dyn: Dynamics, x0, t: float, nsteps: int) -> np.ndarray:
     """Classic fixed-step RK4 over [0, t], batched over leading axes of x0.
 
-    A constant field adds one precomputed increment per step through the
-    accumulate kernel (see the module docstring).
+    Every field takes the stage loop here; for a constant field each stage
+    is c, so it gives the bits of trajectory's accumulate kernel.
     """
     x = np.array(x0, float)
     h = t / nsteps
-    c = dyn.constant
-    if c is not None:
-        lattice = np.empty((x.size // c.size, 2, c.size))
-        lattice[:, 0] = x.reshape(-1, c.size)
-        return _constant_lattice(lattice, c, h, nsteps)[:, 1].reshape(x.shape)
     for _ in range(nsteps):
         k1 = dyn.evaluate(x)
         k2 = dyn.evaluate(x + 0.5 * h * k1)

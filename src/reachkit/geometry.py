@@ -339,6 +339,16 @@ class Face:
         verts.flags.writeable = False
         return verts
 
+    def lattice_points(self, mesh, margin):
+        """The points of mesh (m, n), projected onto the base hyperplane,
+        whose residual a_i . x - b_i is at most margin on every side row."""
+        ak, bk = self.base_normal, self.base_offset
+        mesh = mesh - np.outer(mesh @ ak - bk, ak)
+        keep = np.ones(mesh.shape[0], bool)
+        for i in range(self.side_offsets.size):
+            keep &= mesh @ self.side_normals[i] - self.side_offsets[i] <= margin
+        return mesh[keep]
+
     def check_orthonormal(self, tol=1e-10) -> bool:
         if abs(np.linalg.norm(self.base_normal) - 1.0) > tol:
             return False
@@ -564,17 +574,13 @@ def intersect(polys) -> Polyhedron:
     return Polyhedron(ineqs, eqs)
 
 
-def normalize_and_orthogonalize(face: Face) -> Face:
-    """Rewrite a face so the base normal is unit and sides are unit and
-    orthogonal to it, describing the same point set.
-
-    Side rows may be rescaled and tilted within the base hyperplane (the
-    adjustment subtracts a multiple of the base equality row, which is free
-    on the face). A side whose normal projects to zero is dropped when its
-    residual row ``0 <= offset`` is vacuous; otherwise the face is empty in
-    a way no orthonormal system expresses and DegenerateNormal is raised.
-    Raises InfeasibleFace when the rewritten system has no solution.
-    """
+def _orthonormalize(face: Face) -> Face:
+    """Orthonormal rows of the same face, with no LP: the base row is
+    scaled to a unit normal; each side row loses its component along it
+    (a multiple of the base equality row, free on the face) and is scaled
+    to a unit normal. A side that projects to zero is dropped when its
+    residual row ``0 <= offset`` is vacuous; otherwise the face is empty
+    in a way no orthonormal system expresses: DegenerateNormal."""
     bn = np.asarray(face.base_normal, float)
     nb = float(np.linalg.norm(bn))
     if nb < 1e-14:
@@ -598,7 +604,7 @@ def normalize_and_orthogonalize(face: Face) -> Face:
         normals.append(a / na)
         offsets.append(b / na)
 
-    out = Face(
+    return Face(
         np.array(normals).reshape(len(offsets), bn.size),
         np.array(offsets),
         bn,
@@ -606,6 +612,14 @@ def normalize_and_orthogonalize(face: Face) -> Face:
         orthonormal=True,
         dropped_sides=dropped + face.dropped_sides,
     )
+
+
+def normalize_and_orthogonalize(face: Face) -> Face:
+    """Rewrite a face so the base normal is unit and sides are unit and
+    orthogonal to it, describing the same point set: the rows go through
+    _orthonormalize, the kernel that polyapprox.propagate_face shares.
+    Raises InfeasibleFace when the rewritten system has no solution."""
+    out = _orthonormalize(face)
     if is_empty(out.as_polyhedron()):
         raise InfeasibleFace("face constraints have no common point")
     return out

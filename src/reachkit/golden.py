@@ -25,7 +25,7 @@ from .facelift import (
     reach_bounded_time,
     reach_invariant,
 )
-from .flow import expm, expm_stack, flow, max_norm_over_face, operator_norm, rk4
+from .flow import expm, flow, max_norm_over_face, operator_norm, rk4
 from .flow import ExpressionDynamics
 from .geometry import Face, Polyhedron, is_bounded, vertices_2d
 from .hybrid import PostParams, RegionSet, replay_witness, semi_decide_reach
@@ -39,6 +39,7 @@ from .polyapprox import (
     hull_bloat_epsilon,
     sampled_bounds,
     select_delta,
+    tube_lattice,
 )
 
 __all__ = ["run_golden_suite", "CRITERIA"]
@@ -87,13 +88,6 @@ def _example2_problem():
     return StepProblem.build(
         m.face, m.dynamics.matrix, m.grid_value("delta"), delta0=m.grid_value("delta0")
     )
-
-
-def _tube_lattice(face, A, delta, nx, nt):
-    s = np.linspace(0.0, 1.0, nx)[:, None]
-    X0 = face.vertices[0] * (1.0 - s) + face.vertices[-1] * s
-    Y = X0 @ expm_stack(A, np.linspace(0.0, delta, nt)).transpose(0, 2, 1)
-    return Y.reshape(-1, X0.shape[1])
 
 
 def _max_residual(P, pts):
@@ -216,7 +210,8 @@ def check_a5():
     for face, A, delta, d0 in cases:
         p = StepProblem.build(face, A, delta, delta0=d0)
         P = assemble_polyhedron(p, conservative_bounds(p))
-        worst = max(worst, _max_residual(P, _tube_lattice(face, A, delta, 300, 300)))
+        pts = tube_lattice(face, A, delta, 300, 300).reshape(-1, face.dim)
+        worst = max(worst, _max_residual(P, pts))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-9 and elapsed < 30.0
     return ok, (

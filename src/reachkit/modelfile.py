@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,12 +62,14 @@ def _need(cond, msg):
 def _float_list(values, where):
     try:
         out = [float(v) for v in values]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ModelError(f"{where}: expected a list of numbers") from None
+    _need(np.all(np.isfinite(out)), f"{where}: expected finite numbers")
     return out
 
 
 def _rows_to_halfspaces(rows, where):
+    _need(isinstance(rows, list), f"{where}: rows must be a list")
     out = []
     for i, row in enumerate(rows):
         vals = _float_list(row, f"{where} row {i}")
@@ -146,6 +149,7 @@ def _dyn_from_spec(spec, where):
         except (TypeError, ValueError):
             raise ModelError(f"{where}: matrix rows must be numeric") from None
         _need(M.ndim == 2 and M.shape[0] == M.shape[1], f"{where}: matrix must be square")
+        _need(np.all(np.isfinite(M)), f"{where}: matrix entries must be finite")
         return LinearDynamics(M)
     _need("expressions" in spec, f"{where}: needs 'matrix' or 'expressions'")
     exprs = spec["expressions"]
@@ -248,8 +252,10 @@ def parse_model(data, path=None) -> ModelFile:
     _check_keys(grid, _GRID_KEYS, "grid")
     for key, val in grid.items():
         _need(isinstance(val, (int, float)), f"grid.{key}: expected a number")
-        if key in ("cell", "dt", "delta"):
-            _need(0.0 < val < np.inf, f"grid.{key}: expected a positive finite number")
+        # an exact comparison, so NaN, +-inf and ints beyond the float range fail
+        _need(abs(val) <= sys.float_info.max, f"grid.{key}: expected a finite number")
+        if key in ("cell", "dt", "delta", "boundary_spacing"):
+            _need(val > 0.0, f"grid.{key}: expected a positive finite number")
     flags = data.get("flags", {})
     _need(isinstance(flags, dict), "flags: expected an object")
     _check_keys(flags, _FLAG_KEYS, "flags")
@@ -275,6 +281,8 @@ def parse_model(data, path=None) -> ModelFile:
             isinstance(locs, list) and locs,
             "hybrid model needs a nonempty 'locations' list",
         )
+        for key in ("edges", "init", "target"):
+            _need(isinstance(data.get(key, []), list), f"{key}: expected a list")
         names, invariants, dynamics = [], {}, {}
         for i, loc in enumerate(locs):
             _need(isinstance(loc, dict), f"locations[{i}]: expected an object")

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     AssumptionA2Violated,
     BadDeltaOrder,
+    DegenerateNormal,
     DenominatorAllDegenerate,
     DimUnsupported,
     NumericRange,
@@ -29,6 +30,7 @@ from .geometry import (
     Face,
     Halfspace,
     Polyhedron,
+    _orthonormalize,
     convex_hull_2d,
     grid_points,
     intersect,
@@ -210,41 +212,21 @@ def select_delta(m0: float, norm_a: float, delta: float, delta0: float) -> float
 
 
 def propagate_face(face: Face, A, delta: float, back=None) -> Face:
-    """Exact image e^{A Delta} F0, re-orthonormalized in place.
-
-    Normals transport through e^{-A^T Delta} (``back``, computed here when
-    the caller has not); the base is renormalized and side rows are
-    re-projected within the far hyperplane so the returned face is
-    orthonormal and describes the image point set exactly.
-    """
-    A = np.asarray(A, float)
-    E = expm(-A.T, delta) if back is None else back
-    vk = E @ face.base_normal
-    nk = float(np.linalg.norm(vk))
-    bhat = vk / nk
-    bprime = face.base_offset / nk
-
-    normals, offsets = [], []
-    for i in range(face.side_offsets.size):
-        v = E @ face.side_normals[i]
-        t = float(v @ bhat)
-        w = v - t * bhat
-        off = float(face.side_offsets[i]) - t * bprime
-        nw = float(np.linalg.norm(w))
-        if nw <= _DEGEN_TOL:
-            # transported side collapsed onto the base direction; vacuous or empty
-            if off >= -1e-9:
-                continue
-            raise NumericRange(f"transported side {i} degenerated with negative offset")
-        normals.append(w / nw)
-        offsets.append(off / nw)
-    return Face(
-        np.array(normals).reshape(len(offsets), face.dim),
-        np.array(offsets),
-        bhat,
-        bprime,
-        orthonormal=True,
+    """Exact image e^{A Delta} F0, orthonormal. Each normal moves through
+    e^{-A^T Delta} (``back``, computed here when the caller has not) by
+    its own product, offsets stay, and the rows go through the face
+    orthonormaliser of geometry (no LP). A side that collapses onto the
+    base direction is dropped when vacuous, else raises NumericRange."""
+    E = expm(-np.asarray(A, float).T, delta) if back is None else back
+    # one product per row: a batched product goes through BLAS gemm, which
+    # can round differently from the matrix-vector path
+    moved = Face(
+        [E @ a for a in face.side_normals], face.side_offsets, E @ face.base_normal, face.base_offset
     )
+    try:
+        return _orthonormalize(moved)
+    except DegenerateNormal as exc:
+        raise NumericRange(f"transported {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -321,27 +303,29 @@ def conservative_bounds(prob: StepProblem) -> BoundSet:
 
 def _face_lattice(face: Face, target: int) -> np.ndarray:
     """Deterministic lattice on a face: linspace between face.vertices in
-    2D, a projected box grid filtered by the side rows in higher
-    dimensions."""
+    2D; in higher dimensions a box grid of about target points, projected
+    and filtered by Face.lattice_points (side residuals up to 1e-9), the
+    projection that the facelift facet lattice uses too."""
     if face.dim == 2:
         ends = face.vertices
         if ends.shape[0] == 1:
             return ends
         s = np.linspace(0.0, 1.0, max(2, target))[:, None]
         return ends[0] * (1.0 - s) + ends[-1] * s
-    P = face.as_polyhedron()
-    lo, hi = P.bounding_box()
+    lo, hi = face.as_polyhedron().bounding_box()
     per_axis = max(2, int(math.ceil(target ** (1.0 / face.dim))) + 1)
     mesh = grid_points([np.linspace(lo[j], hi[j], per_axis) for j in range(face.dim)])
-    ak, bk = face.base_normal, face.base_offset
-    mesh = mesh - np.outer(mesh @ ak - bk, ak)  # project onto the base hyperplane
-    keep = np.ones(mesh.shape[0], bool)
-    for i in range(face.side_offsets.size):
-        keep &= mesh @ face.side_normals[i] - face.side_offsets[i] <= 1e-9
-    pts = mesh[keep]
+    pts = face.lattice_points(mesh, 1e-9)
     if pts.shape[0] == 0:
         raise NumericRange("face lattice came up empty; widen the sampling target")
     return pts
+
+
+def tube_lattice(face: Face, A, delta: float, nx: int, nt: int) -> np.ndarray:
+    """Flow points of the tube grown from face: _face_lattice(face, nx)
+    moved by e^{A t} to each of the nt times linspace(0, delta), as an
+    (nt, points, dim) array."""
+    return _face_lattice(face, nx) @ expm_stack(A, np.linspace(0.0, delta, nt)).transpose(0, 2, 1)
 
 
 def sampled_bounds(prob: StepProblem, nx: int = 40, nt: int = 40) -> BoundSet:
@@ -353,11 +337,8 @@ def sampled_bounds(prob: StepProblem, nx: int = 40, nt: int = 40) -> BoundSet:
     conservative mode, not here.
     """
     k = prob.k
-    X0 = _face_lattice(prob.face, nx)
     f0, fd = prob.face, prob.face_delta
-
-    # every lattice point at every lattice time: Y[j] = X0 e^{A t_j}^T
-    Y = X0 @ expm_stack(prob.matrix, np.linspace(0.0, prob.delta, nt)).transpose(0, 2, 1)
+    Y = tube_lattice(f0, prob.matrix, prob.delta, nx, nt)
     den = Y @ f0.base_normal - f0.base_offset
     denp = fd.base_offset - Y @ fd.base_normal
     ok = den > _DEGEN_TOL

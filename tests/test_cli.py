@@ -312,7 +312,10 @@ def test_reset_outside_target_invariant_exits_2_without_traceback(tmp_path, capf
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("key,value", [("cell", -0.05), ("dt", 0.0)])
+@pytest.mark.parametrize(
+    "key,value",
+    [("cell", -0.05), ("dt", 0.0), ("tau", -1.0), ("tau", math.inf), ("tau", math.nan)],
+)
 def test_nonpositive_grid_step_exits_2_without_traceback(tmp_path, capfd, key, value):
     grid = {"cell": 0.05, "dt": 0.5, "tau": 1.0}
     data = {
@@ -673,7 +676,13 @@ def test_plot_csv_one_row_per_cell_center(tmp_path):
 
 @pytest.mark.parametrize(
     "name,digest",
-    [("example1.json", "d950bb86676f20e3"), ("drift_invariant.json", "efc06babb6e20aa5")],
+    [
+        ("example1.json", "d950bb86676f20e3"),
+        ("drift_invariant.json", "efc06babb6e20aa5"),
+        ("example2.json", "19b49de1cda72af4"),
+        ("rotation_square.json", "2b8793098a6b1bb2"),
+        ("hybrid_drift.json", "162c366d33a97eaf"),
+    ],
 )
 def test_plot_csv_is_pinned(tmp_path, name, digest):
     # sha256 prefix recorded when every cell-center coordinate was

@@ -27,6 +27,7 @@ from reachkit.facelift import (
     _front_sweep,
     _levelset_boundary,
     _near_shadow,
+    _polyhedron_faces,
     _resample_chain,
     _split_runs,
     _uniform_intervals,
@@ -726,6 +727,51 @@ def test_levelset_boundary_samples_are_unchanged(ls, h_b, digest, dropped):
     pts, got_dropped = _levelset_boundary(ls, h_b)
     assert hashlib.sha256(pts.tobytes()).hexdigest() == digest
     assert got_dropped == dropped
+
+
+def scaled_copy_polytopes():
+    """3D polytopes that each carry a positively scaled copy of one row.
+    In the second the copy's unit row differs from the original's in the
+    last bits, and an implied row comes last."""
+    box = Polyhedron.box([0.0, 0.0, 0.0], [1.0, 0.8, 0.6])
+    first = box.ineqs[0]
+    cut = Halfspace(np.array([1.0, 1.0, 1.0]), 1.1)
+    cube = Polyhedron.box([-0.5] * 3, [0.5] * 3)
+    return [
+        Polyhedron(box.ineqs + (Halfspace(3.0 * first.normal, 3.0 * first.offset),)),
+        Polyhedron(
+            (cut, *cube.ineqs, Halfspace(0.37 * cut.normal, 0.37 * cut.offset),
+             Halfspace(np.array([1.0, 0.0, 0.0]), 5.0))
+        ),
+    ]
+
+
+def faces_digest(P):
+    h = hashlib.sha256()
+    for i, face in _polyhedron_faces(P):
+        h.update(repr(i).encode())
+        for arr in (face.side_normals, face.side_offsets, face.base_normal):
+            h.update(np.ascontiguousarray(arr).tobytes())
+        h.update(face.base_offset.hex().encode())
+    return h.hexdigest()[:16]
+
+
+# sha256 prefixes of the facet rows and of the classified boundary
+# samples, recorded before the row dedupe and the facet lattice were
+# shared with geometry and polyapprox
+SCALED_COPY_DIGESTS = [
+    ("051250db629b344b", "d0ec4b26bac08bfa"),
+    ("aca1baf114fdff1c", "afb8c117eb616104"),
+]
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_scaled_copy_polytopes_are_pinned(which):
+    P = scaled_copy_polytopes()[which]
+    faces_pin, points_pin = SCALED_COPY_DIGESTS[which]
+    assert faces_digest(P) == faces_pin
+    front = classify_boundary(P, ExpressionDynamics.parse(["1", "0.5", "0.25"]), 0.1)
+    assert hashlib.sha256(front.points.tobytes()).hexdigest()[:16] == points_pin
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,16 @@ def test_load_invalid_json_is_a_model_error(tmp_path):
         {"initial": {"box": [[0.0, 0.0]]}},
         {"initial": {"levelset": "x1", "lo": [0.0, 0.0]}},
         {"initial": {"box": [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]}},
+        {"initial": {"rows": 5}},
+        {"initial": {"box": [[0.0, math.nan], [1.0, 1.0]]}},
+        {"initial": {"rows": [[1.0, 0.0, math.inf], [-1.0, 0.0, 0.0]]}},
+        {"invariant": {"box": [[math.nan, 0.0], [3.0, 1.0]]}},
+        {"grid": {"tau": math.inf}},
+        {"grid": {"tau": 1.0, "dt": math.nan}},
+        {"grid": {"tau": 10**400}},
+        {"grid": {"tau": 1.0, "boundary_spacing": 0}},
+        {"grid": {"tau": 1.0, "boundary_spacing": -1}},
+        {"dynamics": {"matrix": [[math.nan, 0.0], [0.0, 1.0]]}},
     ],
 )
 def test_malformed_reach_models_are_rejected(mutate):
@@ -221,6 +231,9 @@ def test_polyapprox_validation():
     data["dynamics"] = {"matrix": [[0.0, -1.0], [1.0, 0.0]]}
     m = parse_model(data)
     assert m.face.dim == 2
+    for face in ({"sides": 4, "base": [0.0, 1.0, 0.0]}, {"sides": [], "base": [0.0, 1.0, math.inf]}):
+        with pytest.raises(ModelError, match="face"):
+            parse_model({**data, "face": face})
     del data["face"]
     with pytest.raises(ModelError, match="face"):
         parse_model(data)
@@ -245,6 +258,11 @@ def hybrid_dict():
         lambda d: d["grid"].pop("cell"),
         lambda d: d.update({"init": []}),
         lambda d: d["edges"][0].update({"reset_matrix": [[1.0, 0.0]]}),
+        lambda d: d.update({"edges": 0}),
+        lambda d: d.update({"init": 1e300}),
+        lambda d: d.update({"target": 3}),
+        lambda d: d["grid"].update({"tau": math.inf}),
+        lambda d: d["locations"][0].update({"invariant": {"box": [[math.nan, 0.0], [1.0, 1.0]]}}),
     ],
 )
 def test_malformed_hybrid_models_are_rejected(mutate):

@@ -6,6 +6,7 @@ values below are frozen from the reference tables; derived quantities are
 re-checked against independent arithmetic oracles before use.
 """
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -16,7 +17,13 @@ from hypothesis import strategies as st
 
 import reachkit.geometry as geometry
 import reachkit.polyapprox as polyapprox
-from reachkit.errors import AssumptionA2Violated, BadDeltaOrder, DenominatorAllDegenerate
+from reachkit.errors import (
+    AssumptionA2Violated,
+    BadDeltaOrder,
+    DenominatorAllDegenerate,
+    NumericRange,
+    ReachkitError,
+)
 from reachkit.flow import expm, max_norm_over_face, operator_norm
 from reachkit.geometry import Face, GeometryWarning, Polyhedron, lp_maximize, vertices_2d
 from reachkit.polyapprox import (
@@ -290,6 +297,86 @@ def test_propagated_face_is_the_exact_image():
     assert np.max(back @ face.side_normals.T - face.side_offsets) <= 1e-9
 
 
+def loop_propagate_face(face, A, delta, back=None):
+    """Reference: propagate_face as its own per-row transport loop, before
+    the far face went through the geometry orthonormaliser."""
+    A = np.asarray(A, float)
+    E = expm(-A.T, delta) if back is None else back
+    vk = E @ face.base_normal
+    nk = float(np.linalg.norm(vk))
+    bhat = vk / nk
+    bprime = face.base_offset / nk
+    normals, offsets = [], []
+    for i in range(face.side_offsets.size):
+        v = E @ face.side_normals[i]
+        t = float(v @ bhat)
+        w = v - t * bhat
+        off = float(face.side_offsets[i]) - t * bprime
+        nw = float(np.linalg.norm(w))
+        if nw <= 1e-12:
+            if off >= -1e-9:
+                continue
+            raise NumericRange(f"transported side {i} degenerated with negative offset")
+        normals.append(w / nw)
+        offsets.append(off / nw)
+    return Face(
+        np.array(normals).reshape(len(offsets), face.dim),
+        np.array(offsets),
+        bhat,
+        bprime,
+        orthonormal=True,
+    )
+
+
+@st.composite
+def transported_faces(draw):
+    """A random orthonormal face in 2D-4D with 0 to 2d sides, a matrix and
+    a horizon. Sometimes one side is replaced by +-the base normal, which
+    collapses in transport: it is dropped or raises, by its offset."""
+    dim = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bn = rng.normal(size=dim)
+    bn /= np.linalg.norm(bn)
+    sides = rng.normal(size=(draw(st.integers(0, 2 * dim)), dim))
+    sides -= np.outer(sides @ bn, bn)
+    sides /= np.linalg.norm(sides, axis=1)[:, None]
+    offsets = rng.uniform(-1.0, 2.0, sides.shape[0])
+    if sides.shape[0] and draw(st.booleans()):
+        sides[0] = draw(st.sampled_from([1.0, -1.0])) * bn
+    face = Face(sides, offsets, bn, float(rng.uniform(-2.0, 2.0)), orthonormal=True)
+    A = rng.uniform(-1.5, 1.5, (dim, dim))
+    delta = draw(st.floats(1e-3, 1.5))
+    back = expm(-A.T, delta) if draw(st.booleans()) else None
+    return face, A, delta, back
+
+
+def face_outcome(fn, *args):
+    """Exact bytes of a face, or the type of the error raised (the message
+    of a collapsed side is worded by the orthonormaliser)."""
+    try:
+        f = fn(*args)
+    except ReachkitError as exc:
+        return ("raised", type(exc))
+    return (
+        "ok",
+        f.side_normals.shape,
+        f.side_normals.tobytes(),
+        f.side_offsets.tobytes(),
+        f.base_normal.tobytes(),
+        f.base_offset.hex(),
+        f.orthonormal,
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=transported_faces())
+def test_propagate_face_matches_the_per_row_loop(case):
+    face, A, delta, back = case
+    assert face_outcome(propagate_face, face, A, delta, back) == face_outcome(
+        loop_propagate_face, face, A, delta, back
+    )
+
+
 # ---------------------------------------------------------------------------
 # distance bounds
 
@@ -342,6 +429,13 @@ def test_sampled_bounds_grow_under_lattice_refinement():
         assert np.all(cur.l >= prev.l - 1e-12)
         assert np.all(cur.l_prime >= prev.l_prime - 1e-12)
         prev = cur
+
+
+def test_three_dimensional_sampled_bounds_are_pinned():
+    # sha256 prefix of l and l_prime, recorded before the 3D face lattice
+    # was shared with the facelift facet lattice
+    b = sampled_bounds(StepProblem.build(box_face_3d(), A_3D, 0.2, delta0=0.28))
+    assert hashlib.sha256(b.l.tobytes() + b.l_prime.tobytes()).hexdigest()[:16] == "0b655caa289a3d64"
 
 
 def test_sampled_bounds_need_live_denominators():
