@@ -587,6 +587,13 @@ def _nonnegative_float(text):
     return v
 
 
+def _nonnegative_int(text):
+    v = int(text)
+    if v < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return v
+
+
 def _add_common(sub, *names):
     if "tau" in names:
         sub.add_argument("--tau", type=_nonnegative_float, default=None, help="time horizon")
@@ -607,7 +614,7 @@ def _add_common(sub, *names):
         )
     if "max-iters" in names:
         sub.add_argument(
-            "--max-iters", type=int, default=None, help="iteration cap override"
+            "--max-iters", type=_nonnegative_int, default=None, help="iteration cap override"
         )
 
 

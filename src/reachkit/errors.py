@@ -84,6 +84,11 @@ class DimUnsupported(ReachkitError):
     """Operation is only implemented for a specific ambient dimension."""
 
 
+class BudgetExceeded(ReachkitError):
+    """A grid, a sample lattice or a list of time steps would outgrow its
+    fixed size budget."""
+
+
 class ModelError(ReachkitError):
     """Model file failed schema validation or refers to missing data."""
 

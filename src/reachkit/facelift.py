@@ -19,6 +19,7 @@ import numpy as np
 from . import expr as expression
 from .errors import (
     AssumptionA2Violated,
+    BudgetExceeded,
     DegenerateNormal,
     DimMismatch,
     EmptyBoundary,
@@ -29,7 +30,7 @@ from .errors import (
     ReachkitError,
     StepTooCoarse,
 )
-from .flow import LinearDynamics, trajectory
+from .flow import LinearDynamics, expm, trajectory
 from .geometry import (
     Face,
     Halfspace,
@@ -39,7 +40,7 @@ from .geometry import (
     is_empty,
     normalize_and_orthogonalize,
 )
-from .polyapprox import overapproximate_step, propagate_tube
+from .polyapprox import _moved_polyhedron, overapproximate_step
 
 OUTFLOW = "outflow"
 TANGENTIAL = "tangential"
@@ -48,6 +49,17 @@ INFLOW = "inflow"
 _HAUSDORFF_CAP_CELLS = 8  # GridRegion.hausdorff gives up (inf) beyond this many cells
 _CONTACT_TOL = 1e-9  # cell widths of gap that cells_touching still counts as contact
 _RESAMPLE_ROUNDS = 6  # midpoint insertion rounds per front step and chain run
+
+# the size budget, checked in floats before numpy allocates: a grid has at
+# most MAX_GRID_CELLS cells and a facet lattice as many samples; a list of
+# time steps has at most MAX_TIME_STEPS steps
+MAX_GRID_CELLS = 100_000_000
+MAX_TIME_STEPS = 1_000_000
+
+
+def _within_budget(count: float, limit: int, what: str):
+    if count > limit:
+        raise BudgetExceeded(f"{count:.3g} {what} exceed the budget of {limit:,}")
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +142,7 @@ def _segment_interior_lattice(face: Face, h_b: float):
         return ends
     a, b = ends[0], ends[-1]
     length = float(np.linalg.norm(b - a))
+    _within_budget(length / h_b, MAX_GRID_CELLS, "facet lattice samples")
     n = max(1, int(math.floor(length / h_b)))
     s = (np.arange(n) + 0.5) / n
     return a * (1.0 - s[:, None]) + b * s[:, None]
@@ -380,10 +393,12 @@ class GridRegion:
         if h <= 0.0:
             raise ValueError("cell size must be positive")
         self.h = float(h)
-        self.shape = tuple(
-            max(1, int(math.ceil((hi[j] - self.lo[j]) / h - 1e-12)))
-            for j in range(self.lo.size)
-        )
+        # Python floats overflow to inf without a warning, and an infinite
+        # span is over the budget
+        spans = [(b - a) / self.h - 1e-12 for a, b in zip(self.lo.tolist(), hi.tolist())]
+        counts = [s if s == math.inf else max(1, math.ceil(s)) for s in spans]
+        _within_budget(math.prod(map(float, counts)), MAX_GRID_CELLS, "grid cells")
+        self.shape = tuple(counts)
         self.hi = self.lo + np.array(self.shape) * self.h
         # C-order cell numbers: cell i is number i @ _strides
         self._strides = np.cumprod((1, *self.shape[:0:-1]))[::-1].astype(np.intp)
@@ -658,6 +673,7 @@ def _uniform_intervals(tau: float, dt: float | None = None):
             return []
         dt = tau / 8.0
     dt = float(dt)
+    _within_budget(tau / dt, MAX_TIME_STEPS, "time steps")
     n = int(math.floor(tau / dt + 1e-9))
     times = np.arange(n + 1) * dt
     if times[-1] < tau - 1e-12:
@@ -1047,7 +1063,8 @@ def _linear_poly_reach(init, dyn, intervals, bounds):
             step_cache[dkey] = [P for r in results for P in r.polyhedra]
         polys = step_cache[dkey]
         if t0 != 0.0:
-            polys = [propagate_tube(P, A, t0) for P in polys]
+            back = expm(-np.asarray(A, float).T, t0)
+            polys = [_moved_polyhedron(P, back) for P in polys]
         segments.append((t0, t1, tuple(polys)))
     return ReachTube(segments=segments, direction="over", initial=init, delta_shrunk=shrunk)
 

@@ -5,6 +5,16 @@ squaring with a degree-13 Pade approximant); expression dynamics advect
 with fixed-step RK4. Both paths are deterministic: step counts derive
 from the requested tolerance, never from adaptive error control.
 
+Every exponential goes through one stack kernel, ``_expm_batch``, which
+takes a (T, n, n) stack of matrices A t and returns e^{A t} per slice
+without checking the range. ``expm_stack`` and ``expm`` are thin
+callers that check their input and the result; polyapprox stacks a
+step's whole lattice and its back map into one call. Slices that share
+a scaling exponent are solved and squared as one batch, and a slice's
+floats do not depend on the batch it is in. When every slice shares
+one exponent the stack is the batch as it is, with no grouping and no
+index lists; at exponent 0, the common case, nothing is divided.
+
 ``trajectory`` records a batch at the nsub+1 even lattice times on
 [0, t] and integrates it once: linear dynamics apply one e^{A dt} per
 lattice step dt = t/nsub, and expression dynamics take
@@ -67,43 +77,73 @@ def expm_stack(A, times) -> np.ndarray:
     """e^{A t} for every t in ``times``, as a (T, n, n) stack.
 
     Scaling and squaring on the degree-13 Pade approximant (Al-Mohy and
-    Higham 2009), evaluated once per scaling exponent: the times that
-    share an exponent are scaled, solved and squared as one batch, so each
-    slice carries the floats of a one-time evaluation.
+    Higham 2009) through the stack kernel ``_expm_batch``: the times that
+    share a scaling exponent are scaled, solved and squared as one batch,
+    so each slice carries the floats of a one-time evaluation. When all
+    share one exponent the whole stack is that batch, with no grouping,
+    and at exponent 0 nothing is divided.
     """
+    return _in_range(_expm_batch(_expm_input(A, times)))
+
+
+def _expm_input(A, times) -> np.ndarray:
+    """The kernel's input stack A t for every t in ``times``, after
+    expm_stack's checks: a square matrix, finite entries and times."""
     A = np.asarray(A, float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expm needs a square matrix, got shape {A.shape}")
     times = np.asarray(times, float).reshape(-1)
     if not np.all(np.isfinite(A)) or not np.all(np.isfinite(times)):
         raise NumericRange("expm input is not finite")
-    M = A * times[:, None, None]
-    n = A.shape[0]
-    norm1 = np.max(np.sum(np.abs(M), axis=1), axis=1) if n else np.zeros(times.size)
-    scale = np.array(
-        [int(math.ceil(math.log2(v / _THETA13))) if v > _THETA13 else 0 for v in norm1.tolist()],
-        dtype=int,
-    )
-    M = M / 2.0**scale[:, None, None]
+    return A * times[:, None, None]
 
-    eye = np.eye(n)
-    b = _PADE13
-    out = np.empty((times.size, n, n))
-    for s in np.unique(scale).tolist():
-        idx = np.flatnonzero(scale == s)
-        Ms = M[idx]
-        M2 = Ms @ Ms
-        M4 = M2 @ M2
-        M6 = M2 @ M4
-        U = Ms @ (M6 @ (b[13] * M6 + b[11] * M4 + b[9] * M2) + b[7] * M6 + b[5] * M4 + b[3] * M2 + b[1] * eye)
-        V = M6 @ (b[12] * M6 + b[10] * M4 + b[8] * M2) + b[6] * M6 + b[4] * M4 + b[2] * M2 + b[0] * eye
-        E = np.linalg.solve(V - U, V + U)
-        for _ in range(s):
-            E = E @ E
-        out[idx] = E
-    if not np.all(np.isfinite(out)):
+
+def _in_range(E: np.ndarray) -> np.ndarray:
+    """E itself when every entry is finite, else NumericRange."""
+    if not np.all(np.isfinite(E)):
         raise NumericRange("expm overflowed the representable range")
-    return out
+    return E
+
+
+def _expm_batch(M) -> np.ndarray:
+    """e^{M_j} for every slice of a (T, n, n) stack of finite matrices
+    M_j = A t, with no check of the result's range (module docstring).
+
+    A slice of 1-norm above theta_13 is divided by 2^s, the least power
+    that brings it under, and squared s times afterwards; the slices that
+    share s form one batch.
+    """
+    # an overflow is reported by the caller's range check, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = M.shape[1]
+        norm1 = np.max(np.sum(np.abs(M), axis=1), axis=1) if n else np.zeros(M.shape[0])
+        scale = [int(math.ceil(math.log2(v / _THETA13))) if v > _THETA13 else 0 for v in norm1.tolist()]
+        if len(set(scale)) == 1:
+            s = scale[0]
+            return _pade_squared(M / 2.0**s if s else M, s)
+        scale = np.array(scale, dtype=int)
+        M = M / 2.0**scale[:, None, None]
+        out = np.empty(M.shape)
+        for s in np.unique(scale).tolist():
+            idx = np.flatnonzero(scale == s)
+            out[idx] = _pade_squared(M[idx], s)
+        return out
+
+
+def _pade_squared(M, s: int) -> np.ndarray:
+    """The degree-13 Pade approximant of e^{M_j} for each slice of a
+    scaled stack, squared s times."""
+    eye = np.eye(M.shape[1])
+    b = _PADE13
+    M2 = M @ M
+    M4 = M2 @ M2
+    M6 = M2 @ M4
+    U = M @ (M6 @ (b[13] * M6 + b[11] * M4 + b[9] * M2) + b[7] * M6 + b[5] * M4 + b[3] * M2 + b[1] * eye)
+    V = M6 @ (b[12] * M6 + b[10] * M4 + b[8] * M2) + b[6] * M6 + b[4] * M4 + b[2] * M2 + b[0] * eye
+    E = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        E = E @ E
+    return E
 
 
 def operator_norm(A) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -261,8 +261,9 @@ class Polyhedron:
         Unbounded2D at the first unbounded coordinate. A 2D polyhedron
         whose normals certify it bounded reads the box off its vertices;
         every other input (and an empty one) runs the LPs of _lp_box."""
-        if self.dim == 2 and _normals_bound_plane(self):
-            pts = _plane_vertices(self)
+        if self.dim == 2:
+            mats = self.matrices()
+            pts = _plane_vertices(mats) if _normals_bound_plane(mats) else None
             if pts is not None:
                 return pts.min(axis=0), pts.max(axis=0)
         return self._lp_box()
@@ -404,11 +405,12 @@ def _first_of_each(close) -> np.ndarray:
     return keep
 
 
-def _normals_bound_plane(P: Polyhedron) -> bool:
-    """True when the row normals of a 2D polyhedron (equality rows in both
-    directions) leave no angular gap of pi - 1e-9 or more: they then
-    positively span the plane, so P is bounded whatever its offsets."""
-    A_ub, _, A_eq, _ = P.matrices()
+def _normals_bound_plane(mats) -> bool:
+    """True when the row normals of a 2D polyhedron, given as its
+    matrices() (equality rows in both directions), leave no angular gap of
+    pi - 1e-9 or more: they then positively span the plane, so the
+    polyhedron is bounded whatever its offsets."""
+    A_ub, _, A_eq, _ = mats
     A = np.vstack([A_ub, A_eq, -A_eq])
     A = A[np.any(A != 0.0, axis=1)]
     if A.shape[0] < 3:
@@ -418,17 +420,26 @@ def _normals_bound_plane(P: Polyhedron) -> bool:
     return bool(gaps.max() < np.pi - 1e-9)
 
 
-def _plane_vertices(P: Polyhedron) -> np.ndarray | None:
-    """Pairwise row intersections of a 2D polyhedron that satisfy every row
-    within FEAS_TOL, deduplicated at TIGHT_TOL in pair order (i < j); None
-    when there is none. Both tests are scale-free: a pair is skipped as
-    parallel unless |det| exceeds 1e-12 |a_i| |a_j| (which skips every
-    pair with a zero row), and row k's residual is measured in units of
-    |a_k|. A zero row 0.x <= b (or = b) keeps the plain residual: it is
-    vacuous within FEAS_TOL and otherwise rejects every point."""
-    A_ub, b_ub, A_eq, b_eq = P.matrices()
+@cache
+def _row_pairs(m: int):
+    """The pairs i < j of m rows in np.triu_indices order, shared read-only."""
+    i, j = np.triu_indices(m, k=1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
+def _plane_vertices(mats) -> np.ndarray | None:
+    """Pairwise row intersections of a 2D polyhedron, given as its
+    matrices(), that satisfy every row within FEAS_TOL, deduplicated at
+    TIGHT_TOL in pair order (i < j); None when there is none. Both tests
+    are scale-free: a pair is skipped as parallel unless |det| exceeds
+    1e-12 |a_i| |a_j| (which skips every pair with a zero row), and row
+    k's residual is measured in units of |a_k|. A zero row 0.x <= b (or
+    = b) keeps the plain residual: it is vacuous within FEAS_TOL and
+    otherwise rejects every point."""
+    A_ub, b_ub, A_eq, b_eq = mats
     A, b = np.vstack([A_ub, A_eq]), np.concatenate([b_ub, b_eq])
-    i, j = np.triu_indices(b.size, k=1)
+    i, j = _row_pairs(b.size)
     M = np.stack([A[i], A[j]], axis=1)
     nrm = np.linalg.norm(A, axis=1)
     ok = np.abs(np.linalg.det(M)) > 1e-12 * nrm[i] * nrm[j]
@@ -441,8 +452,8 @@ def _plane_vertices(P: Polyhedron) -> np.ndarray | None:
         np.abs(pts @ A_eq.T - b_eq) <= tol[n_ub:], axis=1
     )
     pts = pts[feas]
-    if not len(pts):
-        return None
+    if len(pts) <= 1:
+        return pts if len(pts) else None
     close = np.linalg.norm(pts[:, None] - pts[None], axis=2) <= TIGHT_TOL
     return pts[_first_of_each(close)]
 
@@ -459,8 +470,9 @@ def vertices_2d(P: Polyhedron) -> np.ndarray:
     """
     if P.dim != 2:
         raise DimMismatch(f"vertices_2d needs dim 2, got {P.dim}")
-    certified = _normals_bound_plane(P)
-    pts = _plane_vertices(P) if certified else None
+    mats = P.matrices()
+    certified = _normals_bound_plane(mats)
+    pts = _plane_vertices(mats) if certified else None
     if pts is None:
         try:
             P._lp_box()
@@ -469,7 +481,7 @@ def vertices_2d(P: Polyhedron) -> np.ndarray:
         except Unbounded2D:
             raise Unbounded2D("no finite vertex set: polyhedron is unbounded") from None
         if not certified:
-            pts = _plane_vertices(P)
+            pts = _plane_vertices(mats)
         if pts is None:
             raise Empty2D("no pairwise intersection point is feasible")
     if len(pts) <= 2:

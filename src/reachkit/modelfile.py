@@ -266,7 +266,10 @@ def parse_model(data, path=None) -> ModelFile:
         )
     for key in ("max_iters", "max_k"):
         if flags.get(key) is not None:
-            _need(isinstance(flags[key], int), f"flags.{key}: expected an integer")
+            _need(
+                isinstance(flags[key], int) and flags[key] >= 0,
+                f"flags.{key}: expected a nonnegative integer",
+            )
     if "under_approximate" in flags:
         _need(
             isinstance(flags["under_approximate"], bool),

@@ -25,7 +25,15 @@ from .errors import (
     DimUnsupported,
     NumericRange,
 )
-from .flow import expm, expm_stack, max_norm_over_face, operator_norm
+from .flow import (
+    _expm_batch,
+    _expm_input,
+    _in_range,
+    expm,
+    expm_stack,
+    max_norm_over_face,
+    operator_norm,
+)
 from .geometry import (
     Face,
     Halfspace,
@@ -58,7 +66,9 @@ class StepProblem:
     the face: endpoint values in 2D (face.vertices), LP in 3D+.
     m0 is max ||x|| over the face: exact in 2D, a box bound in 3D+.
     expm_table holds e^{At} at the 65 times linspace(-Delta, Delta), the
-    one time lattice on which the outward condition is checked.
+    one time lattice on which the outward condition is checked; it comes
+    from the horizon's one exponential batch, with the far face's back
+    map. overapproximate_step builds one problem per emitted sub-step.
     """
 
     face: Face
@@ -85,21 +95,46 @@ class StepProblem:
         return self.delta0 / self.base_transport_norm
 
     @classmethod
-    def build(cls, face: Face, A, delta: float, delta0: float | None = None):
+    def build(cls, face: Face, A, delta: float, delta0: float | None = None, *, _norm_a=None):
+        """Validate the step and derive its data.
+
+        The face's horizon-free facts are delta_min (check_A2's LP), m0 and
+        ||A|| (an SVD, skipped when overapproximate_step passes ``_norm_a``
+        from an earlier build of its call). The horizon costs one
+        exponential batch: the 65 lattice slices of the table and the back
+        map e^{-A^T Delta}, which moves the face to the far face and
+        measures the base transport.
+        """
         A = np.asarray(A, float)
-        if delta <= 0.0:
-            raise ValueError(f"step horizon must be positive, got {delta}")
+        _check_horizon(delta)
         if not face.orthonormal:
             face = normalize_and_orthogonalize(face)
         if A.shape != (face.dim, face.dim):
             raise ValueError(f"matrix shape {A.shape} does not fit dimension {face.dim}")
-        dmin = check_A2(face, A)
-        m0 = max_norm_over_face(face)
-        norm_a = operator_norm(A)
-        back = expm(-A.T, delta)
+        dmin, m0 = check_A2(face, A), max_norm_over_face(face)
+        norm_a = operator_norm(A) if _norm_a is None else _norm_a
+        return cls._at(face, A, delta, delta0, (dmin, m0, norm_a))
+
+    @classmethod
+    def _at(cls, face: Face, A: np.ndarray, delta: float, delta0, facts):
+        """build's horizon half, for an orthonormal face, a positive
+        horizon and the face's facts (delta_min, m0, ||A||): one
+        _expm_batch call gives the back map (slice 0) and the table
+        (slices 1..65). Errors keep the order of two separate
+        exponentials: the back map's, then the far face's transport, then
+        the table's; a horizon whose lattice is not finite (2 Delta
+        overflows) also fails after the transport."""
+        dmin, m0, norm_a = facts
+        back_in = _expm_input(-A.T, (delta,))
+        with np.errstate(over="ignore", invalid="ignore"):
+            times = np.linspace(-delta, delta, _T_SAMPLES)
+        if not np.all(np.isfinite(times)):
+            propagate_face(face, A, delta)  # its errors come first; then the lattice's
+        maps = _expm_batch(np.concatenate([back_in, _expm_input(A, times)]))
+        back = _in_range(maps[0])
         fdelta = propagate_face(face, A, delta, back)
         transport = float(np.linalg.norm(back @ face.base_normal))
-        table = expm_stack(A, np.linspace(-delta, delta, _T_SAMPLES))
+        table = _in_range(maps[1:])
         c1 = c1_minimum(face, A, table)
         if delta0 is None:
             chosen = c1 if c1 > _DEGEN_TOL else None
@@ -120,6 +155,11 @@ class StepProblem:
             base_transport_norm=transport,
             expm_table=table,
         )
+
+
+def _check_horizon(delta):
+    if delta <= 0.0:
+        raise ValueError(f"step horizon must be positive, got {delta}")
 
 
 def check_A2(face: Face, A) -> float:
@@ -483,6 +523,12 @@ def overapproximate_step(
     delta_shrunk). In 2D each sub-step is intersected with the bloated
     face hull; res.assembled keeps the bare 4k-row enclosures. Sampled
     mode uses sampled_bounds' default lattice.
+
+    Each emitted sub-step costs one StepProblem.build, at the whole
+    remaining horizon of its start face: one check_A2 LP and one
+    exponential batch; ||A|| is computed once per call. When check_C1
+    rejects that horizon, the certified one reuses the face's facts
+    (StepProblem._at) and costs one more batch, with no LP and no SVD.
     """
     if mode not in ("conservative", "sampled"):
         raise ValueError(f"unknown bound mode {mode!r}")
@@ -493,12 +539,14 @@ def overapproximate_step(
     result = StepResult([], [], [], [], [], [], False)
     current = face
     remaining = float(delta)
+    norm_a = None
     guard = 0
     while remaining > 1e-12:
         guard += 1
         if guard > 10000:
             raise NumericRange("step chaining did not converge; horizon too aggressive")
-        prob = StepProblem.build(current, A, remaining, delta0=delta0)
+        prob = StepProblem.build(current, A, remaining, delta0=delta0, _norm_a=norm_a)
+        norm_a = prob.norm_a
         if not check_C1(prob):
             ref = delta0 if delta0 is not None else prob.delta_min / 2.0
             certified = select_delta(prob.m0, prob.norm_a, prob.delta_min, ref)
@@ -509,7 +557,9 @@ def overapproximate_step(
                     "the time lattice and the growth bound disagree"
                 )
             result.delta_shrunk = True
-            prob = StepProblem.build(current, A, step, delta0=delta0)
+            _check_horizon(step)  # a certified horizon can underflow to 0
+            facts = (prob.delta_min, prob.m0, prob.norm_a)
+            prob = StepProblem._at(current, A, step, delta0, facts)
             if prob.delta0 is None:
                 # ref = delta_min/2 passes build's 0 < delta0 <= delta_min check
                 prob = replace(prob, delta0=ref)
@@ -536,7 +586,12 @@ def overapproximate_step(
 def propagate_tube(P0: Polyhedron, A, t: float) -> Polyhedron:
     """The image e^{At} P0: normals transported through e^{-A^T t},
     offsets kept, rows renormalized to unit normals."""
-    E = expm(-np.asarray(A, float).T, t)
-    ineqs = tuple(Halfspace(E @ h.normal, h.offset).unit() for h in P0.ineqs)
-    eqs = tuple(Halfspace(E @ h.normal, h.offset).unit() for h in P0.eqs)
+    return _moved_polyhedron(P0, expm(-np.asarray(A, float).T, t))
+
+
+def _moved_polyhedron(P0: Polyhedron, back) -> Polyhedron:
+    """propagate_tube with its back map e^{-A^T t} given, so that callers
+    moving several polyhedra by one t compute it once."""
+    ineqs = tuple(Halfspace(back @ h.normal, h.offset).unit() for h in P0.ineqs)
+    eqs = tuple(Halfspace(back @ h.normal, h.offset).unit() for h in P0.eqs)
     return Polyhedron(ineqs, eqs)

@@ -337,6 +337,53 @@ def test_nonpositive_grid_step_exits_2_without_traceback(tmp_path, capfd, key, v
     assert f"--{key}" in capfd.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "data,limit",
+    [
+        ({"grid": {"cell": 0.05, "dt": 0.5, "tau": 1e300}}, "time steps exceed the budget of 1,000,000"),
+        # eight steps of tau/8, but the grid the field's speed sizes outgrows its budget
+        ({"grid": {"cell": 0.05, "tau": 1e300}}, "grid cells exceed the budget of 100,000,000"),
+        ({"grid": {"cell": 1e-12, "dt": 0.5, "tau": 1.0}}, "grid cells exceed the budget of 100,000,000"),
+        ({"initial": {"box": [[0.0, 0.0], [1e300, 1.0]]}}, "grid cells exceed the budget of 100,000,000"),
+    ],
+    ids=["tau-1e300", "tau-1e300-eighths", "cell-1e-12", "box-1e300"],
+)
+def test_grid_budget_exits_2_without_traceback(tmp_path, capfd, data, limit):
+    # each input is refused before numpy allocates its arrays
+    base = {
+        "schema": 1,
+        "kind": "reach",
+        "dynamics": {"expressions": ["1", "1"]},
+        "initial": {"box": [[0.0, 0.0], [1.0, 1.0]]},
+        "grid": {"cell": 0.05, "dt": 0.5, "tau": 1.0},
+    }
+    assert run(["reach", write_model(tmp_path, {**base, **data}), "--out", str(tmp_path / "o")]) == 2
+    err = capfd.readouterr().err
+    assert err.startswith("error: BudgetExceeded: ") and limit in err
+    assert "Traceback" not in err
+
+
+def test_invariant_grid_budget_exits_2(tmp_path, capfd):
+    with open(model("drift_invariant.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["invariant"] = {"box": [[-1e300, -1.0], [1e300, 3.0]]}
+    assert run(["reach-inv", write_model(tmp_path, data), "--out", str(tmp_path / "o")]) == 2
+    assert "exceed the budget" in capfd.readouterr().err
+    assert run(["reach-inv", model("drift_invariant.json"), "--out", str(tmp_path), "--cell", "1e-12"]) == 2
+    assert "facet lattice samples exceed the budget" in capfd.readouterr().err
+
+
+@pytest.mark.parametrize("cmd,name", [("reach-inv", "drift_invariant.json"), ("hybrid-reach", "hybrid_drift.json")])
+def test_iteration_caps_below_zero_exit_2_and_zero_exits_4(tmp_path, capfd, cmd, name):
+    with pytest.raises(SystemExit) as exc:
+        run([cmd, model(name), "--out", str(tmp_path / "o"), "--max-iters", "-3"])
+    assert exc.value.code == 2
+    assert "--max-iters: expected a nonnegative integer" in capfd.readouterr().err
+    assert not (tmp_path / "o").exists()
+    # a cap of zero runs no step and reports the cap
+    assert run([cmd, model(name), "--out", str(tmp_path), "--max-iters", "0"]) == 4
+
+
 # ---------------------------------------------------------------------------
 # reach-inv
 
@@ -765,6 +812,27 @@ def test_golden_command_passes(monkeypatch, capsys):
         out = capsys.readouterr().out
         assert re.search(rf"^B2\s+FAIL\s+\S+\s+{detail}$", out, re.M)
         assert "1/2 criteria passed" in out
+
+
+def test_importing_reachkit_leaves_golden_unloaded():
+    src = os.path.dirname(os.path.dirname(reachkit.__file__))
+    code = (
+        "import sys, reachkit\n"
+        "assert 'reachkit.golden' not in sys.modules\n"
+        "assert 'golden' in reachkit.__all__\n"
+        "from reachkit import golden\n"
+        "assert reachkit.golden is golden is sys.modules['reachkit.golden']\n"
+        "assert callable(golden.run_golden_suite)\n"
+        "try:\n"
+        "    reachkit.nosuch\n"
+        "except AttributeError as exc:\n"
+        "    assert 'nosuch' in str(exc)\n"
+        "else:\n"
+        "    raise SystemExit('no AttributeError')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
 
 
 def test_golden_is_sensitive_to_value_drift(monkeypatch, capsys):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import reachkit.facelift as facelift
 from reachkit.errors import (
     AssumptionA2Violated,
+    BudgetExceeded,
     DimMismatch,
     EmptyBoundary,
     NonFiniteState,
@@ -29,6 +30,7 @@ from reachkit.facelift import (
     _near_shadow,
     _polyhedron_faces,
     _resample_chain,
+    _segment_interior_lattice,
     _split_runs,
     _uniform_intervals,
     check_boundary_equivalence,
@@ -36,9 +38,9 @@ from reachkit.facelift import (
     reach_bounded_time,
     reach_invariant,
 )
-from reachkit.flow import ExpressionDynamics, LinearDynamics, flow
+from reachkit.flow import ExpressionDynamics, LinearDynamics, expm, flow
 from reachkit.flow import trajectory as flow_trajectory
-from reachkit.geometry import Halfspace, Polyhedron, convex_hull_2d, is_empty
+from reachkit.geometry import Face, Halfspace, Polyhedron, convex_hull_2d, is_empty
 from reachkit.modelfile import bundled_model_path, load_model
 
 ROT = LinearDynamics(np.array([[0.0, -1.0], [1.0, 0.0]]))
@@ -551,6 +553,29 @@ def test_uniform_grid_clamps_tail():
     assert _uniform_intervals(0.0, 0.3) == []
     assert _uniform_intervals(0.0) == []
     assert np.allclose(_uniform_intervals(2.0), [(k / 4, (k + 1) / 4) for k in range(8)])
+
+
+def test_size_budgets_refuse_before_allocating():
+    segment = Face(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.0)
+    calls = [
+        (_uniform_intervals, 1e300, 0.1),
+        (_uniform_intervals, 1.0, 0.5 / facelift.MAX_TIME_STEPS),
+        (GridRegion, [0.0, 0.0], [1.0, 1.0], 1e-12),
+        (GridRegion, [0.0, 0.0], [1e300, 1.0], 0.05),
+        (GridRegion, [-1e308, 0.0], [1e308, 1.0], 1.0),  # the span itself overflows
+        (_segment_interior_lattice, segment, 1e-12),
+    ]
+    tracemalloc.start()
+    try:
+        for fn, *args in calls:
+            with pytest.raises(BudgetExceeded, match="exceed the budget"):
+                fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert GridRegion([0.0, 0.0], [1.0, 1.0], 1e-3).shape == (1000, 1000)
+    assert len(_segment_interior_lattice(segment, 0.25)) == 4
 
 
 def test_grid_validation():
@@ -1170,6 +1195,21 @@ def test_rotation_square_polyhedral_tube():
     t = rng.uniform(0.0, tau, size=250)
     moved = np.stack([flow(ROT, x0[i], t[i]) for i in range(250)])
     assert tube.contains(moved).all()
+
+
+def test_polyhedral_tube_moves_each_interval_by_one_exponential(monkeypatch):
+    # the back map e^{-A^T t0} of an interval serves all of its polyhedra
+    calls = []
+
+    def counted(A, t):
+        calls.append(t)
+        return expm(A, t)
+
+    monkeypatch.setattr(facelift, "expm", counted)
+    tube = reach_bounded_time(offset_square(), ROT, math.pi / 2, dt=math.pi / 8)
+    starts = [t0 for t0, _, _ in tube.segments]
+    assert calls == starts[1:]
+    assert all(len(payload) > 1 for _, _, payload in tube.segments)
 
 
 def test_rotation_square_front_path_matches_membership():

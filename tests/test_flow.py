@@ -126,6 +126,123 @@ def test_expm_stack_errors_match_expm():
         expm_stack(np.array([[800.0]]), [0.1, 1.0])
 
 
+_PADE13 = flow_module._PADE13
+_THETA13 = flow_module._THETA13
+
+
+def loop_expm_stack(A, times):
+    """Reference: expm_stack as one body, before the stack kernel: every
+    slice divided by its 2^s, then one Pade solve and s squarings per
+    distinct s over the fancy-indexed slices that share it."""
+    A = np.asarray(A, float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"expm needs a square matrix, got shape {A.shape}")
+    times = np.asarray(times, float).reshape(-1)
+    if not np.all(np.isfinite(A)) or not np.all(np.isfinite(times)):
+        raise NumericRange("expm input is not finite")
+    M = A * times[:, None, None]
+    n = A.shape[0]
+    norm1 = np.max(np.sum(np.abs(M), axis=1), axis=1) if n else np.zeros(times.size)
+    scale = np.array(
+        [int(math.ceil(math.log2(v / _THETA13))) if v > _THETA13 else 0 for v in norm1.tolist()],
+        dtype=int,
+    )
+    M = M / 2.0**scale[:, None, None]
+    eye = np.eye(n)
+    b = _PADE13
+    out = np.empty((times.size, n, n))
+    for s in np.unique(scale).tolist():
+        idx = np.flatnonzero(scale == s)
+        Ms = M[idx]
+        M2 = Ms @ Ms
+        M4 = M2 @ M2
+        M6 = M2 @ M4
+        U = Ms @ (M6 @ (b[13] * M6 + b[11] * M4 + b[9] * M2) + b[7] * M6 + b[5] * M4 + b[3] * M2 + b[1] * eye)
+        V = M6 @ (b[12] * M6 + b[10] * M4 + b[8] * M2) + b[6] * M6 + b[4] * M4 + b[2] * M2 + b[0] * eye
+        E = np.linalg.solve(V - U, V + U)
+        for _ in range(s):
+            E = E @ E
+        out[idx] = E
+    if not np.all(np.isfinite(out)):
+        raise NumericRange("expm overflowed the representable range")
+    return out
+
+
+def expm_outcome(fn, *args):
+    """Exact bytes of an exponential stack, or the error's type and message."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            out = fn(*args)
+        except (NumericRange, ValueError, ArithmeticError) as exc:
+            return ("raised", type(exc), str(exc))
+    return ("ok", out.shape, out.tobytes())
+
+
+@st.composite
+def mixed_stacks(draw):
+    """Slices (A_j, t_j) of one size n in 1-4: different matrices, some of
+    them transposed views, times of both signs and zero, each slice scaled
+    to a drawn scaling exponent in 0-4 (one exponent for the whole stack
+    when ``same``); now and then a diagonal slice whose exponential
+    overflows."""
+    n = draw(st.integers(1, 4))
+    same = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shared = int(rng.integers(0, 5))
+    mats, times = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        A = rng.normal(size=(n, n))
+        if rng.random() < 0.3:
+            A = -A.T  # a transposed view, as the far-face transport passes
+        t = float(rng.uniform(0.05, 4.0)) * float(rng.choice([-1.0, 1.0]))
+        if not same and rng.random() < 0.1:
+            t = 0.0
+        s = shared if same else int(rng.integers(0, 5))
+        lo, hi = (0.01, 0.9) if s == 0 else (1.1 * 2 ** (s - 1), 0.9 * 2**s)
+        A = A * (_THETA13 * rng.uniform(lo, hi) / float(np.max(np.sum(np.abs(A * t), axis=0)) or 1.0))
+        if not same and rng.random() < 0.1:
+            A, t = np.diag(rng.uniform(760.0, 800.0, n)), float(rng.choice([-1.0, 1.0]))
+        mats.append(A)
+        times.append(t)
+    return mats, times, same
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=mixed_stacks())
+def test_expm_batch_matches_the_loop_reference(case):
+    mats, times, same = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = flow_module._expm_batch(np.stack([A * t for A, t in zip(mats, times)]))
+    for j, (A, t) in enumerate(zip(mats, times)):
+        want = expm_outcome(loop_expm_stack, A, (t,))
+        assert expm_outcome(lambda: flow_module._in_range(batch[j : j + 1])) == want, j
+    if same:
+        assert len({_scaling_exponent(A, t) for A, t in zip(mats, times)}) == 1
+    # one matrix over all the times, through the public callers
+    assert expm_outcome(expm_stack, mats[0], times) == expm_outcome(loop_expm_stack, mats[0], times)
+    assert expm_outcome(expm, mats[0], times[-1]) == expm_outcome(
+        lambda: loop_expm_stack(mats[0], (times[-1],))[0]
+    )
+
+
+@pytest.mark.parametrize(
+    "A,times",
+    [
+        ([[800.0]], [0.1, 1.0]),  # one slice overflows in the squarings
+        (np.diag([800.0, -1.0]), [1.0, -1.0]),
+        ([[1e300, 1.0], [0.0, 2.0]], [1e10]),  # A t itself overflows
+        ([[1e300, 1e300], [1e300, 1e300]], [1.0]),  # its 1-norm overflows
+        ([[np.nan, 0.0], [0.0, 0.0]], [1.0]),
+        (ROT, [0.5, np.inf]),
+        (np.ones((2, 3)), [1.0]),
+        (ROT, []),
+        (np.zeros((0, 0)), [1.0, 2.0]),
+    ],
+)
+def test_expm_stack_errors_match_the_loop_reference(A, times):
+    assert expm_outcome(expm_stack, A, times) == expm_outcome(loop_expm_stack, A, times)
+
+
 def test_operator_norm_matches_svd():
     rng = np.random.default_rng(23)
     for _ in range(40):

@@ -163,6 +163,7 @@ def test_load_invalid_json_is_a_model_error(tmp_path):
         {"grid": {"tau": "one"}},
         {"flags": {"bound_mode": "exact"}},
         {"flags": {"max_iters": 2.5}},
+        {"flags": {"max_iters": -1}},
         {"flags": {"under_approximate": "yes"}},
         {"dynamics": {"matrix": [[1.0, 0.0]]}},
         {"dynamics": {"matrix": [["a", "b"], ["c", "d"]]}},
@@ -262,6 +263,7 @@ def hybrid_dict():
         lambda d: d.update({"init": 1e300}),
         lambda d: d.update({"target": 3}),
         lambda d: d["grid"].update({"tau": math.inf}),
+        lambda d: d["flags"].update({"max_k": -1}),
         lambda d: d["locations"][0].update({"invariant": {"box": [[math.nan, 0.0], [1.0, 1.0]]}}),
     ],
 )

@@ -24,7 +24,7 @@ from reachkit.errors import (
     NumericRange,
     ReachkitError,
 )
-from reachkit.flow import expm, max_norm_over_face, operator_norm
+from reachkit.flow import expm, expm_stack, max_norm_over_face, operator_norm
 from reachkit.geometry import Face, GeometryWarning, Polyhedron, lp_maximize, vertices_2d
 from reachkit.polyapprox import (
     BoundSet,
@@ -178,10 +178,11 @@ def test_step_problem_validation():
 
 
 def count_kernels(monkeypatch):
-    """Count the exponentials and face LPs polyapprox asks for, and the
-    rows handed to each _face_minima call."""
-    calls = {"expm": 0, "expm_stack": 0, "_face_lp_min": 0, "minima_rows": []}
-    for name in ("expm", "expm_stack", "_face_lp_min", "_face_minima"):
+    """Count the exponentials (one-time, stacked, and batches of the stack
+    kernel) and face LPs polyapprox asks for, and the rows handed to each
+    _face_minima call."""
+    calls = {"expm": 0, "expm_stack": 0, "_expm_batch": 0, "_face_lp_min": 0, "minima_rows": []}
+    for name in ("expm", "expm_stack", "_expm_batch", "_face_lp_min", "_face_minima"):
 
         def wrapper(*args, _name=name, _real=getattr(polyapprox, name)):
             if _name == "_face_minima":
@@ -194,8 +195,14 @@ def count_kernels(monkeypatch):
     return calls
 
 
-def counts(expm, expm_stack, lp, minima_rows):
-    return {"expm": expm, "expm_stack": expm_stack, "_face_lp_min": lp, "minima_rows": minima_rows}
+def counts(expm, expm_stack, batch, lp, minima_rows):
+    return {
+        "expm": expm,
+        "expm_stack": expm_stack,
+        "_expm_batch": batch,
+        "_face_lp_min": lp,
+        "minima_rows": minima_rows,
+    }
 
 
 def box_face_3d():
@@ -215,25 +222,26 @@ A_3D = np.array([[0.1, 0.0, 0.0], [0.0, 0.2, 0.0], [0.5, 0.3, 0.4]])
 def test_one_expm_table_serves_both_outward_checks(monkeypatch, t_samples, forward):
     calls = count_kernels(monkeypatch)
     prob = example_problem()
-    # one batched lattice, one e^{-A^T Delta} shared by the far face and
-    # the base transport, and no LP at all on a segment face
-    assert calls == counts(1, 1, 0, [t_samples])
+    # one kernel batch holds the lattice and the e^{-A^T Delta} that the
+    # far face and the base transport share, with no separate exponential
+    # and no LP at all on a segment face
+    assert calls == counts(0, 0, 1, 0, [t_samples])
     assert prob.expm_table.shape == (t_samples, 2, 2)
-    calls.update(counts(0, 0, 0, []))
+    calls.update(counts(0, 0, 0, 0, []))
     assert check_C1(prob)
     # both sign checks at every lattice time t > 0 in one call, none of
     # them a new exponential
-    assert calls == counts(0, 0, 0, [2 * forward])
+    assert calls == counts(0, 0, 0, 0, [2 * forward])
 
 
 @pytest.mark.parametrize("t_samples,forward", [(65, 32)])
 def test_three_dimensional_face_keeps_one_lp_per_row(monkeypatch, t_samples, forward):
     calls = count_kernels(monkeypatch)
     prob = StepProblem.build(box_face_3d(), A_3D, 0.2, delta0=0.28)
-    assert calls == counts(1, 1, t_samples, [t_samples])
-    calls.update(counts(0, 0, 0, []))
+    assert calls == counts(0, 0, 1, t_samples, [t_samples])
+    calls.update(counts(0, 0, 0, 0, []))
     check_C1(prob)
-    assert calls == counts(0, 0, 2 * forward, [2 * forward])
+    assert calls == counts(0, 0, 0, 2 * forward, [2 * forward])
 
 
 def test_check_c1_rejects_each_wrong_base_crossing():
@@ -870,6 +878,275 @@ def test_three_dimensional_step_encloses_tube():
     from reachkit.geometry import is_bounded
 
     assert is_bounded(Polyhedron(tuple(P.ineqs[: prob.k + 1])))
+
+
+# ---------------------------------------------------------------------------
+# one exponential batch and one build per emitted sub-step
+
+
+def two_build_problem(face, A, delta, delta0=None):
+    """Reference: StepProblem.build with separate exponentials, its own
+    e^{-A^T Delta} and its own table, and every face fact computed afresh."""
+    A = np.asarray(A, float)
+    if delta <= 0.0:
+        raise ValueError(f"step horizon must be positive, got {delta}")
+    if not face.orthonormal:
+        face = geometry.normalize_and_orthogonalize(face)
+    if A.shape != (face.dim, face.dim):
+        raise ValueError(f"matrix shape {A.shape} does not fit dimension {face.dim}")
+    dmin = check_A2(face, A)
+    m0 = max_norm_over_face(face)
+    norm_a = operator_norm(A)
+    back = expm(-A.T, delta)
+    fdelta = propagate_face(face, A, delta, back)
+    transport = float(np.linalg.norm(back @ face.base_normal))
+    table = expm_stack(A, np.linspace(-delta, delta, 65))
+    c1 = polyapprox.c1_minimum(face, A, table)
+    if delta0 is None:
+        chosen = c1 if c1 > 1e-12 else None
+    else:
+        if not 0.0 < delta0 <= dmin:
+            raise BadDeltaOrder(f"delta0 must lie in (0, {dmin:.6g}], got {delta0:.6g}")
+        chosen = float(delta0)
+    return StepProblem(face, A, float(delta), dmin, chosen, c1, m0, norm_a, fdelta, transport, table)
+
+
+def two_build_step(face, A, delta, mode="conservative", delta0=None):
+    """Reference: the overapproximate_step loop that builds at the whole
+    remaining horizon and builds again at the certified one when check_C1
+    rejects it."""
+    if mode not in ("conservative", "sampled"):
+        raise ValueError(f"unknown bound mode {mode!r}")
+    A = np.asarray(A, float)
+    if not face.orthonormal:
+        face = geometry.normalize_and_orthogonalize(face)
+    result = polyapprox.StepResult([], [], [], [], [], [], False)
+    current = face
+    remaining = float(delta)
+    guard = 0
+    while remaining > 1e-12:
+        guard += 1
+        if guard > 10000:
+            raise NumericRange("step chaining did not converge; horizon too aggressive")
+        prob = two_build_problem(current, A, remaining, delta0=delta0)
+        if not check_C1(prob):
+            ref = delta0 if delta0 is not None else prob.delta_min / 2.0
+            certified = select_delta(prob.m0, prob.norm_a, prob.delta_min, ref)
+            step = min(remaining, certified)
+            if step >= remaining:
+                raise NumericRange(
+                    "outward condition fails inside its own certified horizon; "
+                    "the time lattice and the growth bound disagree"
+                )
+            result.delta_shrunk = True
+            prob = two_build_problem(current, A, step, delta0=delta0)
+            if prob.delta0 is None:
+                prob = replace(prob, delta0=ref)
+        bounds = conservative_bounds(prob) if mode == "conservative" else sampled_bounds(prob)
+        poly = assemble_polyhedron(prob, bounds)
+        hull = None
+        if face.dim == 2 and len(prob.face.vertices) + len(prob.face_delta.vertices) >= 3:
+            eps = hull_bloat_epsilon(prob.m0, prob.norm_a, prob.delta)
+            hull = bloat_hull(prob.face, prob.face_delta, eps)
+        result.problems.append(prob)
+        result.bounds.append(bounds)
+        result.assembled.append(poly)
+        result.hulls.append(hull)
+        result.polyhedra.append(geometry.intersect([poly, hull]) if hull is not None else poly)
+        result.deltas.append(prob.delta)
+        remaining -= prob.delta
+        if remaining > 1e-12:
+            current = prob.face_delta
+    return result
+
+
+def _hex(v):
+    return None if v is None else float(v).hex()
+
+
+def _face_bytes(f):
+    return (
+        f.side_normals.shape,
+        f.side_normals.tobytes(),
+        f.side_offsets.tobytes(),
+        f.base_normal.tobytes(),
+        _hex(f.base_offset),
+        f.orthonormal,
+        f.dropped_sides,
+    )
+
+
+def _poly_bytes(P):
+    if P is None:
+        return None
+    return len(P.ineqs), [(h.normal.tobytes(), _hex(h.offset)) for h in P.ineqs + P.eqs]
+
+
+def step_outcome(fn, *args, **kw):
+    """Every StepResult field as exact bytes, or the error's type and message."""
+    try:
+        res = fn(*args, **kw)
+    except (ReachkitError, ValueError) as exc:
+        return ("raised", type(exc), str(exc))
+    problems = [
+        (
+            _face_bytes(p.face),
+            p.matrix.tobytes(),
+            *map(_hex, (p.delta, p.delta_min, p.delta0, p.c1_min, p.m0, p.norm_a)),
+            _face_bytes(p.face_delta),
+            _hex(p.base_transport_norm),
+            p.expm_table.shape,
+            p.expm_table.tobytes(),
+        )
+        for p in res.problems
+    ]
+    return (
+        "ok",
+        problems,
+        [(b.l.tobytes(), b.l_prime.tobytes(), b.mode) for b in res.bounds],
+        [_poly_bytes(P) for P in res.assembled],
+        [_poly_bytes(P) for P in res.hulls],
+        [_poly_bytes(P) for P in res.polyhedra],
+        [_hex(d) for d in res.deltas],
+        res.delta_shrunk,
+    )
+
+
+def collapse_face():
+    """x1 in [1, 2] on x2 = 1 under diag(40, 1): e^{-A^T Delta} shrinks the
+    side normals to e^{-40 Delta} e1, so at Delta = 1 the side -e1, offset
+    -1, projects to zero with a negative offset; with delta0 = 0.9 the
+    lattice minimum e^{-1} rejects that horizon, and a shrunk one is fine."""
+    face = Face(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([2.0, -1.0]), np.array([0.0, 1.0]), 1.0)
+    return face, np.diag([40.0, 1.0])
+
+
+def reference_cases():
+    """(face, A, delta, delta0) of plain, stretched-and-chained and error
+    problems, with and without a given delta0 (example2 at 2.0 chains
+    with one)."""
+    cases = [
+        (example_face(), ROT, DELTA, None),
+        (example_face(), ROT, 2.0, None),
+        (example_face(), ROT, 2.0, 0.5),
+        (box_face_3d(), A_3D, 0.2, 0.28),
+        (example_face(), -ROT, DELTA, None),  # A2 violated
+        (example_face(), ROT, DELTA, 1.5),  # delta0 above delta_min: BadDeltaOrder
+        (*collapse_face(), 1.0, 0.9),  # the side collapses at the rejected horizon
+        # e^{800} overflows the table, but the collapse is found first
+        (collapse_face()[0], np.diag([800.0, 1.0]), 1.0, None),
+        (example_face(), ROT, 1e308, None),  # 2 Delta overflows: no finite lattice
+    ]
+    rng = np.random.default_rng(20261019)
+    for i in range(4):
+        face, A, delta, d0 = random_segment_problem(rng)
+        cases.append((face, A, delta, d0 if i % 2 else None))
+        face, A, horizon = chained_segment_problem(rng, 1.0 + 0.2 * i)
+        cases.append((face, A, horizon, None))
+    return cases
+
+
+def test_overapproximate_step_matches_the_two_build_reference():
+    collapsed = step_outcome(two_build_step, *collapse_face(), 1.0, delta0=0.9)
+    assert collapsed[:2] == ("raised", NumericRange)
+    assert "transported side 1 projects to zero" in collapsed[2]
+    shrunk = 0
+    for face, A, delta, delta0 in reference_cases():
+        for mode in ("conservative", "sampled"):
+            want = step_outcome(two_build_step, face, A, delta, mode=mode, delta0=delta0)
+            got = step_outcome(overapproximate_step, face, A, delta, mode=mode, delta0=delta0)
+            assert got == want, (delta, delta0, mode)
+            shrunk += want[0] == "ok" and want[-1]
+    assert shrunk >= 8  # the chained problems and example2 at 2.0, in both modes
+
+
+def _step_digest(res):
+    h = hashlib.sha256()
+    for v in (*res.deltas, *(x for b in res.bounds for x in (*b.l, *b.l_prime))):
+        h.update(float(v).hex().encode())
+    for P in res.polyhedra:
+        for hs in P.ineqs + P.eqs:
+            for v in (*hs.normal, hs.offset):
+                h.update(float(v).hex().encode())
+    h.update(str(res.delta_shrunk).encode())
+    return h.hexdigest()[:16]
+
+
+def test_seeded_step_digests_are_pinned():
+    # three plain and three stretched, chained problems in both bound
+    # modes; digests recorded before the shared exponential batch
+    rng = np.random.default_rng(1019)
+    problems = [random_segment_problem(rng) for _ in range(3)]
+    problems += [(*chained_segment_problem(rng, 1.25), None) for _ in range(3)]
+    got = [
+        _step_digest(overapproximate_step(face, A, delta, mode=mode, delta0=d0))
+        for face, A, delta, d0 in problems
+        for mode in ("conservative", "sampled")
+    ]
+    assert got == PINNED_STEP_DIGESTS
+
+
+PINNED_STEP_DIGESTS = [
+    "b0c228b39eae5fe5",
+    "1d146adaa36d7109",
+    "62c679d4e778489c",
+    "1e3ea0cc337a828a",
+    "b5b9c269e8a7b5d6",
+    "1a033e37785918ce",
+    "8950795d012448a2",
+    "8481faafb2e78aeb",
+    "4c65c8a1b30cc44d",
+    "df38c68b044cb43d",
+    "e595cb9b0c8bf745",
+    "d34749374c31c1be",
+]
+
+
+@pytest.mark.parametrize("mode", ["conservative", "sampled"])
+@pytest.mark.parametrize("case", ["example-single", "example-chained", "random-chained"])
+def test_a_2d_step_builds_once_per_sub_step(monkeypatch, mode, case):
+    # each emitted sub-step is one build, and each build runs one kernel
+    # batch and one LP (check_A2); a horizon check_C1 rejects costs one
+    # more batch outside any build, and no LP
+    if case == "random-chained":
+        face, A, delta = chained_segment_problem(np.random.default_rng(3), 1.2)
+    else:
+        face, A, delta = example_face(), ROT, DELTA if case == "example-single" else 2.0
+    log, verdicts = [], []
+    build, batch, c1 = StepProblem.build.__func__, polyapprox._expm_batch, polyapprox.check_C1
+
+    def counted_build(cls, *args, **kw):
+        log.append("build")
+        try:
+            return build(cls, *args, **kw)
+        finally:
+            log.append("end")
+
+    def counted_lp(*args):
+        log.append("lp")
+        return lp_maximize(*args)
+
+    def counted_batch(M):
+        log.append("batch")
+        return batch(M)
+
+    def counted_c1(prob):
+        verdicts.append(c1(prob))
+        return verdicts[-1]
+
+    monkeypatch.setattr(StepProblem, "build", classmethod(counted_build))
+    monkeypatch.setattr(geometry, "lp_maximize", counted_lp)
+    monkeypatch.setattr(polyapprox, "_expm_batch", counted_batch)
+    monkeypatch.setattr(polyapprox, "check_C1", counted_c1)
+    res = overapproximate_step(face, A, delta, mode=mode)
+    assert log.count("build") == len(res.polyhedra)
+    # what follows a build's end up to the next build: the rejected
+    # horizon's one batch, or nothing
+    assert [seg.split() for seg in " ".join(log).split("build")[1:]] == [
+        ["lp", "batch", "end"] + (["batch"] if not ok else []) for ok in verdicts
+    ]
+    assert res.delta_shrunk == (not all(verdicts))
+    assert (len(res.polyhedra) > 1) == (case != "example-single")
 
 
 # ---------------------------------------------------------------------------
