@@ -172,11 +172,17 @@ def _write_grid_tube(tube, report: RunReport, out: str) -> dict:
     }
 
 
-def _poly_rows(P: Polyhedron):
-    for h in P.ineqs:
-        yield "ineq", h.normal, h.offset
-    for h in P.eqs:
-        yield "eq", h.normal, h.offset
+def _write_polyhedra(path, lead, items, dim):
+    """Write a CSV line per row of each (fields, Polyhedron) item: the
+    fields under the lead header, then the row number, ineq or eq, the
+    normal a1..a<dim> and the offset b."""
+    rows = (
+        [*fields, r, "ineq" if r < len(P.ineqs) else "eq", *h.normal, h.offset]
+        for fields, P in items
+        for r, h in enumerate(P.rows)
+    )
+    header = [*lead, "row", "kind", *(f"a{j + 1}" for j in range(dim)), "b"]
+    _write_csv(path, header, [_csv_lines(rows)])
 
 
 # ---------------------------------------------------------------------------
@@ -238,16 +244,8 @@ def _run_reach(m: ModelFile, args, out: str):
     if tube.occupancy is not None or tube.under_occupancy is not None:
         report.diagnostics = {"path": "front", **_write_grid_tube(tube, report, out)}
     else:
-        rows = []
-        for i, (t0, t1, payload) in enumerate(tube.segments):
-            for j, P in enumerate(payload):
-                for r, (kind, a, b) in enumerate(_poly_rows(P)):
-                    rows.append([i, t0, t1, j, r, kind, *a, b])
-        _write_csv(
-            os.path.join(out, "polyhedra.csv"),
-            ["segment", "t0", "t1", "member", "row", "kind", *[f"a{j+1}" for j in range(m.initial.dim)], "b"],
-            [_csv_lines(rows)],
-        )
+        items = (([i, t0, t1, j], P) for i, (t0, t1, ps) in enumerate(tube.segments) for j, P in enumerate(ps))
+        _write_polyhedra(os.path.join(out, "polyhedra.csv"), ["segment", "t0", "t1", "member"], items, m.initial.dim)
         report.outputs.append("polyhedra.csv")
         report.diagnostics = {
             "path": "polyhedral",
@@ -299,14 +297,6 @@ def _run_reach_inv(m: ModelFile, args, out: str):
     return code, report, tube
 
 
-def _bound_labels(k):
-    labels = [f"rotation_{i}" for i in range(k - 1)]
-    labels.append("cap")
-    labels += [f"slab_{i}" for i in range(k - 1)]
-    labels.append("cap_repeat")
-    return labels
-
-
 def _run_polyapprox(m: ModelFile, args, out: str):
     _require_kind(m, "polyapprox")
     delta = m.grid_value("delta")
@@ -315,36 +305,20 @@ def _run_polyapprox(m: ModelFile, args, out: str):
 
     result = overapproximate_step(m.face, m.dynamics.matrix, delta, mode=mode, delta0=delta0)
     report = RunReport(settings={"delta": delta, "delta0": delta0, "bounds": mode})
-    dim = m.face.dim
-    bound_rows = []
-    bounds_json = []
-    for s, bs in enumerate(result.bounds):
-        labels = _bound_labels(bs.k)
-        for i, label in enumerate(labels):
-            bound_rows.append([s, i, label, float(bs.l[i]), float(bs.l_prime[i])])
-        bounds_json.append(
-            {"l": [float(v) for v in bs.l], "l_prime": [float(v) for v in bs.l_prime]}
-        )
-    _write_csv(
-        os.path.join(out, "bounds.csv"),
-        ["step", "index", "label", "l", "l_prime"],
-        [_csv_lines(bound_rows)],
+    bound_rows = (
+        [s, i, *entry]
+        for s, bs in enumerate(result.bounds)
+        for i, entry in enumerate(zip(bs.labels(), bs.l.tolist(), bs.l_prime.tolist()))
     )
-    hs_rows = []
-    for s, P in enumerate(result.polyhedra):
-        for r, (kind, a, b) in enumerate(_poly_rows(P)):
-            hs_rows.append([s, r, kind, *a, b])
-    _write_csv(
-        os.path.join(out, "halfspaces.csv"),
-        ["step", "row", "kind", *[f"a{j+1}" for j in range(dim)], "b"],
-        [_csv_lines(hs_rows)],
-    )
+    _write_csv(os.path.join(out, "bounds.csv"), ["step", "index", "label", "l", "l_prime"], [_csv_lines(bound_rows)])
+    items = (([s], P) for s, P in enumerate(result.polyhedra))
+    _write_polyhedra(os.path.join(out, "halfspaces.csv"), ["step"], items, m.face.dim)
     report.outputs += ["bounds.csv", "halfspaces.csv"]
     report.diagnostics = {
         "steps": len(result.problems),
         "deltas": [float(d) for d in result.deltas],
         "delta_shrunk": bool(result.delta_shrunk),
-        "bounds": bounds_json,
+        "bounds": [{"l": bs.l.tolist(), "l_prime": bs.l_prime.tolist()} for bs in result.bounds],
         "candidate_rows": [len(P.ineqs) + len(P.eqs) for P in result.assembled],
     }
     return EXIT_OK, report, result
@@ -437,8 +411,8 @@ def _plot_groups(m: ModelFile, args):
         groups = []
         if isinstance(m.initial, Polyhedron):
             groups.append(_polys_group("initial", [_poly_polygon(m.initial)]))
-        elif tube.initial_region is not None:
-            groups.append(_cells_group("initial", tube.initial_region))
+        elif tube.initial_grid() is not None:
+            groups.append(_cells_group("initial", tube.initial_grid()))
         for i, (_, _, payload) in enumerate(tube.segments):
             if isinstance(payload, GridRegion):
                 groups.append(_cells_group(f"segment{i}", payload))
@@ -450,8 +424,8 @@ def _plot_groups(m: ModelFile, args):
     if m.kind == "reach-inv":
         _, rep, tube = _run_reach_inv(m, args, _outdir(args))
         groups = [_polys_group("invariant", [_poly_polygon(m.invariant)])]
-        if tube._initial_grid() is not None:
-            groups.append(_cells_group("initial", tube._initial_grid()))
+        if tube.initial_grid() is not None:
+            groups.append(_cells_group("initial", tube.initial_grid()))
         for i, (_, _, seg) in enumerate(tube.segments):
             groups.append(_cells_group(f"segment{i}", seg))
         return groups, rep
@@ -573,25 +547,28 @@ def _run_plot(m: ModelFile, args, out: str):
 # argument parsing and dispatch
 
 
-def _positive_float(text):
-    v = float(text)
-    if not 0.0 < v < np.inf:
-        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+def _argument(cast, text, ok, expected):
+    """text read by cast if the value is ok; else (also when cast cannot
+    read it) an argparse error that says what was expected."""
+    try:
+        v = cast(text)
+    except ValueError:
+        v = None
+    if v is None or not ok(v):
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
     return v
+
+
+def _positive_float(text):
+    return _argument(float, text, lambda v: 0.0 < v < np.inf, "a positive finite number")
 
 
 def _nonnegative_float(text):
-    v = float(text)
-    if not 0.0 <= v < np.inf:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative finite number, got {text!r}")
-    return v
+    return _argument(float, text, lambda v: 0.0 <= v < np.inf, "a nonnegative finite number")
 
 
 def _nonnegative_int(text):
-    v = int(text)
-    if v < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return v
+    return _argument(int, text, lambda v: v >= 0, "a nonnegative integer")
 
 
 def _add_common(sub, *names):
@@ -663,12 +640,13 @@ def run(argv=None) -> int:
 
         return run_golden_suite()
     try:
-        model = load_model(args.model)
-        out = _outdir(args)
-        started = time.perf_counter()
-        # non-finite values are reported by NonFiniteState and StepTooCoarse,
-        # so numpy's floating-point warnings would only repeat them on stderr
+        # the model checks and the run report out-of-range values as errors
+        # (NonFiniteState, StepTooCoarse and the like), so numpy's
+        # floating-point warnings would only repeat them on stderr
         with np.errstate(all="ignore"):
+            model = load_model(args.model)
+            out = _outdir(args)
+            started = time.perf_counter()
             code, report, _ = _BODIES[args.command](model, args, out)
         report.command, report.model, report.kind = args.command, model.path or "<memory>", model.kind
         report.elapsed = time.perf_counter() - started

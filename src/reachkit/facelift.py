@@ -40,7 +40,7 @@ from .geometry import (
     is_empty,
     normalize_and_orthogonalize,
 )
-from .polyapprox import _moved_polyhedron, overapproximate_step
+from .polyapprox import _face_minima, _moved_polyhedron, overapproximate_step
 
 OUTFLOW = "outflow"
 TANGENTIAL = "tangential"
@@ -51,7 +51,7 @@ _CONTACT_TOL = 1e-9  # cell widths of gap that cells_touching still counts as co
 _RESAMPLE_ROUNDS = 6  # midpoint insertion rounds per front step and chain run
 
 # the size budget, checked in floats before numpy allocates: a grid has at
-# most MAX_GRID_CELLS cells and a facet lattice as many samples; a list of
+# most MAX_GRID_CELLS cells and a sample lattice as many points; a list of
 # time steps has at most MAX_TIME_STEPS steps
 MAX_GRID_CELLS = 100_000_000
 MAX_TIME_STEPS = 1_000_000
@@ -158,9 +158,17 @@ def _facet_interior_lattice(face: Face, h_b: float):
     return face.lattice_points(_centred_lattice(lo, hi, h_b), -h_b / 4.0)
 
 
+def _lattice_budget(lo, hi, spacing):
+    """Refuse a spacing lattice of the box [lo, hi] of more than
+    MAX_GRID_CELLS points; the count is an upper bound, taken in floats."""
+    count = math.prod((float(b) - float(a)) / spacing + 1.0 for a, b in zip(lo, hi))
+    _within_budget(count, MAX_GRID_CELLS, "lattice samples")
+
+
 def _centred_lattice(lo, hi, spacing):
     """Points of the box [lo, hi] at the centres of spacing-wide cells
     from lo; an axis shorter than half a spacing gets its midpoint."""
+    _lattice_budget(lo, hi, spacing)
     axes = [np.arange(lo[j] + spacing / 2.0, hi[j] + 1e-12, spacing) for j in range(lo.size)]
     axes = [a if a.size else np.array([(lo[j] + hi[j]) / 2.0]) for j, a in enumerate(axes)]
     return grid_points(axes)
@@ -228,6 +236,7 @@ def _levelset_boundary_2d(ls: LevelSet, h_b: float):
 
 
 def _levelset_boundary_nd(ls: LevelSet, h_b: float):
+    _lattice_budget(ls.lo, ls.hi, h_b)
     mesh = grid_points([np.arange(ls.lo[j], ls.hi[j] + 1e-12, h_b) for j in range(ls.dim)])
     pts, ok = _newton_project(ls, mesh, 8)
     # only a lost gradient counts as dropped; a sample that did not reach
@@ -481,11 +490,6 @@ class GridRegion:
         i0, i1 = self._ranges(lo, hi, pad)
         return grid_points([np.arange(a, b) for a, b in zip(i0, i1)])
 
-    def _corners(self, idx):
-        """The 2^d corner points of the cells idx, one (m, d) array each."""
-        for corner in np.ndindex(*(2,) * self.dim):
-            yield self.lo + (idx + np.array(corner)) * self.h
-
     def _mask(self, idx, hit):
         mask = np.zeros(self.shape, dtype=bool)
         mask[tuple(idx[hit].T)] = True
@@ -506,7 +510,16 @@ class GridRegion:
             at[tuple(slice(c, c + m) for c, m in zip(corner, n))].ravel()
             for corner in np.ndindex(*(2,) * self.dim)
         ]
-        return idx, np.array([*corners, ls.value(self.lo + (idx + 0.5) * self.h)])
+        return idx, np.array([*corners, ls.value(self.cell_centers(idx))])
+
+    def _spans(self, P: Polyhedron, idx):
+        """Each row's value a.c - b at the centres c of the cells idx, (m,
+        rows), and its half range (h/2)|a|_1 over a cell. The rows are the
+        inequalities, the equalities a.x = b, then their negations."""
+        A_ub, b_ub, A_eq, b_eq = P.matrices()
+        A = np.vstack([A_ub, A_eq, -A_eq]).reshape(-1, self.dim)
+        b = np.concatenate([b_ub, b_eq, -b_eq])
+        return self.cell_centers(idx) @ A.T - b, 0.5 * self.h * np.abs(A).sum(axis=1)
 
     def _cell_box_rows(self, idx):
         lo = self.lo + idx * self.h
@@ -527,9 +540,8 @@ class GridRegion:
 
         A LevelSet marks a cell of its padded box when l <= 0 at any of
         its corners or its centre. For a Polyhedron, shared edges and
-        corners count, up to _CONTACT_TOL. With equalities split into two
-        rows, a row a.x <= b spans a.c -+ (h/2)|a|_1 over a cell of centre
-        c, and separates the cell if its minimum exceeds b. The window
+        corners count, up to _CONTACT_TOL. A row of _spans separates the
+        cell if its minimum over the cell exceeds 0. The window
         overlaps the polyhedron's coordinate extents, so up to 2D no
         separating row means contact (separating-axis theorem). Above 2D
         that holds when at most one row straddles the cell, an equality's
@@ -540,16 +552,12 @@ class GridRegion:
             idx, vals = self._levelset_values(S)
             return self._mask(idx, np.any(vals <= 0.0, axis=0))
         idx = self._poly_window(S)
-        A_ub, b_ub, A_eq, b_eq = S.matrices()
-        A = np.vstack([A_ub, A_eq, -A_eq]).reshape(-1, self.dim)
-        b = np.concatenate([b_ub, b_eq, -b_eq])
-        reach = 0.5 * self.h * np.abs(A).sum(axis=1)
+        slack, reach = self._spans(S, idx)
         tol = 2.0 * _CONTACT_TOL * reach
-        slack = (self.lo + (idx + 0.5) * self.h) @ A.T - b
         meets = np.all(slack <= reach + tol, axis=1)
         if self.dim > 2:
             cut = slack > tol - reach
-            k, e = b_ub.size, b_eq.size
+            k, e = len(S.ineqs), len(S.eqs)
             cut[:, k : k + e] |= cut[:, k + e :]  # an equality's two rows count once
             straddled = cut[:, : k + e].sum(axis=1)
             for i in np.nonzero(meets & (straddled > 1))[0]:
@@ -559,14 +567,15 @@ class GridRegion:
 
     def cells_inside(self, S):
         """Under-rasterization: mask of the cells certified inside the set
-        S. A Polyhedron needs all corners of the cell inside (up to 1e-9);
-        a LevelSet needs l < 0 at every corner and at the centre."""
+        S. A Polyhedron needs each row of _spans at most 1e-9 all over the
+        cell (all corners inside up to 1e-9); a LevelSet needs l < 0 at
+        every corner and at the centre."""
         if isinstance(S, LevelSet):
             idx, vals = self._levelset_values(S)
             return self._mask(idx, np.all(vals < 0.0, axis=0))
         idx = self._poly_window(S)
-        inside = [S.contains(p, tol=1e-9) for p in self._corners(idx)]
-        return self._mask(idx, np.all(inside, axis=0))
+        slack, reach = self._spans(S, idx)
+        return self._mask(idx, np.all(slack + reach <= 1e-9, axis=1))
 
     def contains_points(self, pts):
         return self._marked(self._cells(pts))
@@ -574,8 +583,11 @@ class GridRegion:
     def count(self) -> int:
         return int(np.sum(self.occupancy))
 
-    def cell_centers(self):
-        idx = np.argwhere(self.occupancy)
+    def cell_centers(self, idx=None):
+        """Centres lo + (idx + 0.5) h of the cells with index rows idx,
+        the marked cells (in C order) when idx is None."""
+        if idx is None:
+            idx = np.argwhere(self.occupancy)
         return self.lo + (idx + 0.5) * self.h
 
     def subset_of(self, other) -> bool:
@@ -607,10 +619,7 @@ class GridRegion:
     def boundary_cell_centers(self):
         """Centers of marked cells with an unmarked (or out-of-grid)
         face neighbor."""
-        if not self.occupancy.any():
-            return np.zeros((0, self.dim))
-        idx = np.argwhere(self.occupancy & ~self._interior_mask())
-        return self.lo + (idx + 0.5) * self.h
+        return self.cell_centers(np.argwhere(self.occupancy & ~self._interior_mask()))
 
     def interior_contains_points(self, pts):
         """Membership restricted to the eroded (non-boundary) cells."""
@@ -713,7 +722,9 @@ class ReachTube:
             raise ValueError("this tube stores polyhedra, not a grid region")
         return reg
 
-    def _initial_grid(self):
+    def initial_grid(self):
+        """The initial set rasterized in the tube's flavour: over for an
+        over tube, under otherwise; None on the polyhedral path."""
         if self.direction == "over":
             return self.initial_region
         return self.under_initial_region
@@ -721,7 +732,7 @@ class ReachTube:
     def combined_region(self) -> GridRegion:
         """Cumulative cells including the rasterized initial set."""
         reg = self.region().copy()
-        init = self._initial_grid()
+        init = self.initial_grid()
         if init is not None:
             reg.include(init)
         return reg
@@ -730,7 +741,7 @@ class ReachTube:
         pts = np.atleast_2d(np.asarray(pts, float))
         if self.occupancy is not None or self.under_occupancy is not None:
             hit = self.region().contains_points(pts)
-            init = self._initial_grid()
+            init = self.initial_grid()
             if init is not None:
                 hit |= init.contains_points(pts)
             return hit
@@ -761,8 +772,10 @@ def _max_speed(dyn, pts):
 
 def _substeps(dyn, pts, delta, h):
     """Substeps over [0, delta] that move the fastest sample of pts, at its
-    start speed, by at most h/2 each."""
-    return max(1, int(math.ceil(abs(delta) * _max_speed(dyn, pts) / (0.5 * h))))
+    start speed, by at most h/2 each; at most MAX_TIME_STEPS of them."""
+    count = abs(delta) * _max_speed(dyn, pts) / (0.5 * h)
+    _within_budget(count, MAX_TIME_STEPS, "substeps")
+    return max(1, int(math.ceil(count)))
 
 
 def _advect(dyn, pts, delta, h, nsub=None):
@@ -852,11 +865,17 @@ def _inside_init_strict(init, pts):
     return init.value(pts) < -1e-9
 
 
+def _init_box(init):
+    """Coordinate box of an initial set: a level set's or a cell set's own
+    box, a polyhedron's bounding box (which raises when it is empty or
+    unbounded)."""
+    if isinstance(init, Polyhedron):
+        return init.bounding_box()
+    return init.lo, init.hi
+
+
 def _default_box(init, dyn, horizon, h):
-    if isinstance(init, LevelSet):
-        lo, hi = init.lo.copy(), init.hi.copy()
-    else:
-        lo, hi = init.bounding_box()
+    lo, hi = _init_box(init)
     pad = 3.0 * h
     for _ in range(2):
         axes = [np.linspace(lo[j] - pad, hi[j] + pad, 9) for j in range(lo.size)]
@@ -877,11 +896,7 @@ def _initial_region(init, template: GridRegion, raster) -> GridRegion:
 
 
 def _interior_lattice(init, spacing):
-    if isinstance(init, LevelSet):
-        lo, hi = init.lo, init.hi
-    else:
-        lo, hi = init.bounding_box()
-    mesh = _centred_lattice(lo, hi, spacing)
+    mesh = _centred_lattice(*_init_box(init), spacing)
     if isinstance(init, LevelSet):
         return mesh[init.value(mesh) < 0.0]
     return mesh[init.contains(mesh, tol=0.0)]
@@ -1032,19 +1047,14 @@ def _flow_samples(pts, dyn, intervals, h):
 def _linear_poly_reach(init, dyn, intervals, bounds):
     """Per-face tube polyhedra for linear dynamics: every outflow face of
     the initial polyhedron contributes one enclosure per time interval,
-    transported to the interval start by the exact flow map."""
+    transported to the interval start by the exact flow map. An unbounded
+    initial polyhedron raises Unbounded2D, as on the front path."""
     A = dyn.matrix
+    init.bounding_box()
     outflow = []
     for i, face in _polyhedron_faces(init):
         c = A.T @ face.base_normal
-        FP = face.as_polyhedron()
-        up = FP.maximize(c)
-        dn = FP.maximize(-c)
-        if up.status != "optimal" or dn.status != "optimal":
-            raise AssumptionA2Violated(
-                -math.inf, f"face {i} has unbounded outward derivative"
-            )
-        fmin, fmax = -dn.value, up.value
+        fmin, fmax = _face_minima(face, [c, -c]) * [1.0, -1.0]
         if fmin > 1e-9:
             outflow.append(face)
         elif fmax >= -1e-9:
@@ -1160,10 +1170,7 @@ def _check_inside_invariant(init, invariant, h_b, boundary):
 
 def _invariant_box(init, invariant, dyn, dt, h):
     lo_q, hi_q = invariant.bounding_box()
-    if isinstance(init, (LevelSet, GridRegion)):
-        lo0, hi0 = init.lo, init.hi
-    else:
-        lo0, hi0 = init.bounding_box()
+    lo0, hi0 = _init_box(init)
     lo = np.minimum(lo_q, lo0)
     hi = np.maximum(hi_q, hi0)
     mesh = grid_points([np.linspace(lo[j], hi[j], 9) for j in range(lo.size)])

@@ -51,22 +51,28 @@ class LPResult:
     value: float | None = None
 
 
-def _run_simplex(T, basis, cost, tol=_PIVOT_TOL):
+def _pivot(T, row, col):
+    """Pivot the tableau on (row, col) in place: scale the row, then clear
+    the column from every other row with a nonzero entry in it."""
+    T[row] /= T[row, col]
+    for i in T[:, col].nonzero()[0]:
+        if i != row:
+            T[i] -= T[i, col] * T[row]
+
+
+def _run_simplex(T, basis, cost):
     """Maximize cost over the tableau in place. Bland's rule, so no cycling."""
     m, ncols = T.shape[0], T.shape[1] - 1
     while True:
         reduced = cost - cost[basis] @ T[:, :ncols]
-        enter = -1
-        for j in range(ncols):
-            if reduced[j] > tol:
-                enter = j
-                break
-        if enter < 0:
+        enter = (reduced > _PIVOT_TOL).nonzero()[0]
+        if enter.size == 0:
             return "optimal"
+        enter = enter[0]
         col = T[:, enter]
         leave, best = -1, None
         for i in range(m):
-            if col[i] > tol:
+            if col[i] > _PIVOT_TOL:
                 ratio = T[i, -1] / col[i]
                 if (
                     best is None
@@ -76,10 +82,7 @@ def _run_simplex(T, basis, cost, tol=_PIVOT_TOL):
                     best, leave = ratio, i
         if leave < 0:
             return "unbounded"
-        T[leave] /= T[leave, enter]
-        for i in range(m):
-            if i != leave and T[i, enter] != 0.0:
-                T[i] -= T[i, enter] * T[leave]
+        _pivot(T, leave, enter)
         basis[leave] = enter
 
 
@@ -101,20 +104,13 @@ def lp_maximize(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LPResult:
     ncols = nsplit + m1 + m  # u, w, slacks, artificials
 
     T = np.zeros((m, ncols + 1))
-    for i in range(m1):
-        T[i, :n] = A_ub[i]
-        T[i, n:nsplit] = -A_ub[i]
-        T[i, nsplit + i] = 1.0
-        T[i, -1] = b_ub[i]
-    for i in range(m2):
-        T[m1 + i, :n] = A_eq[i]
-        T[m1 + i, n:nsplit] = -A_eq[i]
-        T[m1 + i, -1] = b_eq[i]
-    for i in range(m):
-        if T[i, -1] < 0.0:
-            T[i] *= -1.0
-        T[i, nsplit + m1 + i] = 1.0
-    basis = [nsplit + m1 + i for i in range(m)]
+    T[:m1, :n], T[m1:, :n] = A_ub, A_eq
+    T[:, n:nsplit] = -T[:, :n]
+    T[:m1, -1], T[m1:, -1] = b_ub, b_eq
+    np.fill_diagonal(T[:m1, nsplit:], 1.0)  # slacks
+    T *= np.where(T[:, -1:] < 0.0, -1.0, 1.0)  # b >= 0
+    np.fill_diagonal(T[:, nsplit + m1 :], 1.0)  # artificials, the first basis
+    basis = nsplit + m1 + np.arange(m)
 
     # Phase 1: drive the artificial variables to zero.
     cost1 = np.zeros(ncols)
@@ -124,34 +120,21 @@ def lp_maximize(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LPResult:
         return LPResult("infeasible")
 
     # Pivot leftover artificials out; a row with no real pivot is redundant.
-    drop = []
-    for i in range(m):
-        if basis[i] >= nsplit + m1:
-            for j in range(nsplit + m1):
-                if abs(T[i, j]) > _PIVOT_TOL:
-                    T[i] /= T[i, j]
-                    for r in range(m):
-                        if r != i and T[r, j] != 0.0:
-                            T[r] -= T[r, j] * T[i]
-                    basis[i] = j
-                    break
-            else:
-                drop.append(i)
-    if drop:
-        keep = [i for i in range(m) if i not in drop]
-        T = T[keep]
-        basis = [basis[i] for i in keep]
-        m = len(keep)
+    for i in (basis >= nsplit + m1).nonzero()[0]:
+        cand = (np.abs(T[i, : nsplit + m1]) > _PIVOT_TOL).nonzero()[0]
+        if cand.size:
+            _pivot(T, i, cand[0])
+            basis[i] = cand[0]
+    keep = basis < nsplit + m1
+    T = np.concatenate([T[:, : nsplit + m1], T[:, -1:]], axis=1)[keep]
+    basis = basis[keep]
 
-    T = np.hstack([T[:, : nsplit + m1], T[:, -1:]])
     cost2 = np.concatenate([c, -c, np.zeros(m1)])
-    status = _run_simplex(T, basis, cost2)
-    if status == "unbounded":
+    if _run_simplex(T, basis, cost2) == "unbounded":
         return LPResult("unbounded")
 
     xsplit = np.zeros(nsplit + m1)
-    for i, b in enumerate(basis):
-        xsplit[b] = T[i, -1]
+    xsplit[basis] = T[:, -1]
     x = xsplit[:n] - xsplit[n:nsplit]
     return LPResult("optimal", x=x, value=float(c @ x))
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimMismatch, ModelError, PreconditionViolated
-from .facelift import GridRegion, reach_invariant
+from .facelift import MAX_TIME_STEPS, GridRegion, _within_budget, reach_invariant
 from .flow import trajectory
 from .geometry import Polyhedron, grid_points, is_empty
 
@@ -105,8 +105,9 @@ class HybridSystem:
             if q not in self.dynamics:
                 raise ModelError(f"location {q!r} has no dynamics")
         dims = {self.invariants[q].dim for q in self.locations}
+        dims |= {self.dynamics[q].dim for q in self.locations}
         if len(dims) != 1:
-            raise ModelError("locations disagree on the continuous dimension")
+            raise ModelError("locations or their fields disagree on the continuous dimension")
         for e in self.edges:
             if e.source not in self.invariants or e.target not in self.invariants:
                 raise ModelError(f"edge {e.event!r} references an unknown location")
@@ -221,8 +222,7 @@ class RegionSet:
                 raise DimMismatch(f"region grids differ at location {q!r}")
             both = mine.occupancy & theirs.occupancy
             if both.any():
-                idx = np.argwhere(both)[0]
-                return q, mine.lo + (idx + 0.5) * mine.h
+                return q, mine.cell_centers(np.argwhere(both)[0])
         return None
 
 
@@ -242,17 +242,13 @@ class PostParams:
 
 def _push_edge_images(region_mask, source: GridRegion, edge: Edge, target: GridRegion):
     """Mark the affine image of every masked cell into the target grid.
-    Each cell box maps to a parallelotope; the coordinate bounding boxes
-    of all images are marked in one pass, which is exact for axis-aligned
-    resets and conservative otherwise."""
-    idx = np.argwhere(region_mask)
-    dim = source.dim
-    corners = np.array(list(np.ndindex(*(2,) * dim)), float)  # (2^d, d)
-    lo = source.lo + idx * source.h  # (m, d)
-    boxes = lo[:, None, :] + corners[None, :, :] * source.h  # (m, 2^d, d)
-    images = boxes.reshape(-1, dim) @ edge.reset_matrix.T + edge.reset_offset
-    images = images.reshape(idx.shape[0], corners.shape[0], dim)
-    target.mark_boxes(images.min(axis=1), images.max(axis=1))
+    A cell of centre c maps to a parallelotope whose coordinate bounding
+    box is R c + r0 -+ (h/2)|R| 1; the boxes of all images are marked in
+    one pass, which is exact for axis-aligned resets and conservative
+    otherwise."""
+    centres = edge.apply(source.cell_centers(np.argwhere(region_mask)))
+    half = 0.5 * source.h * np.abs(edge.reset_matrix).sum(axis=1)
+    target.mark_boxes(centres - half, centres + half)
 
 
 def post(H: HybridSystem, S: RegionSet, params: PostParams) -> RegionSet:
@@ -430,6 +426,7 @@ def _greedy_replay(H, q, starts, witness, jumps, params, h, best):
     speed = float(np.max(np.linalg.norm(np.atleast_2d(dyn.evaluate(starts)), axis=1)))
     step = min(params.dt, h / (2.0 * speed)) if speed > 1e-12 else params.dt
     tau = float(params.tau)
+    _within_budget(tau / step, MAX_TIME_STEPS, "replay steps")
     n = max(1, int(math.ceil(tau / step)))
     paths, times = trajectory(dyn, starts, tau, n), np.linspace(0.0, tau, n + 1)
     m, k1, dim = paths.shape

@@ -106,7 +106,8 @@ class StepProblem:
         measures the base transport.
         """
         A = np.asarray(A, float)
-        _check_horizon(delta)
+        if delta <= 0.0:
+            raise ValueError(f"step horizon must be positive, got {delta}")
         if not face.orthonormal:
             face = normalize_and_orthogonalize(face)
         if A.shape != (face.dim, face.dim):
@@ -155,11 +156,6 @@ class StepProblem:
             base_transport_norm=transport,
             expm_table=table,
         )
-
-
-def _check_horizon(delta):
-    if delta <= 0.0:
-        raise ValueError(f"step horizon must be positive, got {delta}")
 
 
 def check_A2(face: Face, A) -> float:
@@ -290,9 +286,21 @@ class BoundSet:
         object.__setattr__(self, "l", np.asarray(self.l, float))
         object.__setattr__(self, "l_prime", np.asarray(self.l_prime, float))
 
+    @classmethod
+    def pack(cls, rot, cap, slab, mode: str) -> "BoundSet":
+        """The layout from (l, l_prime) pairs: k-1 in rot, one in cap and
+        k-1 in slab; the cap pair goes at k-1 and again at 2k-1."""
+        cols = np.vstack([np.reshape(rot, (-1, 2)), [cap], np.reshape(slab, (-1, 2)), [cap]])
+        return cls(cols[:, 0].copy(), cols[:, 1].copy(), mode)
+
     @property
     def k(self) -> int:
         return self.l.size // 2
+
+    def labels(self) -> list[str]:
+        """Name of each entry of l and l_prime, in layout order."""
+        sides = range(self.k - 1)
+        return [*(f"rotation_{i}" for i in sides), "cap", *(f"slab_{i}" for i in sides), "cap_repeat"]
 
     def rotation(self, i: int) -> float:
         return float(self.l[i])
@@ -325,20 +333,17 @@ def conservative_bounds(prob: StepProblem) -> BoundSet:
     growth = prob.m0 * math.exp(prob.norm_a * prob.delta)
     d0, d1 = prob.delta0, prob.delta1
 
-    l = np.zeros(2 * k)
-    lp = np.zeros(2 * k)
+    rot, slab = [], []
     for i in range(k - 1):
         na = float(np.linalg.norm(A.T @ prob.face.side_normals[i]))
         nb = float(np.linalg.norm(A.T @ prob.face_delta.side_normals[i]))
-        l[i] = growth * na / d0
-        lp[i] = growth * nb / d1
-        l[k + i] = prob.delta * growth * na
-        lp[k + i] = prob.delta * growth * nb
-    l[k - 1] = prob.delta * growth * float(np.linalg.norm(A.T @ prob.face.base_normal))
-    lp[k - 1] = prob.delta * growth * float(np.linalg.norm(A.T @ prob.face_delta.base_normal))
-    l[2 * k - 1] = l[k - 1]
-    lp[2 * k - 1] = lp[k - 1]
-    return BoundSet(l, lp, "conservative")
+        rot.append((growth * na / d0, growth * nb / d1))
+        slab.append((prob.delta * growth * na, prob.delta * growth * nb))
+    cap = [
+        prob.delta * growth * float(np.linalg.norm(A.T @ f.base_normal))
+        for f in (prob.face, prob.face_delta)
+    ]
+    return BoundSet.pack(rot, cap, slab, "conservative")
 
 
 def _face_lattice(face: Face, target: int) -> np.ndarray:
@@ -387,31 +392,14 @@ def sampled_bounds(prob: StepProblem, nx: int = 40, nt: int = 40) -> BoundSet:
         raise DenominatorAllDegenerate("no flow sample rose above the start plane")
     if k > 1 and not okp.any():
         raise DenominatorAllDegenerate("no flow sample stayed below the far plane")
-    cap = float(np.max(den))
-    capp = float(np.max(denp))
-    rot = np.empty(k - 1)
-    rotp = np.empty(k - 1)
-    trans = np.empty(k - 1)
-    transp = np.empty(k - 1)
+    rot, slab = [], []
     for i in range(k - 1):
         num = Y @ f0.side_normals[i] - f0.side_offsets[i]
         nump = Y @ fd.side_normals[i] - fd.side_offsets[i]
-        trans[i] = np.max(num)
-        transp[i] = np.max(nump)
-        rot[i] = np.max(num[ok] / den[ok])
-        rotp[i] = np.max(nump[okp] / denp[okp])
-
-    l = np.zeros(2 * k)
-    lp = np.zeros(2 * k)
-    l[: k - 1] = rot
-    lp[: k - 1] = rotp
-    l[k - 1] = max(cap, 0.0)
-    lp[k - 1] = max(capp, 0.0)
-    l[k : 2 * k - 1] = np.maximum(trans, 0.0)
-    lp[k : 2 * k - 1] = np.maximum(transp, 0.0)
-    l[2 * k - 1] = l[k - 1]
-    lp[2 * k - 1] = lp[k - 1]
-    return BoundSet(l, lp, "sampled")
+        rot.append((np.max(num[ok] / den[ok]), np.max(nump[okp] / denp[okp])))
+        slab.append(np.maximum((np.max(num), np.max(nump)), 0.0))
+    cap = (max(float(np.max(den)), 0.0), max(float(np.max(denp)), 0.0))
+    return BoundSet.pack(rot, cap, slab, "sampled")
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +545,8 @@ def overapproximate_step(
                     "the time lattice and the growth bound disagree"
                 )
             result.delta_shrunk = True
-            _check_horizon(step)  # a certified horizon can underflow to 0
+            if step <= 0.0:
+                raise NumericRange(f"the certified horizon underflows to {step}")
             facts = (prob.delta_min, prob.m0, prob.norm_a)
             prob = StepProblem._at(current, A, step, delta0, facts)
             if prob.delta0 is None:

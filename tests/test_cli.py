@@ -1,9 +1,12 @@
 """End-to-end runs of the batch front end: exit codes, output files,
 report determinism, and the plot emitters."""
 
+import copy
+import functools
 import hashlib
 import json
 import math
+import operator
 import os
 import re
 import subprocess
@@ -11,11 +14,13 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import reachkit
 import reachkit.golden as golden
 from reachkit.cli import run
-from reachkit.facelift import classify_boundary
+from reachkit.facelift import classify_boundary, reach_bounded_time
 from reachkit.flow import ExpressionDynamics
 from reachkit.modelfile import bundled_model_path, load_model
 
@@ -206,21 +211,40 @@ def test_too_coarse_step_exits_3_and_names_dt(tmp_path, capfd):
 
 
 def test_unbounded_initial_set_exits_2_without_traceback(tmp_path, capfd):
-    # the single row x1 <= 1 leaves the initial set without a bounding box
-    path = write_model(
-        tmp_path,
-        {
+    # the single row x1 <= 1 and the strip 0 <= x1 <= 1 leave the initial
+    # set without a bounding box, on the front path (an expression field)
+    # and on the polyhedral path (a matrix) alike
+    for dynamics in ({"expressions": ["1", "1"]}, {"matrix": [[0.0, -1.0], [1.0, 0.0]]}):
+        for rows in ([[1, 0, 1]], [[1, 0, 1], [-1, 0, 0]]):
+            path = write_model(
+                tmp_path,
+                {
+                    "schema": 1,
+                    "kind": "reach",
+                    "dynamics": dynamics,
+                    "initial": {"rows": rows},
+                    "grid": {"cell": 0.05, "dt": 0.5, "tau": 1.0},
+                },
+            )
+            assert run(["reach", path, "--out", str(tmp_path / "o")]) == 2, (dynamics, rows)
+            err = capfd.readouterr().err
+            assert "Unbounded2D" in err
+            assert "Traceback" not in err
+
+
+def test_empty_initial_polytope_exits_3_on_both_paths(tmp_path, capfd):
+    # x1 <= 1 and x1 >= 2 leave nothing: the front path and the
+    # polyhedral path (a matrix field) both refuse it before any sweep
+    for dynamics in ({"expressions": ["1", "1"]}, {"matrix": [[0.0, -1.0], [1.0, 0.0]]}):
+        spec = {
             "schema": 1,
             "kind": "reach",
-            "dynamics": {"expressions": ["1", "1"]},
-            "initial": {"rows": [[1, 0, 1]]},
+            "dynamics": dynamics,
+            "initial": {"rows": [[1, 0, 1], [-1, 0, -2], [0, 1, 1], [0, -1, 1]]},
             "grid": {"cell": 0.05, "dt": 0.5, "tau": 1.0},
-        },
-    )
-    assert run(["reach", path, "--out", str(tmp_path / "o")]) == 2
-    err = capfd.readouterr().err
-    assert "Unbounded2D" in err
-    assert "Traceback" not in err
+        }
+        assert run(["reach", write_model(tmp_path, spec), "--out", str(tmp_path / "o")]) == 3, dynamics
+        assert "EmptyPolyhedron" in capfd.readouterr().err
 
 
 @pytest.mark.parametrize("path_kind", ["front", "polyhedral"])
@@ -345,8 +369,36 @@ def test_nonpositive_grid_step_exits_2_without_traceback(tmp_path, capfd, key, v
         ({"grid": {"cell": 0.05, "tau": 1e300}}, "grid cells exceed the budget of 100,000,000"),
         ({"grid": {"cell": 1e-12, "dt": 0.5, "tau": 1.0}}, "grid cells exceed the budget of 100,000,000"),
         ({"initial": {"box": [[0.0, 0.0], [1e300, 1.0]]}}, "grid cells exceed the budget of 100,000,000"),
+        # sample lattices: the interior lattice of the invariant check, the
+        # Newton scan of a 3D level set and the facets of a 3D box
+        (
+            {
+                "kind": "reach-inv",
+                "dynamics": {"matrix": [[0.0, -1.0], [1.0, 0.0]]},
+                "initial": {"levelset": "x1*x1 + x2*x2 - 1", "lo": [-1.4, -1.4], "hi": [1.4, 1.4]},
+                "invariant": {"box": [[-2.0, -2.0], [2.0, 2.0]]},
+                "grid": {"cell": 0.05, "dt": 0.25, "boundary_spacing": 1e-7},
+            },
+            "lattice samples exceed the budget of 100,000,000",
+        ),
+        (
+            {
+                "dynamics": {"expressions": ["1", "0", "0"]},
+                "initial": {"levelset": "x1*x1 + x2*x2 + x3*x3 - 0.25", "lo": [-0.7] * 3, "hi": [0.7] * 3},
+                "grid": {"cell": 0.05, "dt": 0.5, "tau": 1.0, "boundary_spacing": 1e-4},
+            },
+            "lattice samples exceed the budget of 100,000,000",
+        ),
+        (
+            {
+                "dynamics": {"expressions": ["1", "1", "1"]},
+                "initial": {"box": [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]},
+                "grid": {"cell": 0.05, "dt": 0.5, "tau": 1.0, "boundary_spacing": 1e-5},
+            },
+            "lattice samples exceed the budget of 100,000,000",
+        ),
     ],
-    ids=["tau-1e300", "tau-1e300-eighths", "cell-1e-12", "box-1e300"],
+    ids=["tau-1e300", "tau-1e300-eighths", "cell-1e-12", "box-1e300", "disk-inv-1e-7", "sphere-1e-4", "box3d-1e-5"],
 )
 def test_grid_budget_exits_2_without_traceback(tmp_path, capfd, data, limit):
     # each input is refused before numpy allocates its arrays
@@ -357,7 +409,8 @@ def test_grid_budget_exits_2_without_traceback(tmp_path, capfd, data, limit):
         "initial": {"box": [[0.0, 0.0], [1.0, 1.0]]},
         "grid": {"cell": 0.05, "dt": 0.5, "tau": 1.0},
     }
-    assert run(["reach", write_model(tmp_path, {**base, **data}), "--out", str(tmp_path / "o")]) == 2
+    spec = {**base, **data}
+    assert run([spec["kind"], write_model(tmp_path, spec), "--out", str(tmp_path / "o")]) == 2
     err = capfd.readouterr().err
     assert err.startswith("error: BudgetExceeded: ") and limit in err
     assert "Traceback" not in err
@@ -373,6 +426,41 @@ def test_invariant_grid_budget_exits_2(tmp_path, capfd):
     assert "facet lattice samples exceed the budget" in capfd.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key,limit", [("dt", "substeps exceed the budget"), ("tau", "replay steps exceed the budget")]
+)
+def test_hybrid_step_budgets_exit_2(tmp_path, capfd, key, limit):
+    # a step of 1e300 would flow each front sample in 4e301 substeps, and
+    # a horizon of 1e300 would replay the witness in as many steps
+    with open(model("hybrid_drift.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["grid"][key] = 1e300
+    assert run(["hybrid-reach", write_model(tmp_path, data), "--out", str(tmp_path / "o")]) == 2
+    err = capfd.readouterr().err
+    assert err.startswith("error: BudgetExceeded: ") and limit in err
+
+
+@pytest.mark.parametrize(
+    "index,reason",
+    [
+        # a face 1e300 from the origin certifies a horizon that rounds to 0
+        (2, "NumericRange: the certified horizon underflows to 0.0"),
+        # a base normal of norm 1e300: loading the model overflows the
+        # orthonormality check, which must not warn on stderr either
+        (0, "AssumptionA2Violated"),
+    ],
+    ids=["offset", "normal"],
+)
+def test_huge_face_coefficients_exit_3(tmp_path, capfd, index, reason):
+    with open(model("example2.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["face"]["base"][index] = 1e300
+    assert run(["polyapprox", write_model(tmp_path, data), "--out", str(tmp_path / "o")]) == 3
+    err = capfd.readouterr().err
+    assert err.startswith("assumption violated: ") and reason in err
+    assert "Warning" not in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("cmd,name", [("reach-inv", "drift_invariant.json"), ("hybrid-reach", "hybrid_drift.json")])
 def test_iteration_caps_below_zero_exit_2_and_zero_exits_4(tmp_path, capfd, cmd, name):
     with pytest.raises(SystemExit) as exc:
@@ -382,6 +470,48 @@ def test_iteration_caps_below_zero_exit_2_and_zero_exits_4(tmp_path, capfd, cmd,
     assert not (tmp_path / "o").exists()
     # a cap of zero runs no step and reports the cap
     assert run([cmd, model(name), "--out", str(tmp_path), "--max-iters", "0"]) == 4
+
+
+# Every bundled model with one or two of its nodes replaced or deleted.
+# No small positive value is drawn: the budget tests cover those, and a
+# cell just under the budget runs for minutes.
+_DELETE = object()
+_MUTATIONS = (math.nan, math.inf, -math.inf, 1e300, -1, 0, "x", [], None, _DELETE)
+_COMMANDS = {"reach": "reach", "reach-inv": "reach-inv", "polyapprox": "polyapprox", "hybrid": "hybrid-reach"}
+
+
+def json_paths(node, path=()):
+    """The key or index path of every node of a JSON tree below its root."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from json_paths(child, path + (key,))
+
+
+@pytest.mark.filterwarnings("ignore::reachkit.geometry.GeometryWarning")
+@pytest.mark.parametrize("name", sorted(os.listdir(os.path.dirname(model("example1.json")))))
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_mutated_models_exit_with_a_documented_code(tmp_path, name, data):
+    with open(model(name), encoding="utf-8") as fh:
+        spec = json.load(fh)
+    cmd = _COMMANDS[spec["kind"]]
+    for _ in range(data.draw(st.integers(1, 2), label="mutations")):
+        path = data.draw(st.sampled_from(list(json_paths(spec))), label="path")
+        value = data.draw(st.sampled_from(_MUTATIONS), label="value")
+        parent = functools.reduce(operator.getitem, path[:-1], spec)
+        if value is _DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(value)
+    # any exception escaping run fails the test on its own
+    assert run([cmd, write_model(tmp_path, spec), "--out", str(tmp_path / "o")]) in (0, 2, 3, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -685,8 +815,18 @@ def test_nonlinear_outputs_are_pinned(tmp_path):
 
 @pytest.mark.parametrize(
     "argv",
-    [[], ["nosuch"], ["reach"], ["reach", "m.json", "--cell", "-1"], ["plot", "--help"]],
-    ids=["empty", "unknown-command", "no-model", "bad-cell", "help"],
+    [
+        [],
+        ["nosuch"],
+        ["reach"],
+        ["reach", "m.json", "--cell", "-1"],
+        ["plot", "--help"],
+        ["reach-inv", "m.json", "--max-iters", "x"],
+        ["reach", "m.json", "--cell", "x"],
+        ["reach", "m.json", "--dt", "abc"],
+        ["reach", "m.json", "--tau", "x"],
+    ],
+    ids=["empty", "unknown-command", "no-model", "bad-cell", "help", "max-iters-x", "cell-x", "dt-abc", "tau-x"],
 )
 def test_argv_after_a_good_run_behaves_as_in_a_fresh_process(tmp_path, capsys, monkeypatch, argv):
     # the parser is built once per process: a run before must not change
@@ -703,6 +843,12 @@ def test_argv_after_a_good_run_behaves_as_in_a_fresh_process(tmp_path, capsys, m
         [sys.executable, "-m", "reachkit", *argv], capture_output=True, text=True, env=env
     )
     assert (info.value.code, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    # an unreadable number is reported by what was expected, not by the
+    # name of the private function that parses it
+    assert "invalid _" not in got.err
+    if argv[-1:] in (["x"], ["abc"]):
+        assert f"argument {argv[2]}: expected a " in got.err
+        assert f"got {argv[-1]!r}" in got.err
 
 
 # ---------------------------------------------------------------------------
@@ -746,6 +892,20 @@ def test_plot_csv_empty_tube_has_header_only_segments(tmp_path):
     lines = read_lines(out, "plot.csv")
     assert lines[0] == "group,item,vertex,x1,x2"
     assert not [l for l in lines[1:] if l.startswith("segment")]
+
+
+def test_plot_under_draws_the_under_initial_cells(tmp_path):
+    # a level-set reach run with --under: the initial group is the under
+    # tube's own initial raster, as for reach-inv, not the over raster
+    out = str(tmp_path)
+    assert run(["plot", model("rotation_disk.json"), "--out", out, "--format", "csv", "--under"]) == 0
+    m = load_model(model("rotation_disk.json"))
+    tube = reach_bounded_time(m.initial, m.dynamics, 1.0, dt=0.25, h=0.05, under=True)
+    want = tube.under_initial_region
+    assert want.count() < tube.initial_region.count()
+    rows = [l.split(",") for l in read_lines(out, "plot.csv") if l.startswith("initial,")]
+    assert [[float(v) for v in r[3:]] for r in rows] == want.cell_centers().tolist()
+    assert ["initial", want.count()] in read_report(out)["diagnostics"]["groups"]
 
 
 def test_plot_svg_example2_active_edges(tmp_path):

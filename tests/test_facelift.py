@@ -150,7 +150,8 @@ def test_levelset_values_match_per_cell_corners(dim, h):
     # the grid cuts the level set's padded box on the low side
     g = GridRegion([-0.9] * dim, [1.7] * dim, h)
     idx, vals = g._levelset_values(ls)
-    samples = [*g._corners(idx), g.lo + (idx + 0.5) * g.h]
+    corners = [g.lo + (idx + np.array(c)) * g.h for c in np.ndindex(*(2,) * dim)]
+    samples = [*corners, g.lo + (idx + 0.5) * g.h]
     assert idx.shape[0] > 0
     assert np.array_equal(vals, np.array([ls.value(p) for p in samples]))
 
@@ -324,6 +325,54 @@ def grid_and_polytope_3d(draw):
 def test_cells_touching_matches_lp_oracle_3d(case):
     g, P = case
     assert np.array_equal(g.cells_touching(P), lp_touching(g, P))
+
+
+def corner_inside(g, P):
+    """The corner rule that cells_inside replaced, kept as its reference:
+    a cell of the window is inside when all 2^d corners are (up to 1e-9)."""
+    idx = g._poly_window(P)
+    corners = [g.lo + (idx + np.array(c)) * g.h for c in np.ndindex(*(2,) * g.dim)]
+    inside = [P.contains(p, tol=1e-9) for p in corners]
+    return g._mask(idx, np.all(inside, axis=0))
+
+
+def random_inside_case(rng):
+    """A grid (2D or 3D, origin near 0 or at 1e6) and a polyhedron: a box
+    on grid lines, a random polytope, or either with an equality row."""
+    dim = int(rng.integers(2, 4))
+    h = float(rng.choice([0.05, 0.1, 0.125, 0.3]))
+    origin = float(rng.choice([0.0, 1e6])) + rng.integers(-3, 4) * h * rng.choice([1.0, 0.37])
+    lo = np.full(dim, origin)
+    n = 12 if dim == 2 else 6
+    g = GridRegion(lo, lo + n * h, h)
+    kind = rng.integers(0, 3)
+    if kind == 0:
+        a, b = np.sort(rng.integers(-1, n + 2, (2, dim)), axis=0)
+        P = Polyhedron.box(lo + a * h, lo + (b + rng.integers(0, 2)) * h)
+    else:
+        c = lo + rng.uniform(0.2, 0.8, dim) * n * h
+        rows = rng.normal(size=(int(rng.integers(dim + 1, 7)), dim))
+        if kind == 2:
+            rows = np.round(rows)  # axis rows and exact ties with grid lines
+            rows[~rows.any(axis=1), 0] = 1.0
+        P = Polyhedron.from_inequalities(rows, rows @ c + rng.uniform(0.0, 0.5 * n * h, rows.shape[0]))
+    if rng.random() < 0.25:
+        a = rng.integers(-1, 2, dim).astype(float)
+        a[0] = 1.0
+        eq = Halfspace(a, a @ (lo + rng.integers(0, n, dim) * h))
+        P = Polyhedron(P.ineqs, (eq,))
+    return g, P
+
+
+def test_cells_inside_matches_the_corner_rule():
+    rng = np.random.default_rng(20261019)
+    marked = 0
+    for trial in range(400):
+        g, P = random_inside_case(rng)
+        got = g.cells_inside(P)
+        assert np.array_equal(got, corner_inside(g, P)), trial
+        marked += int(got.sum())
+    assert marked > 0
 
 
 def box_oracle(g, lo, hi):

@@ -546,3 +546,138 @@ def test_intersect_does_not_chain_the_tolerance():
     assert same_rows(got.ineqs, [chain[0], chain[2]])
     with pytest.raises(DegenerateNormal):
         intersect([Polyhedron((Halfspace([1.0, 0.0], 1.0), Halfspace([0.0, 0.0], 1.0)))])
+
+
+# ---------------------------------------------------------------------------
+# the one-pivot simplex against the two-loop simplex it replaced
+
+
+def loop_run_simplex(T, basis, cost, tol=1e-9):
+    m, ncols = T.shape[0], T.shape[1] - 1
+    while True:
+        reduced = cost - cost[basis] @ T[:, :ncols]
+        enter = -1
+        for j in range(ncols):
+            if reduced[j] > tol:
+                enter = j
+                break
+        if enter < 0:
+            return "optimal"
+        col = T[:, enter]
+        leave, best = -1, None
+        for i in range(m):
+            if col[i] > tol:
+                ratio = T[i, -1] / col[i]
+                if (
+                    best is None
+                    or ratio < best - 1e-12
+                    or (abs(ratio - best) <= 1e-12 and basis[i] < basis[leave])
+                ):
+                    best, leave = ratio, i
+        if leave < 0:
+            return "unbounded"
+        T[leave] /= T[leave, enter]
+        for i in range(m):
+            if i != leave and T[i, enter] != 0.0:
+                T[i] -= T[i, enter] * T[leave]
+        basis[leave] = enter
+
+
+def loop_lp_maximize(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
+    """lp_maximize as it was written with per-row loops; the reference."""
+    c = np.asarray(c, float)
+    n = c.size
+    A_ub = np.zeros((0, n)) if A_ub is None else np.atleast_2d(np.asarray(A_ub, float))
+    b_ub = np.zeros(0) if b_ub is None else np.atleast_1d(np.asarray(b_ub, float))
+    A_eq = np.zeros((0, n)) if A_eq is None else np.atleast_2d(np.asarray(A_eq, float))
+    b_eq = np.zeros(0) if b_eq is None else np.atleast_1d(np.asarray(b_eq, float))
+    m1, m2 = A_ub.shape[0], A_eq.shape[0]
+    m = m1 + m2
+    nsplit = 2 * n
+    ncols = nsplit + m1 + m
+    T = np.zeros((m, ncols + 1))
+    for i in range(m1):
+        T[i, :n] = A_ub[i]
+        T[i, n:nsplit] = -A_ub[i]
+        T[i, nsplit + i] = 1.0
+        T[i, -1] = b_ub[i]
+    for i in range(m2):
+        T[m1 + i, :n] = A_eq[i]
+        T[m1 + i, n:nsplit] = -A_eq[i]
+        T[m1 + i, -1] = b_eq[i]
+    for i in range(m):
+        if T[i, -1] < 0.0:
+            T[i] *= -1.0
+        T[i, nsplit + m1 + i] = 1.0
+    basis = [nsplit + m1 + i for i in range(m)]
+    cost1 = np.zeros(ncols)
+    cost1[nsplit + m1 :] = -1.0
+    loop_run_simplex(T, basis, cost1)
+    if -(cost1[basis] @ T[:, -1]) > 1e-7:
+        return geometry.LPResult("infeasible")
+    drop = []
+    for i in range(m):
+        if basis[i] >= nsplit + m1:
+            for j in range(nsplit + m1):
+                if abs(T[i, j]) > 1e-9:
+                    T[i] /= T[i, j]
+                    for r in range(m):
+                        if r != i and T[r, j] != 0.0:
+                            T[r] -= T[r, j] * T[i]
+                    basis[i] = j
+                    break
+            else:
+                drop.append(i)
+    if drop:
+        keep = [i for i in range(m) if i not in drop]
+        T = T[keep]
+        basis = [basis[i] for i in keep]
+        m = len(keep)
+    T = np.hstack([T[:, : nsplit + m1], T[:, -1:]])
+    cost2 = np.concatenate([c, -c, np.zeros(m1)])
+    if loop_run_simplex(T, basis, cost2) == "unbounded":
+        return geometry.LPResult("unbounded")
+    xsplit = np.zeros(nsplit + m1)
+    for i, b in enumerate(basis):
+        xsplit[b] = T[i, -1]
+    x = xsplit[:n] - xsplit[n:nsplit]
+    return geometry.LPResult("optimal", x=x, value=float(c @ x))
+
+
+def random_lp(rng):
+    """An LP of dimension 1-4 with 0-7 inequality and 0-3 equality rows.
+    Small integer entries make degenerate ties common; some draws add
+    zero rows, repeat an equality or scale one."""
+    n = int(rng.integers(1, 5))
+    m1, m2 = int(rng.integers(0, 8)), int(rng.integers(0, 4))
+    ints = rng.integers(0, 2) == 1
+    draw = (lambda *s: rng.integers(-3, 4, s).astype(float)) if ints else (lambda *s: rng.normal(size=s))
+    c, A, b, E, f = draw(n), draw(m1, n), draw(m1), draw(m2, n), draw(m2)
+    if m1 and rng.random() < 0.2:
+        A[int(rng.integers(m1))] = 0.0
+    if m2 and rng.random() < 0.3:
+        k = int(rng.integers(m2))
+        s = rng.choice([1.0, -2.0, 0.5])
+        E, f = np.vstack([E, s * E[k]]), np.append(f, s * f[k])
+    if m2 and rng.random() < 0.1:
+        E[int(rng.integers(m2))] = 0.0
+    if rng.random() < 0.3:
+        A, b = np.vstack([A, np.eye(n), -np.eye(n)]), np.concatenate([b, np.full(2 * n, 2.0)])
+    if rng.random() < 0.15:
+        c = np.zeros(n)
+    return c, A, b, E, f
+
+
+def test_lp_matches_the_loop_reference():
+    rng = np.random.default_rng(20261019)
+    seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    for trial in range(1500):
+        c, A, b, E, f = random_lp(rng)
+        with np.errstate(all="raise"):
+            got = lp_maximize(c, A, b, E, f)
+            want = loop_lp_maximize(c, A, b, E, f)
+        assert got.status == want.status, trial
+        assert got.value == want.value, trial
+        assert (got.x is None and want.x is None) or got.x.tobytes() == want.x.tobytes(), trial
+        seen[got.status] += 1
+    assert min(seen.values()) > 100, seen

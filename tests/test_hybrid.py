@@ -7,6 +7,7 @@ import pytest
 
 from reachkit.errors import DimMismatch, ModelError, PreconditionViolated
 from reachkit.flow import ExpressionDynamics
+from reachkit.facelift import GridRegion
 from reachkit.geometry import Polyhedron
 from reachkit.hybrid import (
     Edge,
@@ -15,6 +16,7 @@ from reachkit.hybrid import (
     RegionSet,
     Verdict,
     classify_step,
+    _push_edge_images,
     post,
     replay_witness,
     semi_decide_reach,
@@ -100,6 +102,10 @@ def test_system_construction_errors():
         )
     with pytest.raises(ModelError):
         HybridSystem(("a",), {"a": box}, {"a": slide()}, (), (("ghost", box),))
+    # a location whose field has another dimension than the invariants
+    for field in (ExpressionDynamics.parse(["1"]), ExpressionDynamics.parse(["1", "0", "0"])):
+        with pytest.raises(ModelError, match="continuous dimension"):
+            HybridSystem(("a", "b"), {"a": box, "b": box}, {"a": slide(), "b": field}, (), (("a", box),))
 
 
 def test_validate_catches_reset_escape():
@@ -307,6 +313,55 @@ def test_post_marks_scaled_reset_images_by_their_boxes():
     want &= dst.cells_touching(H.invariants["dst"])
     assert guard.shape[0] > 0
     assert np.array_equal(dst.occupancy, want)
+
+
+def corner_edge_images(region_mask, source, edge, target):
+    """The 2^d corner enumeration that _push_edge_images replaced, kept as
+    its reference: each cell box's corners go through the reset and
+    their coordinate bounding box is marked."""
+    idx = np.argwhere(region_mask)
+    dim = source.dim
+    corners = np.array(list(np.ndindex(*(2,) * dim)), float)
+    boxes = (source.lo + idx * source.h)[:, None, :] + corners[None, :, :] * source.h
+    images = boxes.reshape(-1, dim) @ edge.reset_matrix.T + edge.reset_offset
+    images = images.reshape(idx.shape[0], corners.shape[0], dim)
+    target.mark_boxes(images.min(axis=1), images.max(axis=1))
+
+
+def random_reset_case(rng):
+    """A source grid with a random cell mask, an affine reset (identity,
+    axis-aligned, a signed permutation or dense, integer or real) and a
+    target grid of the same cell size at another origin."""
+    dim = int(rng.integers(2, 4))
+    h = float(rng.choice([0.05, 0.1, 0.25]))
+    n = 8 if dim == 2 else 5
+    src = GridRegion(rng.integers(-2, 3, dim) * h, rng.integers(-2, 3, dim) * h + n * h, h)
+    kind = rng.integers(0, 4)
+    if kind == 0:
+        R = np.eye(dim)
+    elif kind == 1:
+        R = np.diag(rng.choice([-2.0, -1.0, 0.5, 1.0, 2.0], dim))
+    elif kind == 2:
+        R = np.eye(dim)[rng.permutation(dim)] * rng.choice([-1.0, 1.0], dim)
+    else:
+        R = rng.normal(size=(dim, dim))
+        if rng.random() < 0.5:
+            R = np.round(R)
+    c = rng.integers(-4, 5, dim) * h if rng.random() < 0.5 else rng.normal(size=dim)
+    edge = Edge("a", Polyhedron.box(src.lo, src.hi), "e", "b", R, c)
+    lo = rng.choice([0.0, 0.3 * h]) + rng.integers(-6, 0, dim) * h
+    tgt = GridRegion(lo, lo + 2 * n * h + 4 * h, h)
+    return rng.random(src.shape) < rng.uniform(0.05, 0.6), src, edge, tgt
+
+
+def test_push_edge_images_match_the_corner_reference():
+    rng = np.random.default_rng(20261019)
+    for trial in range(300):
+        mask, src, edge, tgt = random_reset_case(rng)
+        got, want = tgt.blank(), tgt.blank()
+        _push_edge_images(mask, src, edge, got)
+        corner_edge_images(mask, src, edge, want)
+        assert np.array_equal(got.occupancy, want.occupancy), trial
 
 
 # ---------------------------------------------------------------------------
