@@ -1,4 +1,11 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the size
+budget that BudgetExceeded enforces."""
+
+# the size budget, checked in floats before numpy allocates: a grid has at
+# most MAX_GRID_CELLS cells and a sample lattice as many points; a list of
+# time steps, and the RK4 steps of one trajectory, at most MAX_TIME_STEPS
+MAX_GRID_CELLS = 100_000_000
+MAX_TIME_STEPS = 1_000_000
 
 
 class ReachkitError(Exception):
@@ -87,6 +94,11 @@ class DimUnsupported(ReachkitError):
 class BudgetExceeded(ReachkitError):
     """A grid, a sample lattice or a list of time steps would outgrow its
     fixed size budget."""
+
+
+def _within_budget(count: float, limit: int, what: str):
+    if count > limit:
+        raise BudgetExceeded(f"{count:.3g} {what} exceed the budget of {limit:,}")
 
 
 class ModelError(ReachkitError):

@@ -18,8 +18,9 @@ import numpy as np
 
 from . import expr as expression
 from .errors import (
+    MAX_GRID_CELLS,
+    MAX_TIME_STEPS,
     AssumptionA2Violated,
-    BudgetExceeded,
     DegenerateNormal,
     DimMismatch,
     EmptyBoundary,
@@ -29,6 +30,7 @@ from .errors import (
     PreconditionViolated,
     ReachkitError,
     StepTooCoarse,
+    _within_budget,
 )
 from .flow import LinearDynamics, expm, trajectory
 from .geometry import (
@@ -49,17 +51,6 @@ INFLOW = "inflow"
 _HAUSDORFF_CAP_CELLS = 8  # GridRegion.hausdorff gives up (inf) beyond this many cells
 _CONTACT_TOL = 1e-9  # cell widths of gap that cells_touching still counts as contact
 _RESAMPLE_ROUNDS = 6  # midpoint insertion rounds per front step and chain run
-
-# the size budget, checked in floats before numpy allocates: a grid has at
-# most MAX_GRID_CELLS cells and a sample lattice as many points; a list of
-# time steps has at most MAX_TIME_STEPS steps
-MAX_GRID_CELLS = 100_000_000
-MAX_TIME_STEPS = 1_000_000
-
-
-def _within_budget(count: float, limit: int, what: str):
-    if count > limit:
-        raise BudgetExceeded(f"{count:.3g} {what} exceed the budget of {limit:,}")
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +184,21 @@ def _newton_project(ls: LevelSet, x, iters: int):
     return x, ok
 
 
+def _first_rows(key):
+    """Ascending indices of the first occurrence of each distinct row of
+    the integer array key (m, d): np.unique(key, axis=0, return_index=True)
+    followed by np.sort, from one sort. A stable np.lexsort puts equal
+    rows next to each other in index order, so the head of each run of
+    equal rows is its first occurrence."""
+    if key.shape[0] == 0:
+        return np.zeros(0, np.intp)
+    order = np.lexsort(key.T[::-1])
+    rows = key[order]
+    head = np.ones(order.size, bool)
+    np.any(rows[1:] != rows[:-1], axis=1, out=head[1:])
+    return np.sort(order[head])
+
+
 def _levelset_boundary_2d(ls: LevelSet, h_b: float):
     """Zero-set samples: sign changes on a scan grid, refined by normal
     projection, ordered by angle around their centroid (one closed chain)."""
@@ -227,9 +233,7 @@ def _levelset_boundary_2d(ls: LevelSet, h_b: float):
     pts = pts[ok]
 
     # dedupe on an h_b/2 bucket grid, then order around the centroid
-    key = np.round(pts / (h_b / 2.0)).astype(int)
-    _, first = np.unique(key, axis=0, return_index=True)
-    pts = pts[np.sort(first)]
+    pts = pts[_first_rows(np.round(pts / (h_b / 2.0)).astype(int))]
     c = pts.mean(axis=0)
     ang = np.arctan2(pts[:, 1] - c[1], pts[:, 0] - c[0])
     return pts[np.argsort(ang, kind="stable")], dropped
@@ -251,9 +255,7 @@ def _levelset_boundary_nd(ls: LevelSet, h_b: float):
     if not keep.any():
         raise EmptyBoundary("no projected lattice point reached the zero set")
     pts = pts[keep]
-    key = np.round(pts / (h_b / 2.0)).astype(int)
-    _, first = np.unique(key, axis=0, return_index=True)
-    return pts[np.sort(first)], dropped
+    return pts[_first_rows(np.round(pts / (h_b / 2.0)).astype(int))], dropped
 
 
 def _levelset_boundary(ls: LevelSet, h_b: float):
@@ -443,17 +445,24 @@ class GridRegion:
         """One C-order cell number per point of the (m, d) array pts, -1
         outside the box. A point p lies in cell floor((p - lo)/h); within
         1e-9 cells of the box it is clamped into the edge cell, and further
-        out (or not finite) it is outside."""
+        out (or not finite) it is outside. The cell number is summed one
+        axis at a time, in place, from the same (p_j - lo_j)/h per point."""
         pts = np.asarray(pts, float)
         if pts.size == 0:
             return np.zeros(0, np.intp)
-        t = (np.atleast_2d(pts).T - self.lo[:, None]) / self.h
-        inbox = np.ones(t.shape[1], bool)
-        cells = np.zeros(t.shape[1], np.intp)
+        pts = np.atleast_2d(pts)
+        inbox = np.ones(pts.shape[0], bool)
+        cells = np.zeros(pts.shape[0], np.intp)
+        t = np.empty(pts.shape[0])
         with np.errstate(invalid="ignore"):  # casts of non-finite points are discarded
-            for tj, n, stride in zip(t, self.shape, self._strides):
-                inbox &= (tj > -1e-9) & (tj < n + 1e-9)
-                cells += np.clip(tj, 0.0, n - 1.0).astype(np.intp) * stride
+            for j, (n, stride) in enumerate(zip(self.shape, self._strides)):
+                np.subtract(pts[:, j], self.lo[j], out=t)
+                t /= self.h
+                inbox &= t > -1e-9
+                inbox &= t < n + 1e-9
+                idx = np.clip(t, 0.0, n - 1.0, out=t).astype(np.intp)
+                idx *= stride
+                cells += idx
         cells[~inbox] = -1
         return cells
 
@@ -770,22 +779,22 @@ def _max_speed(dyn, pts):
     return speed
 
 
-def _substeps(dyn, pts, delta, h):
-    """Substeps over [0, delta] that move the fastest sample of pts, at its
-    start speed, by at most h/2 each; at most MAX_TIME_STEPS of them."""
-    count = abs(delta) * _max_speed(dyn, pts) / (0.5 * h)
+def _substeps(speed, delta, h):
+    """Substeps over [0, delta] that move a sample of start speed ``speed``
+    by at most h/2 each; at most MAX_TIME_STEPS of them."""
+    count = abs(delta) * speed / (0.5 * h)
     _within_budget(count, MAX_TIME_STEPS, "substeps")
     return max(1, int(math.ceil(count)))
 
 
 def _advect(dyn, pts, delta, h, nsub=None):
     """Substepped flow over [0, delta]: (m, nsub+1, dim) trajectories, with
-    nsub from _substeps unless given. Raises StepTooCoarse when one substep
-    moves a sample further than 2h (the field sped up along the way); a
-    constant field moves every sample by the same h/2 at most, so its
-    substeps are not checked."""
+    nsub from _substeps at the fastest start speed of pts unless given.
+    Raises StepTooCoarse when one substep moves a sample further than 2h
+    (the field sped up along the way); a constant field moves every sample
+    by the same h/2 at most, so its substeps are not checked."""
     if nsub is None:
-        nsub = _substeps(dyn, pts, delta, h)
+        nsub = _substeps(_max_speed(dyn, pts), delta, h)
     try:
         traj = trajectory(dyn, pts, delta, nsub)
     except NonFiniteState as exc:
@@ -797,21 +806,39 @@ def _advect(dyn, pts, delta, h, nsub=None):
     return traj
 
 
+def _chain_speeds(dyn, pts):
+    """_max_speed of each point array in pts, bit for bit. An expression
+    field is evaluated once on all the points, and each chain takes the
+    maximum of its own rows: the field and the norm act row by row, and a
+    maximum is exact. BLAS multiplies a lone row of a linear field with
+    other floats than a row of a batch, so a linear field keeps one
+    product per chain."""
+    if isinstance(dyn, LinearDynamics) or not pts:
+        return [_max_speed(dyn, p) for p in pts]
+    sizes = np.array([p.shape[0] for p in pts])
+    speed = np.linalg.norm(dyn.evaluate(np.concatenate(pts)), axis=1)
+    out = np.zeros(sizes.size)  # an empty chain has speed 0, as in _max_speed
+    out[sizes > 0] = np.maximum.reduceat(speed, (np.cumsum(sizes) - sizes)[sizes > 0])
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteState("the vector field is not finite at a sample point")
+    return out.tolist()
+
+
 def _advect_chains(dyn, chains, delta, h):
     """_advect of every chain's points, bit for bit, in one trajectory call
     per distinct substep count: each chain keeps the nsub of its own start
-    speed, and the chains that share it flow as one batch. BLAS multiplies
-    a lone row with other floats than a row of a batch, so a one-point
-    chain of a linear field flows alone. If the batched step raises, the
-    chains are advected again one by one in order, so the first failing
-    chain's error is the one raised."""
+    speed (_chain_speeds), and the chains that share it flow as one batch.
+    BLAS multiplies a lone row with other floats than a row of a batch,
+    so a one-point chain of a linear field flows alone. If the batched
+    step raises, the chains are advected again one by one in order, so
+    the first failing chain's error is the one raised."""
     pts = [p for p, _ in chains]
     linear = isinstance(dyn, LinearDynamics)
     try:
         groups = {}  # (nsub, chain index or -1) -> the chains of one batch
-        for i, p in enumerate(pts):
+        for i, (p, speed) in enumerate(zip(pts, _chain_speeds(dyn, pts))):
             alone = i if linear and p.shape[0] == 1 else -1
-            groups.setdefault((_substeps(dyn, p, delta, h), alone), []).append(i)
+            groups.setdefault((_substeps(speed, delta, h), alone), []).append(i)
         trajs = [None] * len(pts)
         for (nsub, _), members in groups.items():
             batch = _advect(dyn, np.concatenate([pts[i] for i in members]), delta, h, nsub)
@@ -931,17 +958,19 @@ def _near_shadow(pts, v_pts, h, thr):
     return near
 
 
-def _exit_shadow_keep(chains, trajs, invariant, dyn, delta, h):
+def _exit_shadow_keep(chains, flat, invariant, dyn, delta, h):
     """One keep mask per chain: False for the front samples within h of
     the exit shadow, the reverse-flow images of escaping tube samples.
-    Memory is linear in the front and shadow sizes (see _near_shadow)."""
-    flat = np.vstack([t.reshape(-1, t.shape[2]) for t in trajs])
+    flat holds every substep of every sample of the step's trajectories,
+    chain by chain, as _front_sweep stacks them. The escaping samples are
+    thinned to the first one in each h-cell (_first_rows), then to at
+    most 2000. Memory is linear in the front and shadow sizes (see
+    _near_shadow)."""
     outside = ~invariant.contains(flat, tol=1e-9)
     if not outside.any():
         return [np.ones(pts.shape[0], bool) for pts, _ in chains]
     u = flat[outside]
-    _, first = np.unique(np.floor(u / h).astype(int), axis=0, return_index=True)
-    u = u[np.sort(first)]
+    u = u[_first_rows(np.floor(u / h).astype(int))]
     if u.shape[0] > 2000:
         u = u[:: int(math.ceil(u.shape[0] / 2000.0))]
     v_pts = _advect(dyn, u, -delta, h).reshape(-1, u.shape[1])
@@ -977,7 +1006,7 @@ def _front_sweep(chains, init, dyn, intervals, cum, h, h_b, invariant=None):
         if invariant is None:
             keep = np.ones(ends.size, bool)
         else:
-            keep = np.concatenate(_exit_shadow_keep(chains, trajs, invariant, dyn, delta, h))
+            keep = np.concatenate(_exit_shadow_keep(chains, flat, invariant, dyn, delta, h))
         cells = cum._cells(flat)
         kept_rows = np.repeat(keep, rows)
         kept, lost = cum.blank(), cum.blank()

@@ -32,10 +32,22 @@ buffer [x0, inc, inc, ...] adds the increments strictly in order, so each
 state is the same sequence of IEEE additions as a step-by-step loop, and
 the lattice is every nsteps-th row. With one step per lattice step the
 buffer is the output itself; otherwise the steps run in blocks, so a long
-horizon does not allocate one row per step. Finiteness is checked on the
-lattice rows: a finite increment never makes a non-finite state finite
-again, and a non-finite one makes the state non-finite at the first step,
-so the first non-finite lattice row is where a step-by-step loop raises.
+horizon does not allocate one row per step. The increments are copied in
+from one contiguous (rows, n) block of inc, which numpy copies as one run
+per sample rather than n floats at a time.
+
+Finiteness is read off the last lattice row alone. That is exact: a
+finite increment never makes a non-finite state finite again (inf plus a
+finite number stays inf, NaN stays NaN), and a non-finite increment makes
+the state non-finite at the first step and keeps it so, because every
+step adds the same inc. So every state of the lattice is finite exactly
+when its last row is. Only a lattice that fails this check is scanned
+row by row, and the first non-finite lattice row is where a step-by-step
+loop raises.
+
+``trajectory`` refuses, before any step runs, an expression flow of more
+than MAX_TIME_STEPS RK4 steps in all (nsub times the steps per lattice
+step), with BudgetExceeded.
 """
 
 from __future__ import annotations
@@ -46,7 +58,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as _expr
-from .errors import NonFiniteState, NumericRange, Unbounded2D, UnboundedFace
+from .errors import (
+    MAX_TIME_STEPS,
+    NonFiniteState,
+    NumericRange,
+    Unbounded2D,
+    UnboundedFace,
+    _within_budget,
+)
 from .geometry import Face
 
 _PADE13 = (
@@ -237,24 +256,26 @@ def _constant_lattice(out, c, h, nsteps):
     first non-finite row, with the rows before it as ``partial``."""
     inc = (h / 6.0) * (c + 2.0 * c + 2.0 * c + c)
     m, rows, n = out.shape
+    total = (rows - 1) * nsteps
     if nsteps == 1:
-        out[:, 1:] = inc
-        np.add.accumulate(out, axis=1, out=out)
+        buf = out
     else:
-        total = (rows - 1) * nsteps
         buf = np.empty((m, min(total, max(1, _ACCUMULATE_BLOCK // max(1, m * n))) + 1, n))
         buf[:, 0] = out[:, 0]
-        for done in range(0, total, buf.shape[1] - 1):  # steps before the block
-            block = buf[:, : min(buf.shape[1], total - done + 1)]
-            block[:, 1:] = inc
-            np.add.accumulate(block, axis=1, out=block)
+    steps = np.empty((buf.shape[1] - 1, n))  # the contiguous block of increments
+    steps[:] = inc
+    for done in range(0, total, buf.shape[1] - 1):  # steps before the block
+        block = buf[:, : min(buf.shape[1], total - done + 1)]
+        block[:, 1:] = steps[: block.shape[1] - 1]
+        np.add.accumulate(block, axis=1, out=block)
+        if nsteps > 1:
             first = nsteps - done % nsteps  # the block's first lattice row
             lattice = block[:, first::nsteps]
             row = (done + first) // nsteps
             out[:, row : row + lattice.shape[1]] = lattice
             buf[:, 0] = block[:, -1]
-    finite = np.isfinite(out).all(axis=(0, 2))
-    if not finite.all():
+    if not np.isfinite(out[:, -1]).all():
+        finite = np.isfinite(out).all(axis=(0, 2))
         exc = NonFiniteState("integration produced a non-finite state")
         exc.partial = out[:, : int(np.argmin(finite))]
         raise exc
@@ -323,7 +344,9 @@ def trajectory(dyn: Dynamics, x0, t: float, nsub: int, tol: float = 1e-8) -> np.
 
     else:
         fwd = dyn if t > 0 else dyn.negated()
-        nsteps = max(1, int(math.ceil(abs(dt) / tol**0.25)))
+        per_step = abs(dt) / tol**0.25  # RK4 steps per lattice step, before rounding up
+        _within_budget(nsub * float(np.ceil(per_step)), MAX_TIME_STEPS, "RK4 steps")
+        nsteps = max(1, int(math.ceil(per_step)))
         if fwd.constant is not None:
             # a blow-up is reported by the finiteness check, not by numpy warnings
             with np.errstate(over="ignore", invalid="ignore"):

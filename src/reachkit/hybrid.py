@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimMismatch, ModelError, PreconditionViolated
-from .facelift import MAX_TIME_STEPS, GridRegion, _within_budget, reach_invariant
+from .errors import MAX_TIME_STEPS, DimMismatch, ModelError, PreconditionViolated, _within_budget
+from .facelift import GridRegion, reach_invariant
 from .flow import trajectory
 from .geometry import Polyhedron, grid_points, is_empty
 
@@ -431,7 +431,7 @@ def _greedy_replay(H, q, starts, witness, jumps, params, h, best):
     paths, times = trajectory(dyn, starts, tau, n), np.linspace(0.0, tau, n + 1)
     m, k1, dim = paths.shape
     inside = G.contains(paths.reshape(-1, dim), tol=1e-7).reshape(m, k1)
-    alive = np.cumprod(inside, axis=1).astype(bool)  # prefix before leaving G
+    alive = np.logical_and.accumulate(inside, axis=1)  # prefix before leaving G
 
     if q == q_w:
         dist = np.where(alive, np.linalg.norm(paths - x_w, axis=2), math.inf)

@@ -323,11 +323,34 @@ class BoundSet:
         return float(self.l_prime[self.k + i])
 
 
+def _check_far_sides(prob: StepProblem):
+    """Raise NumericRange when the far face lost a side: propagate_face
+    drops a vacuous side whose normal turns onto the base direction, but
+    every bound pairs side i of the start face with side i of the far
+    face. The message names the lost sides, those whose transported
+    normals lie nearest the transported base direction."""
+    lost = prob.k - prob.face_delta.k
+    if lost <= 0:
+        return
+    back = expm(-prob.matrix.T, prob.delta)
+    moved = prob.face.side_normals @ back.T
+    base = back @ prob.face.base_normal
+    base = base / np.linalg.norm(base)
+    off_base = np.linalg.norm(moved - np.outer(moved @ base, base), axis=1)
+    sides = sorted(np.argsort(off_base, kind="stable")[:lost].tolist())
+    noun, whose = ("side", "its normal") if lost == 1 else ("sides", "their normals")
+    raise NumericRange(
+        f"the far face lost {noun} {', '.join(map(str, sides))}: over the horizon "
+        f"{prob.delta:.6g} the transport turns {whose} onto the base direction"
+    )
+
+
 def conservative_bounds(prob: StepProblem) -> BoundSet:
     """Closed-form distance bounds, sound whenever the outward condition
     holds with margin delta0 on [-Delta, Delta]."""
     if prob.delta0 is None:
         raise BadDeltaOrder("no positive delta0 at this horizon; shrink the step")
+    _check_far_sides(prob)
     A = prob.matrix
     k = prob.k
     growth = prob.m0 * math.exp(prob.norm_a * prob.delta)
@@ -381,6 +404,7 @@ def sampled_bounds(prob: StepProblem, nx: int = 40, nt: int = 40) -> BoundSet:
     point sets) can only grow each entry. Soundness claims belong to
     conservative mode, not here.
     """
+    _check_far_sides(prob)
     k = prob.k
     f0, fd = prob.face, prob.face_delta
     Y = tube_lattice(f0, prob.matrix, prob.delta, nx, nt)

@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
@@ -459,6 +460,41 @@ def test_huge_face_coefficients_exit_3(tmp_path, capfd, index, reason):
     err = capfd.readouterr().err
     assert err.startswith("assumption violated: ") and reason in err
     assert "Warning" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("bounds", ["conservative", "sampled"])
+def test_far_face_that_loses_a_side_exits_3(tmp_path, capfd, bounds):
+    # under diag(40, 1) both side normals turn onto the base direction
+    # within the horizon: the far face keeps no side for a bound to pair
+    data = {
+        "schema": 1,
+        "kind": "polyapprox",
+        "dynamics": {"matrix": [[40.0, 0.0], [0.0, 1.0]]},
+        "face": {"base": [0.0, 1.0, 1.0], "sides": [[1.0, 0.0, 2.0], [-1.0, 0.0, 1.0]]},
+        "grid": {"delta": 1.0},
+    }
+    path = write_model(tmp_path, data)
+    assert run(["polyapprox", path, "--out", str(tmp_path / "o"), "--bounds", bounds]) == 3
+    err = capfd.readouterr().err
+    assert err.startswith("assumption violated: NumericRange: the far face lost sides 0, 1")
+    assert "Traceback" not in err
+
+
+def test_rk4_step_budget_exits_2_before_integrating(tmp_path, capfd):
+    # tau/8 = 12,500 per interval in one substep, at ceil(12,500 / 0.01)
+    # RK4 steps each: refused before the first step runs
+    data = {
+        "schema": 1,
+        "kind": "reach",
+        "dynamics": {"expressions": ["0.000001*x1 + 0.000001", "0"]},
+        "initial": {"box": [[0.0, 0.0], [1.0, 1.0]]},
+        "grid": {"cell": 0.05, "tau": 100000},
+    }
+    started = time.perf_counter()
+    assert run(["reach", write_model(tmp_path, data), "--out", str(tmp_path / "o")]) == 2
+    assert time.perf_counter() - started < 1.0
+    err = capfd.readouterr().err
+    assert err.startswith("error: BudgetExceeded: 1.25e+06 RK4 steps exceed the budget of 1,000,000")
 
 
 @pytest.mark.parametrize("cmd,name", [("reach-inv", "drift_invariant.json"), ("hybrid-reach", "hybrid_drift.json")])

@@ -590,6 +590,48 @@ def test_layouts_a_few_cells_apart_far_from_the_origin_differ():
         g.include(shifted)
 
 
+def transposed_cells(grid, pts):
+    """Reference: GridRegion._cells as one transposed (d, m) array of
+    (p - lo)/h, before the cell numbers were summed axis by axis in place."""
+    pts = np.asarray(pts, float)
+    if pts.size == 0:
+        return np.zeros(0, np.intp)
+    t = (np.atleast_2d(pts).T - grid.lo[:, None]) / grid.h
+    inbox = np.ones(t.shape[1], bool)
+    cells = np.zeros(t.shape[1], np.intp)
+    with np.errstate(invalid="ignore"):
+        for tj, n, stride in zip(t, grid.shape, grid._strides):
+            inbox &= (tj > -1e-9) & (tj < n + 1e-9)
+            cells += np.clip(tj, 0.0, n - 1.0).astype(np.intp) * stride
+    cells[~inbox] = -1
+    return cells
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_cells_match_the_transposed_formula(dim):
+    rng = np.random.default_rng(100 + dim)
+    for _ in range(20):
+        h = float(rng.choice([0.01, 0.05, 0.1, 0.3]))
+        lo = rng.uniform(-2.0, 2.0, dim)
+        grid = GridRegion(lo, lo + rng.uniform(0.2, 1.5, dim), h)
+        inside = rng.uniform(grid.lo - 2 * h, grid.hi + 2 * h, (300, dim))
+        # points on shared cell edges, and within or beyond 1e-9 cells of the box
+        edges = grid.lo + rng.integers(0, max(grid.shape) + 1, (100, dim)) * h
+        rim = np.where(rng.random((100, dim)) < 0.5, grid.lo, grid.hi)
+        rim = rim + rng.choice([-2e-9, -0.5e-9, 0.0, 0.5e-9, 2e-9], (100, dim)) * h
+        odd = rng.uniform(grid.lo, grid.hi, (60, dim))
+        odd[rng.random((60, dim)) < 0.3] = np.nan
+        odd[rng.random((60, dim)) < 0.2] = np.inf
+        odd[rng.random((60, dim)) < 0.2] = -np.inf
+        pts = np.vstack([inside, edges, rim, odd])[rng.permutation(560)]
+        got = grid._cells(pts)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, transposed_cells(grid, pts))
+        assert np.any(got == -1) and np.any(got >= 0)
+    for pts in (np.zeros((0, dim)), grid.lo, grid.lo + 0.5 * h):  # empty, and a lone point
+        assert np.array_equal(grid._cells(pts), transposed_cells(grid, pts))
+
+
 # ---------------------------------------------------------------------------
 # time steps
 
@@ -973,6 +1015,30 @@ def loop_split_runs(m, closed, keep):
     return runs
 
 
+@pytest.mark.parametrize("cols", [1, 2, 3, 4])
+def test_first_rows_match_unique_then_sort(cols):
+    rng = np.random.default_rng(200 + cols)
+    for m in (0, 1, 2, 9, 300, 4000):
+        for span in (1, 4, 1000):
+            key = rng.integers(-span, span + 1, (m, cols))
+            _, first = np.unique(key, axis=0, return_index=True)
+            got = facelift._first_rows(key)
+            assert np.array_equal(got, np.sort(first)) and got.dtype.kind == "i"
+
+
+def test_chain_speeds_match_the_per_chain_maximum():
+    rng = np.random.default_rng(11)
+    sizes = [0, 1, 5, 1, 40, 0, 3]
+    chains = [rng.uniform(-2.0, 2.0, (n, 2)) for n in sizes]
+    for dyn in (ExpressionDynamics.parse(["x2*cos(x1)", "exp(x1) - x2*x2"]), DRIFT, ROT):
+        want = [facelift._max_speed(dyn, p) for p in chains]
+        assert facelift._chain_speeds(dyn, chains) == want
+    assert facelift._chain_speeds(DRIFT, []) == []
+    blowup = ExpressionDynamics.parse(["1/x1", "0"])
+    with np.errstate(divide="ignore"), pytest.raises(NonFiniteState, match="not finite at a sample"):
+        facelift._chain_speeds(blowup, [np.ones((2, 2)), np.zeros((1, 2))])
+
+
 def loop_resample_chain(dyn, pre, pts, closed, h_b, delta, h, max_rounds=6):
     """Row-loop reference for _resample_chain."""
     pre = pre.copy()
@@ -1130,7 +1196,8 @@ def per_chain_front_sweep(chains, init, dyn, intervals, cum, h, h_b, invariant=N
         if invariant is None:
             keeps = [np.ones(pts.shape[0], bool) for pts, _ in chains]
         else:
-            keeps = facelift._exit_shadow_keep(chains, trajs, invariant, dyn, delta, h)
+            flat = np.concatenate([traj.reshape(-1, traj.shape[2]) for traj in trajs])
+            keeps = facelift._exit_shadow_keep(chains, flat, invariant, dyn, delta, h)
         kept, lost = cum.blank(), cum.blank()
         nxt = []
         for (pts, closed), traj, keep in zip(chains, trajs, keeps):

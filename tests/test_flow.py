@@ -551,6 +551,21 @@ def test_constant_accumulate_matches_the_step_loop(case):
         assert got_rk4 == [rk4_outcome(loop_constant_rk4, dyn, x, t, nsteps) for x in batches]
 
 
+def test_constant_overflow_past_a_block_gets_the_full_scan_partial(monkeypatch):
+    # three RK4 steps per lattice step of 0.5 (tol^(1/4) = 0.2), each adding
+    # 1e307/6 to x1: the second point passes the largest double at step 12,
+    # lattice row 4 of 8, in the third block of 5 steps (30 // (3 * 2))
+    monkeypatch.setattr(flow_module, "_ACCUMULATE_BLOCK", 30)
+    dyn = ExpressionDynamics.parse(["1e307", "0"])
+    x0 = np.array([[0.0, 1.0], [1.6e308, -2.0], [-3.0, 0.5]])
+    tol = 0.2**4
+    with pytest.raises(NonFiniteState) as info:
+        trajectory(dyn, x0, 4.0, 8, tol)
+    assert info.value.partial.shape == (3, 4, 2)
+    want = outcome(loop_constant_trajectory, dyn, x0, 4.0, 8, tol)
+    assert outcome(trajectory, dyn, x0, 4.0, 8, tol) == want
+
+
 def rk4_outcome(fn, *args):
     """outcome without the partial, which rk4 does not promise."""
     res = outcome(fn, *args)

@@ -289,6 +289,18 @@ def test_propagated_face_matches_rotated_rows():
     assert fd.check_orthonormal()
 
 
+@pytest.mark.parametrize("mode", ["conservative", "sampled"])
+def test_far_face_that_loses_one_side_raises_naming_it(mode):
+    # under diag(40, 1, 1) the side x1 <= 1 turns onto the base normal e2
+    # and is dropped as vacuous; -x1 - x3 <= 1 and x3 <= 1 keep their x3 part
+    sides = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, -1.0], [0.0, 0.0, 1.0]])
+    face = Face(sides, np.ones(3), [0.0, 1.0, 0.0], 1.0)
+    A = np.diag([40.0, 1.0, 1.0])
+    assert propagate_face(geometry.normalize_and_orthogonalize(face), A, 1.0).k == face.k - 1
+    with pytest.raises(NumericRange, match=r"^the far face lost side 0: over the horizon 1 "):
+        overapproximate_step(face, A, 1.0, mode=mode)
+
+
 def test_propagated_face_is_the_exact_image():
     rng = np.random.default_rng(7)
     A = rng.uniform(-1.0, 1.0, (2, 2))
