@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -60,8 +60,9 @@ _ASSUMPTION_ERRORS = (
 
 @dataclass
 class RunReport:
-    """Everything a run decided and produced, minus wall-clock time; run()
-    fills in the command, model and kind."""
+    """Everything a run decided and produced, and nothing timed, so every
+    field goes into report.json; run() fills in the command, model and
+    kind."""
 
     command: str = ""
     model: str = ""
@@ -69,20 +70,9 @@ class RunReport:
     settings: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
     outputs: list = field(default_factory=list)
-    elapsed: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "model": self.model,
-            "kind": self.kind,
-            "settings": self.settings,
-            "diagnostics": self.diagnostics,
-            "outputs": self.outputs,
-        }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +132,7 @@ def _cell_text():
         if key not in tables:
             seps = [","] * (region.dim - 1) + ["\n"]
             tables[key] = [
-                np.array([_fmt(c) + sep for c in lo + (np.arange(n) + 0.5) * region.h], object)
+                np.array([repr(c) + sep for c in (lo + (np.arange(n) + 0.5) * region.h).tolist()], object)
                 for lo, n, sep in zip(region.lo, region.shape, seps)
             ]
         idx = np.argwhere(region.occupancy)
@@ -649,7 +639,7 @@ def run(argv=None) -> int:
             started = time.perf_counter()
             code, report, _ = _BODIES[args.command](model, args, out)
         report.command, report.model, report.kind = args.command, model.path or "<memory>", model.kind
-        report.elapsed = time.perf_counter() - started
+        elapsed = time.perf_counter() - started
         _write_report(report, out)
     except (ModelError, DimUnsupported) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -662,7 +652,7 @@ def run(argv=None) -> int:
         return EXIT_MODEL
     for name in report.outputs:
         print(os.path.join(out, name))
-    print(f"{args.command}: done in {report.elapsed:.3f}s (exit {code})")
+    print(f"{args.command}: done in {elapsed:.3f}s (exit {code})")
     return code
 
 

@@ -300,10 +300,8 @@ class BoundaryFront:
     """
 
     points: np.ndarray
-    normals: np.ndarray
     dots: np.ndarray
     tags: np.ndarray
-    spacing: float
     dropped: int = 0
     chains: list = field(default_factory=list)
 
@@ -377,7 +375,7 @@ def classify_boundary(init, dyn, h_b: float, boundary=None) -> BoundaryFront:
     dots = np.einsum("ij,ij->i", normals, f)
     tol = 1e-9 * (1.0 + np.linalg.norm(f, axis=1))
     tags = np.where(dots > tol, OUTFLOW, np.where(dots < -tol, INFLOW, TANGENTIAL))
-    return BoundaryFront(pts, normals, dots, tags, h_b, dropped, chains)
+    return BoundaryFront(pts, dots, tags, dropped, chains)
 
 
 # ---------------------------------------------------------------------------
@@ -494,11 +492,6 @@ class GridRegion:
         i1 = np.ceil((np.asarray(hi) - self.lo) / self.h + 1e-9).astype(int) + pad
         return np.maximum(i0, 0), np.minimum(i1, np.array(self.shape))
 
-    def _window(self, lo, hi, pad=0):
-        """Index rows of the cells in _ranges(lo, hi, pad), (0, d) if none."""
-        i0, i1 = self._ranges(lo, hi, pad)
-        return grid_points([np.arange(a, b) for a, b in zip(i0, i1)])
-
     def _mask(self, idx, hit):
         mask = np.zeros(self.shape, dtype=bool)
         mask[tuple(idx[hit].T)] = True
@@ -535,14 +528,16 @@ class GridRegion:
         return Polyhedron.box(lo, lo + self.h).ineqs
 
     def _poly_window(self, P: Polyhedron):
-        """Cell-index window covering the part of P inside the grid box.
-        Clipping first keeps unbounded polyhedra (strips, halfplanes) legal."""
+        """Index rows of the cells in _ranges of the part of P inside the
+        grid box, (0, d) if none. Clipping first keeps unbounded polyhedra
+        (strips, halfplanes) legal."""
         clipped = Polyhedron(P.ineqs + Polyhedron.box(self.lo, self.hi).ineqs, P.eqs)
         try:
             lo, hi = clipped.bounding_box()
         except EmptyPolyhedron:
             return np.zeros((0, self.dim), int)
-        return self._window(lo, hi)
+        i0, i1 = self._ranges(lo, hi)
+        return grid_points([np.arange(a, b) for a, b in zip(i0, i1)])
 
     def cells_touching(self, S):
         """Over-rasterization: mask of the closed cells that meet the set S.
@@ -981,7 +976,7 @@ def _exit_shadow_keep(chains, flat, invariant, dyn, delta, h):
     return np.split(~near, np.cumsum([pts.shape[0] for pts, _ in chains])[:-1])
 
 
-def _front_sweep(chains, init, dyn, intervals, cum, h, h_b, invariant=None):
+def _front_sweep(chains, init, dyn, intervals, cum, h_b, invariant=None):
     """Advect the front over each interval until it empties, adding each
     step's swept cells to cum. Yields (t0, t1, swept, kept, next_chains)
     per step: kept holds the cells swept by the samples that survive the
@@ -992,6 +987,7 @@ def _front_sweep(chains, init, dyn, intervals, cum, h, h_b, invariant=None):
     a step are advected together (_advect_chains), and rasterized, marked
     and tested as one flat front; each chain then splits once at the
     other samples and its ordered runs are resampled."""
+    h = cum.h
     touch = None if invariant is None else cum.cells_touching(invariant)
     for t0, t1 in intervals:
         if not chains:
@@ -1033,7 +1029,7 @@ def _front_sweep(chains, init, dyn, intervals, cum, h, h_b, invariant=None):
         yield t0, t1, swept, kept, chains
 
 
-def _sweep_tube(init, dyn, chains, intervals, cum, h, h_b, invariant=None, under=False):
+def _sweep_tube(init, dyn, chains, intervals, cum, h_b, invariant=None, under=False):
     """Tube of one front sweep: its segments hold each step's swept cells,
     which accumulate in cum (the tube's occupancy). under=True keeps
     instead the kept cells certified inside the invariant, accumulated in
@@ -1049,9 +1045,8 @@ def _sweep_tube(init, dyn, chains, intervals, cum, h, h_b, invariant=None, under
         tube.under_occupancy = cum.blank()
         tube.under_initial_region = _initial_region(init, cum, GridRegion.cells_inside)
         cert = cum.cells_inside(invariant)
-    for t0, t1, swept, kept, chains in _front_sweep(
-        chains, init, dyn, intervals, cum, h, h_b, invariant
-    ):
+    sweep = _front_sweep(chains, init, dyn, intervals, cum, h_b, invariant)
+    for t0, t1, swept, kept, chains in sweep:
         if under:
             swept = cum._like(kept.occupancy & cert)
             tube.under_occupancy.include(swept)
@@ -1140,7 +1135,7 @@ def reach_bounded_time(
     lo, hi = box
     cum = GridRegion(lo, hi, h)
     chains = classify_boundary(init, dyn, h_b).front_chains()
-    tube = _sweep_tube(init, dyn, chains, intervals, cum, h, h_b)
+    tube = _sweep_tube(init, dyn, chains, intervals, cum, h_b)
     if not under:
         return tube
 
@@ -1262,7 +1257,7 @@ def reach_invariant(
         chains = classify_boundary(init, dyn, h_b, boundary).front_chains()
     intervals = _step_intervals(dt, max_iters)
     cum = GridRegion(lo, hi, h)
-    tube = _sweep_tube(init, dyn, chains, intervals, cum, h, h_b, invariant, under)
+    tube = _sweep_tube(init, dyn, chains, intervals, cum, h_b, invariant, under)
     tube.iteration_cap = not tube.front_collapse
     return tube
 
@@ -1294,7 +1289,7 @@ def check_boundary_equivalence(init, dyn, tau: float, h: float = 0.05) -> dict:
 
     regions = {"full": full}
     for name, chains in (("boundary", front.all_chains()), ("outflow", front.front_chains())):
-        tube = _sweep_tube(init, dyn, chains, intervals, init_over.blank(), h, h_b)
+        tube = _sweep_tube(init, dyn, chains, intervals, init_over.blank(), h_b)
         regions[name] = tube.combined_region()
     pairs = [("full", "boundary"), ("full", "outflow"), ("boundary", "outflow")]
     sym = {

@@ -13,7 +13,7 @@ remains for 3D and above, for is_empty, for polyapprox's check_A2 and for
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
@@ -283,7 +283,6 @@ class Face:
     base_normal: np.ndarray
     base_offset: float
     orthonormal: bool = False
-    dropped_sides: int = field(default=0, compare=False)
 
     def __post_init__(self):
         sn = np.atleast_2d(np.asarray(self.side_normals, float))
@@ -333,13 +332,15 @@ class Face:
             keep &= mesh @ self.side_normals[i] - self.side_offsets[i] <= margin
         return mesh[keep]
 
-    def check_orthonormal(self, tol=1e-10) -> bool:
-        if abs(np.linalg.norm(self.base_normal) - 1.0) > tol:
+    def check_orthonormal(self) -> bool:
+        """Whether every normal is unit length and every side normal is
+        orthogonal to the base normal, each up to TIGHT_TOL."""
+        if abs(np.linalg.norm(self.base_normal) - 1.0) > TIGHT_TOL:
             return False
         for a in self.side_normals:
-            if abs(np.linalg.norm(a) - 1.0) > tol:
+            if abs(np.linalg.norm(a) - 1.0) > TIGHT_TOL:
                 return False
-            if abs(float(a @ self.base_normal)) > tol:
+            if abs(float(a @ self.base_normal)) > TIGHT_TOL:
                 return False
         return True
 
@@ -583,7 +584,7 @@ def _orthonormalize(face: Face) -> Face:
     bn = bn / nb
     bo = face.base_offset / nb
 
-    normals, offsets, dropped = [], [], 0
+    normals, offsets = [], []
     for i in range(face.side_offsets.size):
         a = np.asarray(face.side_normals[i], float)
         b = float(face.side_offsets[i])
@@ -593,7 +594,6 @@ def _orthonormalize(face: Face) -> Face:
         na = float(np.linalg.norm(a))
         if na <= 1e-12:
             if b >= -TIGHT_TOL:
-                dropped += 1
                 continue
             raise DegenerateNormal(f"side {i} projects to zero with offset {b:.3g} < 0")
         normals.append(a / na)
@@ -605,7 +605,6 @@ def _orthonormalize(face: Face) -> Face:
         bn,
         bo,
         orthonormal=True,
-        dropped_sides=dropped + face.dropped_sides,
     )
 
 

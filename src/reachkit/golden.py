@@ -343,11 +343,11 @@ def check_a10():
     )
 
 
-def _taylor_expm(A, t, terms=200):
+def _taylor_expm(A, t):
     A = np.asarray(A, float) * t
     out = np.eye(A.shape[0])
     term = np.eye(A.shape[0])
-    for k in range(1, terms):
+    for k in range(1, 200):
         term = term @ A / k
         out = out + term
     return out

@@ -24,7 +24,7 @@ from .flow import trajectory
 from .geometry import Polyhedron, grid_points, is_empty
 
 _REPLAY_MAX_STARTS = 400  # initial cell centers replay_witness simulates at most
-_REPLAY_TOL = 1e-6  # classify_step tolerance when a found replay is validated
+_STEP_TOL = 1e-6  # classify_step tolerance; positions scale it by 1 + |x2|
 
 __all__ = [
     "Edge",
@@ -74,10 +74,10 @@ class Edge:
         return pts @ self.reset_matrix.T + self.reset_offset
 
 
-def _lattice_samples(P: Polyhedron, per_dim: int = 6):
+def _lattice_samples(P: Polyhedron):
     """A few interior samples of a bounded polyhedron (possibly none)."""
     lo, hi = P.bounding_box()
-    mesh = grid_points([np.linspace(lo[j], hi[j], per_dim) for j in range(lo.size)])
+    mesh = grid_points([np.linspace(lo[j], hi[j], 6) for j in range(lo.size)])
     pts = mesh[P.contains(mesh, tol=1e-9)]
     if pts.shape[0] == 0:
         pts = ((lo + hi) / 2.0)[None, :]
@@ -165,10 +165,10 @@ def _location_grid(H: HybridSystem, q, h: float) -> GridRegion:
 
 @dataclass
 class RegionSet:
-    """Per-location cell regions plus the successor-generation counter."""
+    """Per-location cell regions, and the locations whose continuous
+    reach hit its iteration cap."""
 
     regions: dict
-    generation: int = 0
     capped: set = field(default_factory=set)
 
     def __post_init__(self):
@@ -197,19 +197,10 @@ class RegionSet:
         return next(iter(self.regions.values())).h
 
     def copy(self):
-        return RegionSet(
-            {q: r.copy() for q, r in self.regions.items()},
-            self.generation,
-            set(self.capped),
-        )
+        return RegionSet({q: r.copy() for q, r in self.regions.items()}, set(self.capped))
 
     def count(self) -> int:
         return sum(r.count() for r in self.regions.values())
-
-    def include(self, other):
-        for q, r in other.regions.items():
-            self.regions[q].include(r)
-        self.capped |= other.capped
 
     def intersection_witness(self, other):
         """First common cell, scanning locations in insertion order; None
@@ -262,7 +253,6 @@ def post(H: HybridSystem, S: RegionSet, params: PostParams) -> RegionSet:
     result's capped set rather than raising.
     """
     out = S.copy()
-    out.generation = S.generation + 1
     touch_inv = {}
     for q in H.locations:
         region = S.regions[q]
@@ -346,13 +336,14 @@ def semi_decide_reach(
 # step classification and witness replay
 
 
-def classify_step(H: HybridSystem, c1, c2, t_or_edge, tol: float = 1e-6):
+def classify_step(H: HybridSystem, c1, c2, t_or_edge):
     """Name the step kind connecting two configurations, or "none".
 
     A number is checked as a time-step (integrate from c1 for that long,
     the path must stay in the invariant and end at c2); an Edge as an
     edge-step (guard membership plus exact reset image); an event label
-    as a sigma-step over any edge carrying it.
+    as a sigma-step over any edge carrying it. Every check uses the
+    fixed tolerance _STEP_TOL = 1e-6.
     """
     q1, x1 = c1
     q2, x2 = c2
@@ -360,10 +351,10 @@ def classify_step(H: HybridSystem, c1, c2, t_or_edge, tol: float = 1e-6):
     x2 = np.asarray(x2, float)
 
     if isinstance(t_or_edge, Edge):
-        return "edge-step" if _edge_step_ok(H, q1, x1, q2, x2, t_or_edge, tol) else "none"
+        return "edge-step" if _edge_step_ok(H, q1, x1, q2, x2, t_or_edge) else "none"
     if isinstance(t_or_edge, str):
         for e in H.edges:
-            if e.event == t_or_edge and _edge_step_ok(H, q1, x1, q2, x2, e, tol):
+            if e.event == t_or_edge and _edge_step_ok(H, q1, x1, q2, x2, e):
                 return "sigma-step"
         return "none"
 
@@ -373,22 +364,22 @@ def classify_step(H: HybridSystem, c1, c2, t_or_edge, tol: float = 1e-6):
     G, dyn = H.invariants[q1], H.dynamics[q1]
     scale = 1.0 + float(np.linalg.norm(x2))
     if t == 0.0:
-        ok = np.allclose(x1, x2, atol=tol * scale) and bool(G.contains(x1, tol=tol))
+        ok = np.allclose(x1, x2, atol=_STEP_TOL * scale) and bool(G.contains(x1, tol=_STEP_TOL))
         return "time-step" if ok else "none"
     path = trajectory(dyn, x1[None], t, 32)[0]
-    if not np.all(G.contains(path, tol=tol)):
+    if not np.all(G.contains(path, tol=_STEP_TOL)):
         return "none"
-    if np.linalg.norm(path[-1] - x2) > tol * scale:
+    if np.linalg.norm(path[-1] - x2) > _STEP_TOL * scale:
         return "none"
     return "time-step"
 
 
-def _edge_step_ok(H, q1, x1, q2, x2, e: Edge, tol) -> bool:
+def _edge_step_ok(H, q1, x1, q2, x2, e: Edge) -> bool:
     if e.source != q1 or e.target != q2:
         return False
-    if not bool(e.guard.contains(x1, tol=tol)):
+    if not bool(e.guard.contains(x1, tol=_STEP_TOL)):
         return False
-    return bool(np.linalg.norm(e.apply(x1) - x2) <= tol * (1.0 + np.linalg.norm(x2)))
+    return bool(np.linalg.norm(e.apply(x1) - x2) <= _STEP_TOL * (1.0 + np.linalg.norm(x2)))
 
 
 @dataclass
@@ -399,14 +390,14 @@ class ReplayResult:
     distance: float  # closest approach to the witness center
     invalid_steps: int  # steps classify_step refused to certify
 
-    def validate(self, H: HybridSystem, tol: float = 1e-6) -> int:
+    def validate(self, H: HybridSystem) -> int:
         """Re-run classify_step over the trajectory; returns the number of
         uncertified steps (and stores it)."""
         bad = 0
         for (c1, c2), (kind, arg) in zip(
             zip(self.trajectory, self.trajectory[1:]), self.steps
         ):
-            got = classify_step(H, c1, c2, arg, tol=tol)
+            got = classify_step(H, c1, c2, arg)
             want = "time-step" if kind == "time" else "edge-step"
             if got != want:
                 bad += 1
@@ -417,7 +408,7 @@ class ReplayResult:
 def _greedy_replay(H, q, starts, witness, jumps, params, h, best):
     """Depth-first greedy search over a whole batch of starts: flow inside
     the location, jump at each start's first guard entry per edge. Returns
-    (configs, steps) realized from some start, or None; best is a
+    (i, configs, steps) realized from starts[i], or None; best is a
     1-element list tracking the closest approach seen."""
     if starts.shape[0] == 0:
         return None
@@ -441,8 +432,8 @@ def _greedy_replay(H, q, starts, witness, jumps, params, h, best):
         if ok.any():
             i, j = np.unravel_index(int(np.argmax(ok)), ok.shape)
             if j == 0:
-                return [(q, starts[i])], []
-            return [(q, starts[i]), (q, paths[i, j])], [("time", float(times[j]))]
+                return i, [(q, starts[i])], []
+            return i, [(q, starts[i]), (q, paths[i, j])], [("time", float(times[j]))]
     if jumps <= 0:
         return None
 
@@ -464,10 +455,7 @@ def _greedy_replay(H, q, starts, witness, jumps, params, h, best):
         tail = _greedy_replay(H, e.target, x_new, witness, jumps - 1, params, h, best)
         if tail is None:
             continue
-        configs, steps = tail
-        # recover which start the tail continued from
-        match = np.all(x_new == np.asarray(configs[0][1]), axis=1)
-        local = int(np.argmax(match)) if match.any() else 0
+        local, configs, steps = tail
         i = sel[local]
         j = int(entry[i])
         head_cfg = [(q, starts[i])]
@@ -476,7 +464,7 @@ def _greedy_replay(H, q, starts, witness, jumps, params, h, best):
             head_cfg.append((q, paths[i, j]))
             head_steps.append(("time", float(times[j])))
         head_steps.append(("edge", e))
-        return head_cfg + configs, head_steps + steps
+        return i, head_cfg + configs, head_steps + steps
     return None
 
 
@@ -507,8 +495,8 @@ def replay_witness(
         budget -= starts.shape[0]
         found = _greedy_replay(H, q, starts, verdict.witness, verdict.k, params, h, best)
         if found is not None:
-            configs, steps = found
+            _, configs, steps = found
             result = ReplayResult(True, configs, steps, best[0], 0)
-            result.validate(H, tol=_REPLAY_TOL)
+            result.validate(H)
             return result
     return ReplayResult(False, [], [], best[0], 0)

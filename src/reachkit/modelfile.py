@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,6 +60,18 @@ def _need(cond, msg):
         raise ModelError(msg)
 
 
+@contextmanager
+def _named(where):
+    """Re-raise any error of the block but a ModelError as a ModelError
+    whose message starts with where."""
+    try:
+        yield
+    except ModelError:
+        raise
+    except Exception as exc:
+        raise ModelError(f"{where}: {exc}") from None
+
+
 def _float_list(values, where):
     try:
         out = [float(v) for v in values]
@@ -89,10 +102,8 @@ def _poly_from_spec(spec, where) -> Polyhedron:
         lo = _float_list(box[0], f"{where} box lo")
         hi = _float_list(box[1], f"{where} box hi")
         _need(len(lo) == len(hi), f"{where}: box corners disagree on dimension")
-        try:
+        with _named(where):
             return Polyhedron.box(lo, hi)
-        except Exception as exc:
-            raise ModelError(f"{where}: {exc}") from None
     _need("rows" in spec, f"{where}: needs either 'box' or 'rows'")
     ineqs = _rows_to_halfspaces(spec["rows"], where)
     eqs = _rows_to_halfspaces(spec.get("eq_rows", []), f"{where} eq")
@@ -118,16 +129,12 @@ def _set_from_spec(spec, where):
             "lo" in spec and "hi" in spec,
             f"{where}: a level set needs its 'lo'/'hi' sampling box",
         )
-        try:
+        with _named(where):
             return LevelSet(
                 str(spec["levelset"]),
                 _float_list(spec["lo"], f"{where} lo"),
                 _float_list(spec["hi"], f"{where} hi"),
             )
-        except ModelError:
-            raise
-        except Exception as exc:
-            raise ModelError(f"{where}: {exc}") from None
     return _poly_from_spec(spec, where)
 
 
@@ -157,10 +164,8 @@ def _dyn_from_spec(spec, where):
         isinstance(exprs, list) and all(isinstance(e, str) for e in exprs),
         f"{where}: expressions must be a list of strings",
     )
-    try:
+    with _named(where):
         return ExpressionDynamics.parse(exprs)
-    except Exception as exc:
-        raise ModelError(f"{where}: {exc}") from None
 
 
 def _dyn_to_spec(dyn) -> dict:
@@ -175,16 +180,14 @@ def _face_from_spec(spec, where) -> Face:
     sides = _rows_to_halfspaces(spec["sides"], f"{where} sides")
     base_vals = _float_list(spec["base"], f"{where} base")
     _need(len(base_vals) >= 2, f"{where}: base row needs coefficients plus an offset")
-    try:
+    with _named(where):
         face = Face(
             np.array([h.normal for h in sides]),
             np.array([h.offset for h in sides]),
             np.array(base_vals[:-1]),
             base_vals[-1],
         )
-    except Exception as exc:
-        raise ModelError(f"{where}: {exc}") from None
-    if face.check_orthonormal(tol=1e-9):
+    if face.check_orthonormal():
         face = Face(
             face.side_normals, face.side_offsets, face.base_normal, face.base_offset,
             orthonormal=True,
@@ -212,7 +215,6 @@ class ModelFile:
     """A parsed problem file; which fields are set depends on the kind."""
 
     kind: str
-    schema: int = SCHEMA_VERSION
     dynamics: object = None
     initial: object = None
     invariant: Polyhedron = None
@@ -276,7 +278,7 @@ def parse_model(data, path=None) -> ModelFile:
             "flags.under_approximate: expected a boolean",
         )
 
-    m = ModelFile(kind=kind, schema=schema, grid=dict(grid), flags=dict(flags), path=path)
+    m = ModelFile(kind=kind, grid=dict(grid), flags=dict(flags), path=path)
 
     if kind == "hybrid":
         locs = data.get("locations")
@@ -312,7 +314,7 @@ def parse_model(data, path=None) -> ModelFile:
                 _need(key in spec, f"edges[{i}]: missing {key!r}")
             R = spec.get("reset_matrix")
             c = spec.get("reset_offset")
-            try:
+            with _named(f"edges[{i}]"):
                 edges.append(
                     Edge(
                         source=str(spec["from"]),
@@ -324,10 +326,6 @@ def parse_model(data, path=None) -> ModelFile:
                         controllable=bool(spec.get("controllable", False)),
                     )
                 )
-            except ModelError:
-                raise
-            except Exception as exc:
-                raise ModelError(f"edges[{i}]: {exc}") from None
         init = []
         for i, spec in enumerate(data.get("init", [])):
             _need(isinstance(spec, dict), f"init[{i}]: expected an object")
@@ -409,7 +407,7 @@ def load_model(path) -> ModelFile:
 
 
 def model_to_dict(m: ModelFile) -> dict:
-    out = {"schema": m.schema, "kind": m.kind}
+    out = {"schema": SCHEMA_VERSION, "kind": m.kind}
     if m.kind == "hybrid":
         H = m.system
         out["locations"] = [

@@ -980,7 +980,7 @@ def test_semigroup_restart_from_boundary():
     chains = [(region.boundary_cell_centers(), None)]
     intervals = _uniform_intervals(0.5, 0.125)
     # the sweep adds each step's swept cells to region itself
-    for _ in _front_sweep(chains, unit_square(), DRIFT, intervals, region, h, h / 2.0):
+    for _ in _front_sweep(chains, unit_square(), DRIFT, intervals, region, h / 2.0):
         pass
     gap = region.hausdorff(direct.combined_region())
     assert gap <= 2.0 * h + 1e-12
@@ -1184,9 +1184,10 @@ def test_grouped_advection_raises_the_first_chains_error():
             _advect_chains(dyn, [slow, blowup, coarse], 0.9, 0.05)
 
 
-def per_chain_front_sweep(chains, init, dyn, intervals, cum, h, h_b, invariant=None):
+def per_chain_front_sweep(chains, init, dyn, intervals, cum, h_b, invariant=None):
     """_front_sweep as it was before a step's chains were batched: one
     _advect, one rasterization and one alive test per chain."""
+    h = cum.h
     touch = None if invariant is None else cum.cells_touching(invariant)
     for t0, t1 in intervals:
         if not chains:
@@ -1224,7 +1225,7 @@ def per_chain_front_sweep(chains, init, dyn, intervals, cum, h, h_b, invariant=N
 
 def sweep_record(sweep, chains, init, dyn, intervals, cum, h, invariant):
     steps = []
-    for t0, t1, swept, kept, nxt in sweep(chains, init, dyn, intervals, cum, h, h / 2.0, invariant):
+    for t0, t1, swept, kept, nxt in sweep(chains, init, dyn, intervals, cum, h / 2.0, invariant):
         steps.append(
             (
                 t0,

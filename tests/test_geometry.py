@@ -252,10 +252,9 @@ def test_orthogonalize_is_idempotent_and_scales_base():
 
 def test_orthogonalize_drops_vacuous_row_and_rejects_contradiction():
     # a side parallel to the base projects to the zero normal; offset 0.5
-    # leaves a vacuous row that is dropped and counted
+    # leaves a vacuous row that is dropped
     face = Face([[0, 1], [1, 0], [-1, 0]], [0.5, 1.0, 0.0], [0, 1], 0.0)
     out = normalize_and_orthogonalize(face)
-    assert out.dropped_sides == 1
     assert out.side_offsets.size == 2
     # same row with a negative offset contradicts the base hyperplane
     bad = Face([[0, 1]], [-0.5], [0, 1], 0.0)

@@ -1,5 +1,6 @@
 """Hybrid model construction, the successor operator and the decision loop."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -139,7 +140,6 @@ def test_validate_accepts_drift_model():
 def test_from_init_marks_initial_cells():
     H = drift_system()
     S = RegionSet.from_init(H, H_CELL)
-    assert S.generation == 0
     assert S.regions["handoff"].count() == 0
     assert S.regions["cruise"].contains_points(np.array([[0.5, 0.5]]))[0]
     assert not S.regions["cruise"].contains_points(np.array([[2.5, 0.5]]))[0]
@@ -180,11 +180,10 @@ def test_cell_size_mismatch_rejected():
 # the successor operator
 
 
-def test_post_contains_input_and_increments_generation():
+def test_post_contains_input():
     H = drift_system()
     S = RegionSet.from_init(H, H_CELL)
     T = post(H, S, params())
-    assert T.generation == 1
     for q in H.locations:
         assert S.regions[q].subset_of(T.regions[q])
 
@@ -469,6 +468,26 @@ def test_replay_realizes_drift_witness():
     assert rep.trajectory[0][0] == "cruise"
     assert rep.trajectory[-1][0] == "handoff"
     assert rep.validate(H) == 0
+
+
+def test_replay_resumes_from_the_start_whose_image_it_continued():
+    # the reset keeps only x2, so every start of a cell row lands on one
+    # image; the replay must continue from a start that maps onto it
+    H = drift_system(reset_matrix=[[0.0, 0.0], [0.0, 1.0]], reset_offset=[0.5, 0.0])
+    H = dataclasses.replace(H, init=(("cruise", Polyhedron.box([0.2, 0.2], [0.3, 0.3])),))
+    s1 = RegionSet.from_init(H, H_CELL)
+    s2 = RegionSet.from_polyhedra(
+        H, [("handoff", Polyhedron.box([2.0, 0.0], [3.0, 1.0]))], H_CELL
+    )
+    v = semi_decide_reach(H, s1, s2, 4, params())
+    assert (v.kind, v.k) == ("yes", 2)
+    rep = replay_witness(H, s1, v, params())
+    assert rep.success and rep.invalid_steps == 0
+    assert [k for k, _ in rep.steps] == ["time", "edge", "time"]
+    assert rep.trajectory[0][0] == "cruise"
+    assert np.allclose(rep.trajectory[0][1], [0.175, 0.175])
+    assert np.allclose(rep.trajectory[2][1], [0.5, 0.175])
+    assert rep.distance == pytest.approx(0.05)
 
 
 def test_replay_rejects_unreachable_witness():

@@ -984,7 +984,6 @@ def _face_bytes(f):
         f.base_normal.tobytes(),
         _hex(f.base_offset),
         f.orthonormal,
-        f.dropped_sides,
     )
 
 
