@@ -210,8 +210,6 @@ def _require_kind(m: ModelFile, expected: str):
 def _run_reach(m: ModelFile, args, out: str):
     _require_kind(m, "reach")
     tau = _setting(args, "tau", m.grid)
-    if tau is None:
-        raise ModelError("reach needs a horizon: set grid.tau or pass --tau")
     dt = _setting(args, "dt", m.grid)
     cell = _setting(args, "cell", m.grid, 0.05)
     under = _under_flag(args, m)
@@ -249,8 +247,6 @@ def _run_reach(m: ModelFile, args, out: str):
 def _run_reach_inv(m: ModelFile, args, out: str):
     _require_kind(m, "reach-inv")
     dt = _setting(args, "dt", m.grid)
-    if dt is None:
-        raise ModelError("reach-inv needs a step: set grid.dt or pass --dt")
     cell = _setting(args, "cell", m.grid, 0.05)
     tau = _setting(args, "tau", m.grid)
     under = _under_flag(args, m)

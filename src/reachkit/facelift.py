@@ -28,7 +28,6 @@ from .errors import (
     InfeasibleFace,
     NonFiniteState,
     PreconditionViolated,
-    ReachkitError,
     StepTooCoarse,
     _within_budget,
 )
@@ -267,21 +266,23 @@ def _levelset_boundary(ls: LevelSet, h_b: float):
 
 
 def _split_runs(keep, closed):
-    """Maximal kept index runs of a chain. A fully kept closed chain stays
-    closed; a partially kept one is rotated to start at a drop and split
-    into open runs. closed=None (unordered points) yields unordered runs."""
+    """Kept index runs of a chain. Unordered points (closed=None) have no
+    neighbours to split between: their kept indices, in order, are one
+    run. A fully kept closed chain stays closed; a partially kept one is
+    rotated to start at a drop and split into maximal open runs."""
     keep = np.asarray(keep, bool)
     idx = np.arange(keep.size)
     if not keep.any():
         return []
+    if closed is None:
+        return [(idx[keep], None)]
     if keep.all():
         return [(idx, closed)]
-    if closed is True:
+    if closed:
         idx = np.roll(idx, -int(np.argmin(keep)))
         keep = keep[idx]
     edges = np.diff(np.concatenate(([0], keep.astype(np.int8), [0])))
-    flag = None if closed is None else False
-    return [(idx[a:b], flag) for a, b in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1))]
+    return [(idx[a:b], False) for a, b in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1))]
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +315,8 @@ class BoundaryFront:
         return self.points[self.front_mask]
 
     def front_chains(self):
-        """Ordered point runs of the lifted front, split where inflow
-        samples interrupt a chain."""
+        """Point runs of the lifted front: an ordered chain splits where
+        inflow samples interrupt it (_split_runs)."""
         return [
             (self.points[start:stop][idxs], rclosed)
             for start, stop, closed in self.chains
@@ -782,14 +783,13 @@ def _substeps(speed, delta, h):
     return max(1, int(math.ceil(count)))
 
 
-def _advect(dyn, pts, delta, h, nsub=None):
+def _advect(dyn, pts, delta, h):
     """Substepped flow over [0, delta]: (m, nsub+1, dim) trajectories, with
-    nsub from _substeps at the fastest start speed of pts unless given.
-    Raises StepTooCoarse when one substep moves a sample further than 2h
-    (the field sped up along the way); a constant field moves every sample
-    by the same h/2 at most, so its substeps are not checked."""
-    if nsub is None:
-        nsub = _substeps(_max_speed(dyn, pts), delta, h)
+    nsub from _substeps at the fastest start speed of pts. Raises
+    StepTooCoarse when one substep moves a sample further than 2h (the
+    field sped up along the way); a constant field moves every sample by
+    the same h/2 at most, so its substeps are not checked."""
+    nsub = _substeps(_max_speed(dyn, pts), delta, h)
     try:
         traj = trajectory(dyn, pts, delta, nsub)
     except NonFiniteState as exc:
@@ -799,51 +799,6 @@ def _advect(dyn, pts, delta, h, nsub=None):
     if dyn.constant is None:
         _check_substeps(traj, h)
     return traj
-
-
-def _chain_speeds(dyn, pts):
-    """_max_speed of each point array in pts, bit for bit. An expression
-    field is evaluated once on all the points, and each chain takes the
-    maximum of its own rows: the field and the norm act row by row, and a
-    maximum is exact. BLAS multiplies a lone row of a linear field with
-    other floats than a row of a batch, so a linear field keeps one
-    product per chain."""
-    if isinstance(dyn, LinearDynamics) or not pts:
-        return [_max_speed(dyn, p) for p in pts]
-    sizes = np.array([p.shape[0] for p in pts])
-    speed = np.linalg.norm(dyn.evaluate(np.concatenate(pts)), axis=1)
-    out = np.zeros(sizes.size)  # an empty chain has speed 0, as in _max_speed
-    out[sizes > 0] = np.maximum.reduceat(speed, (np.cumsum(sizes) - sizes)[sizes > 0])
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteState("the vector field is not finite at a sample point")
-    return out.tolist()
-
-
-def _advect_chains(dyn, chains, delta, h):
-    """_advect of every chain's points, bit for bit, in one trajectory call
-    per distinct substep count: each chain keeps the nsub of its own start
-    speed (_chain_speeds), and the chains that share it flow as one batch.
-    BLAS multiplies a lone row with other floats than a row of a batch,
-    so a one-point chain of a linear field flows alone. If the batched
-    step raises, the chains are advected again one by one in order, so
-    the first failing chain's error is the one raised."""
-    pts = [p for p, _ in chains]
-    linear = isinstance(dyn, LinearDynamics)
-    try:
-        groups = {}  # (nsub, chain index or -1) -> the chains of one batch
-        for i, (p, speed) in enumerate(zip(pts, _chain_speeds(dyn, pts))):
-            alone = i if linear and p.shape[0] == 1 else -1
-            groups.setdefault((_substeps(speed, delta, h), alone), []).append(i)
-        trajs = [None] * len(pts)
-        for (nsub, _), members in groups.items():
-            batch = _advect(dyn, np.concatenate([pts[i] for i in members]), delta, h, nsub)
-            split = np.cumsum([pts[i].shape[0] for i in members])[:-1]
-            for i, traj in zip(members, np.split(batch, split)):
-                trajs[i] = traj
-        return trajs
-    except ReachkitError:
-        pass
-    return [_advect(dyn, p, delta, h) for p in pts]
 
 
 def _check_substeps(traj, h):
@@ -983,17 +938,19 @@ def _front_sweep(chains, init, dyn, intervals, cum, h_b, invariant=None):
     exit-shadow prune (all of them without an invariant), swept adds to
     kept the pruned samples' cells that touch the invariant. A sample
     lives on when it survives the prune and its end lies neither in cum,
-    as it stood before the step, nor strictly inside init. The chains of
-    a step are advected together (_advect_chains), and rasterized, marked
-    and tested as one flat front; each chain then splits once at the
-    other samples and its ordered runs are resampled."""
+    as it stood before the step, nor strictly inside init. Each chain is
+    advected on its own (_advect), so it keeps the substep count of its
+    own start speed; the step's samples are then rasterized, marked and
+    tested as one flat front. Each chain keeps its live samples
+    (_split_runs): an ordered chain splits at the dead ones and its runs
+    are resampled, an unordered chain stays one chain."""
     h = cum.h
     touch = None if invariant is None else cum.cells_touching(invariant)
     for t0, t1 in intervals:
         if not chains:
             return
         delta = t1 - t0
-        trajs = _advect_chains(dyn, chains, delta, h)
+        trajs = [_advect(dyn, pts, delta, h) for pts, _ in chains]
         # every substep of every sample, chain by chain; ends[i] is the row
         # of sample i's last substep
         flat = np.concatenate([traj.reshape(-1, traj.shape[2]) for traj in trajs])

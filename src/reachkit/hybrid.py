@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MAX_TIME_STEPS, DimMismatch, ModelError, PreconditionViolated, _within_budget
-from .facelift import GridRegion, reach_invariant
+from .facelift import GridRegion, _max_speed, reach_invariant
 from .flow import trajectory
 from .geometry import Polyhedron, grid_points, is_empty
 
@@ -414,11 +414,12 @@ def _greedy_replay(H, q, starts, witness, jumps, params, h, best):
         return None
     q_w, x_w = witness
     G, dyn = H.invariants[q], H.dynamics[q]
-    speed = float(np.max(np.linalg.norm(np.atleast_2d(dyn.evaluate(starts)), axis=1)))
+    speed = _max_speed(dyn, starts)
     step = min(params.dt, h / (2.0 * speed)) if speed > 1e-12 else params.dt
     tau = float(params.tau)
-    _within_budget(tau / step, MAX_TIME_STEPS, "replay steps")
-    n = max(1, int(math.ceil(tau / step)))
+    count = tau / step if step > 0.0 else math.inf  # a zero step never ends
+    _within_budget(count, MAX_TIME_STEPS, "replay steps")
+    n = max(1, int(math.ceil(count)))
     paths, times = trajectory(dyn, starts, tau, n), np.linspace(0.0, tau, n + 1)
     m, k1, dim = paths.shape
     inside = G.contains(paths.reshape(-1, dim), tol=1e-7).reshape(m, k1)

@@ -441,6 +441,26 @@ def test_hybrid_step_budgets_exit_2(tmp_path, capfd, key, limit):
     assert err.startswith("error: BudgetExceeded: ") and limit in err
 
 
+@pytest.mark.parametrize("expressions", [["1/(x1 - x1)", "0"], ["1e300*x1", "x2"]])
+def test_replay_of_a_non_finite_field_exits_3(tmp_path, capfd, expressions):
+    # the target overlaps the initial set, so the verdict is yes at k = 0
+    # and the witness replay is the first to evaluate the field
+    box = {"box": [[0.0, 0.0], [1.0, 1.0]]}
+    data = {
+        "schema": 1,
+        "kind": "hybrid",
+        "locations": [{"name": "a", "dynamics": {"expressions": expressions}, "invariant": box}],
+        "edges": [],
+        "init": [{"location": "a", "set": box}],
+        "target": [{"location": "a", "set": {"box": [[0.5, 0.5], [1.0, 1.0]]}}],
+        "grid": {"cell": 0.05, "dt": 0.25, "tau": 1.0},
+    }
+    assert run(["hybrid-reach", write_model(tmp_path, data), "--out", str(tmp_path / "o")]) == 3
+    err = capfd.readouterr().err
+    assert "NonFiniteState" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "index,reason",
     [
@@ -782,8 +802,8 @@ def test_bundled_outputs_are_pinned(tmp_path):
 
 
 # Non-constant expression fields, with the model written to tmp. Recorded
-# before the sweep advected a step's chains together: the grouping by
-# substep count and the flat front must leave every byte as it was.
+# when the sweep advected and rasterized each chain on its own: the flat
+# front must leave every byte as it was.
 NONLINEAR_MODELS = {
     "pendulum.json": {
         "schema": 1,

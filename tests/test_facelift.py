@@ -24,7 +24,6 @@ from reachkit.facelift import (
     GridRegion,
     LevelSet,
     _advect,
-    _advect_chains,
     _front_sweep,
     _levelset_boundary,
     _near_shadow,
@@ -996,9 +995,10 @@ def loop_split_runs(m, closed, keep):
     keep = np.asarray(keep, bool)
     if m == 0 or not keep.any():
         return []
+    if closed is None:
+        return [(np.array([i for i in range(m) if keep[i]], int), None)]
     if keep.all():
         return [(idx, closed)]
-    open_flag = None if closed is None else False
     if closed is True:
         drop = int(np.nonzero(~keep)[0][0])
         idx = np.roll(idx, -drop)
@@ -1008,10 +1008,10 @@ def loop_split_runs(m, closed, keep):
         if keep[i] and start is None:
             start = i
         elif not keep[i] and start is not None:
-            runs.append((idx[start:i], open_flag))
+            runs.append((idx[start:i], False))
             start = None
     if start is not None:
-        runs.append((idx[start:], open_flag))
+        runs.append((idx[start:], False))
     return runs
 
 
@@ -1024,19 +1024,6 @@ def test_first_rows_match_unique_then_sort(cols):
             _, first = np.unique(key, axis=0, return_index=True)
             got = facelift._first_rows(key)
             assert np.array_equal(got, np.sort(first)) and got.dtype.kind == "i"
-
-
-def test_chain_speeds_match_the_per_chain_maximum():
-    rng = np.random.default_rng(11)
-    sizes = [0, 1, 5, 1, 40, 0, 3]
-    chains = [rng.uniform(-2.0, 2.0, (n, 2)) for n in sizes]
-    for dyn in (ExpressionDynamics.parse(["x2*cos(x1)", "exp(x1) - x2*x2"]), DRIFT, ROT):
-        want = [facelift._max_speed(dyn, p) for p in chains]
-        assert facelift._chain_speeds(dyn, chains) == want
-    assert facelift._chain_speeds(DRIFT, []) == []
-    blowup = ExpressionDynamics.parse(["1/x1", "0"])
-    with np.errstate(divide="ignore"), pytest.raises(NonFiniteState, match="not finite at a sample"):
-        facelift._chain_speeds(blowup, [np.ones((2, 2)), np.zeros((1, 2))])
 
 
 def loop_resample_chain(dyn, pre, pts, closed, h_b, delta, h, max_rounds=6):
@@ -1116,21 +1103,6 @@ FIELDS = {
 }
 
 
-@st.composite
-def mixed_speed_chains(draw):
-    """Chains at radii 0.1-3 around the origin, so their start speeds (and
-    substep counts) differ: closed, open and unordered, one point to 40."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    chains = []
-    for _ in range(draw(st.integers(1, 12))):
-        m = draw(st.sampled_from([1, 1, 2, 5, 17, 40]))
-        radius = draw(st.floats(0.1, 3.0))
-        theta = np.sort(rng.uniform(0.0, 2.0 * math.pi, m))
-        pts = radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        chains.append((pts, draw(st.sampled_from([True, False, None]))))
-    return chains
-
-
 def counted_trajectory(calls):
     """A stand-in for facelift.trajectory that records each substep count."""
 
@@ -1141,47 +1113,30 @@ def counted_trajectory(calls):
     return traj
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(
-    field=st.sampled_from(sorted(FIELDS)),
-    chains=mixed_speed_chains(),
-    delta=st.sampled_from([0.1, 0.25, -0.25, 0.5]),
-    h=st.sampled_from([0.02, 0.05, 0.1]),
-)
-def test_grouped_advection_matches_per_chain_advect(field, chains, delta, h):
-    dyn = FIELDS[field]
-    calls = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(facelift, "trajectory", counted_trajectory(calls))
-        got = _advect_chains(dyn, chains, delta, h)
-    want = [_advect(dyn, pts, delta, h) for pts, _ in chains]
-    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
-    assert [g.shape for g in got] == [w.shape for w in want]
-    # one trajectory call per distinct substep count, and one for each
-    # one-point chain of a linear field
-    lone = [w.shape[1] - 1 for w in want if dyn is ROT and w.shape[0] == 1]
-    batched = {w.shape[1] - 1 for w in want if not (dyn is ROT and w.shape[0] == 1)}
-    assert sorted(calls) == sorted(lone + list(batched))
-
-
-def test_grouped_advection_raises_the_first_chains_error():
-    # x1' = x1^2: the first chain outruns its substeps (StepTooCoarse);
-    # the second is not finite at its start, which a grouped step meets
-    # first, as it reads every chain's speed before it advects any
+def test_front_sweep_raises_the_first_chains_error():
+    # x1' = x1^2: the coarse chain outruns its substeps (StepTooCoarse); the
+    # blow-up chain is not finite at its start (NonFiniteState). The sweep
+    # advects chain by chain, so the first failing chain's error is raised
     dyn = ExpressionDynamics.parse(["x1*x1", "0"])
     coarse = (np.array([[1.0, 0.0], [0.5, 1.0]]), False)
     slow = (np.array([[0.5, 0.5]]), None)
     blowup = (np.array([[1e200, 0.0]]), None)
+
+    def sweep(chains):
+        cum = GridRegion([-1.0, -1.0], [3.0, 3.0], 0.05)
+        for _ in _front_sweep(chains, unit_square(), dyn, [(0.0, 0.9)], cum, 0.025):
+            pass
+
     with np.errstate(over="ignore"):
         with pytest.raises(NonFiniteState):
             _advect(dyn, blowup[0], 0.9, 0.05)
         with pytest.raises(StepTooCoarse) as alone:
             _advect(dyn, coarse[0], 0.9, 0.05)
-        with pytest.raises(StepTooCoarse) as grouped:
-            _advect_chains(dyn, [slow, coarse, blowup], 0.9, 0.05)
-        assert str(grouped.value) == str(alone.value)
+        with pytest.raises(StepTooCoarse) as swept:
+            sweep([slow, coarse, blowup])
+        assert str(swept.value) == str(alone.value)
         with pytest.raises(NonFiniteState, match="not finite at a sample point"):
-            _advect_chains(dyn, [slow, blowup, coarse], 0.9, 0.05)
+            sweep([slow, blowup, coarse])
 
 
 def per_chain_front_sweep(chains, init, dyn, intervals, cum, h_b, invariant=None):
@@ -1271,29 +1226,27 @@ def test_front_sweep_matches_the_per_chain_sweep(field, kind, bounded, center, h
     assert got == want
 
 
-def test_sphere_sweep_makes_one_trajectory_call_per_substep_count(monkeypatch):
-    # the 3D sphere's unordered front splits into many runs per step; they
-    # must share one trajectory call per distinct substep count
+def test_sphere_front_stays_one_chain_with_one_trajectory_call_per_step(monkeypatch):
+    # the 3D sphere's front is unordered (closed=None): the prune keeps its
+    # samples one chain, so every step flows them in one trajectory call
     calls, steps = [], []
     monkeypatch.setattr(facelift, "trajectory", counted_trajectory(calls))
     sweep = facelift._front_sweep
 
     def counted(chains, *args):
-        advected = len(chains)
+        calls.clear()
         for item in sweep(chains, *args):
-            steps.append((advected, calls[:]))
+            steps.append(([closed for _, closed in chains], len(calls)))
             calls.clear()
-            advected = len(item[4])
+            chains = item[4]
             yield item
 
     monkeypatch.setattr(facelift, "_front_sweep", counted)
     sphere = LevelSet("x1*x1 + x2*x2 + x3*x3 - 0.25", [-0.7] * 3, [0.7] * 3)
     dyn = ExpressionDynamics.parse(["x2", "-x1", "0.3"])
     tube = reach_bounded_time(sphere, dyn, 1.0, dt=0.25, h=0.1)
-    assert tube.iterations == 4 and len(steps) == 4
-    for advected, nsubs in steps:
-        assert len(nsubs) == len(set(nsubs)) <= advected
-    assert sum(a for a, _ in steps) > 10 * sum(len(n) for _, n in steps)
+    assert tube.iterations == 4
+    assert steps == [([None], 1)] * 4
 
 
 # ---------------------------------------------------------------------------

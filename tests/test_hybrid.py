@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from reachkit.errors import DimMismatch, ModelError, PreconditionViolated
+from reachkit.errors import BudgetExceeded, DimMismatch, ModelError, PreconditionViolated
 from reachkit.flow import ExpressionDynamics
 from reachkit.facelift import GridRegion
 from reachkit.geometry import Polyhedron
@@ -503,6 +503,14 @@ def test_replay_rejects_unreachable_witness():
     rep2 = replay_witness(H, s1, fake, params())
     assert rep2.success  # same location is reachable by pure drift
     assert math.isfinite(rep2.distance)
+
+
+def test_replay_with_a_zero_step_is_over_budget():
+    H = drift_system()
+    s1 = RegionSet.from_init(H, H_CELL)
+    witness = Verdict("yes", 0, ("cruise", np.array([0.5, 0.5])))
+    with pytest.raises(BudgetExceeded, match="replay steps exceed the budget"):
+        replay_witness(H, s1, witness, PostParams(dt=0.0))
 
 
 def test_replay_ignores_non_yes_verdicts():
