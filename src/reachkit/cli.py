@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -36,7 +37,7 @@ from .errors import (
 from .facelift import GridRegion, reach_bounded_time, reach_invariant
 from .geometry import Empty2D, Polyhedron, TooFewPoints, Unbounded2D, vertices_2d
 from .hybrid import PostParams, RegionSet, replay_witness, semi_decide_reach
-from .modelfile import ModelFile, load_model
+from .modelfile import SETTINGS, UNDER, ModelFile, Range, load_model
 from .polyapprox import overapproximate_step
 
 __all__ = ["RunReport", "run", "emit_plot", "main"]
@@ -61,8 +62,8 @@ _ASSUMPTION_ERRORS = (
 @dataclass
 class RunReport:
     """Everything a run decided and produced, and nothing timed, so every
-    field goes into report.json; run() fills in the command, model and
-    kind."""
+    field goes into report.json; run() fills in the command, model, kind
+    and settings."""
 
     command: str = ""
     model: str = ""
@@ -77,12 +78,6 @@ class RunReport:
 
 # ---------------------------------------------------------------------------
 # output helpers
-
-
-def _outdir(args) -> str:
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
-    return out
 
 
 def _fmt(v) -> str:
@@ -176,59 +171,16 @@ def _write_polyhedra(path, lead, items, dim):
 
 
 # ---------------------------------------------------------------------------
-# effective parameters (model grid section, overridden by flags)
+# command bodies; each takes the model, its resolved settings and the output
+# directory, and returns (exit_code, report, result)
 
 
-def _setting(args, name, model_grid, default=None):
-    v = getattr(args, name.replace("-", "_"), None)
-    if v is None:
-        v = model_grid.get(name)
-    if v is None:
-        v = default
-    return None if v is None else float(v)
-
-
-def _under_flag(args, m: ModelFile) -> bool:
-    return bool(getattr(args, "under", False) or m.flag("under_approximate", False))
-
-
-def _bounds_flag(args, m: ModelFile) -> str:
-    return getattr(args, "bounds", None) or m.flag("bound_mode", "conservative")
-
-
-def _require_kind(m: ModelFile, expected: str):
-    if m.kind != expected:
-        raise ModelError(
-            f"model kind {m.kind!r} does not fit this command (needs {expected!r})"
-        )
-
-
-# ---------------------------------------------------------------------------
-# command bodies; each returns (exit_code, report)
-
-
-def _run_reach(m: ModelFile, args, out: str):
-    _require_kind(m, "reach")
-    tau = _setting(args, "tau", m.grid)
-    dt = _setting(args, "dt", m.grid)
-    cell = _setting(args, "cell", m.grid, 0.05)
-    under = _under_flag(args, m)
-    bounds = _bounds_flag(args, m)
-    h_b = m.grid_value("boundary_spacing")
-
+def _run_reach(m: ModelFile, s: dict, out: str):
     tube = reach_bounded_time(
-        m.initial, m.dynamics, tau, dt=dt, h=cell, under=under, bounds=bounds, h_b=h_b
+        m.initial, m.dynamics, s["tau"], dt=s["dt"], h=s["cell"], under=s["mode"] == "under",
+        bounds=s["bounds"], h_b=s["boundary_spacing"],
     )
-    report = RunReport(
-        settings={
-            "tau": tau,
-            "dt": dt,
-            "cell": cell,
-            "mode": "under" if under else "over",
-            "bounds": bounds,
-            "boundary_spacing": h_b,
-        },
-    )
+    report = RunReport()
     if tube.occupancy is not None or tube.under_occupancy is not None:
         report.diagnostics = {"path": "front", **_write_grid_tube(tube, report, out)}
     else:
@@ -244,37 +196,12 @@ def _run_reach(m: ModelFile, args, out: str):
     return EXIT_OK, report, tube
 
 
-def _run_reach_inv(m: ModelFile, args, out: str):
-    _require_kind(m, "reach-inv")
-    dt = _setting(args, "dt", m.grid)
-    cell = _setting(args, "cell", m.grid, 0.05)
-    tau = _setting(args, "tau", m.grid)
-    under = _under_flag(args, m)
-    max_iters = getattr(args, "max_iters", None)
-    if max_iters is None:
-        max_iters = m.flag("max_iters")
-
+def _run_reach_inv(m: ModelFile, s: dict, out: str):
     tube = reach_invariant(
-        m.initial,
-        m.dynamics,
-        m.invariant,
-        dt=dt,
-        h=cell,
-        under=under,
-        max_iters=max_iters,
-        tau_max=tau,
-        h_b=m.grid_value("boundary_spacing"),
+        m.initial, m.dynamics, m.invariant, dt=s["dt"], h=s["cell"], under=s["mode"] == "under",
+        max_iters=s["max_iters"], tau_max=s["tau"], h_b=s["boundary_spacing"],
     )
-    report = RunReport(
-        settings={
-            "dt": dt,
-            "cell": cell,
-            "tau": tau,
-            "mode": "under" if under else "over",
-            "max_iters": max_iters,
-            "boundary_spacing": m.grid_value("boundary_spacing"),
-        },
-    )
+    report = RunReport()
     report.diagnostics = {
         "iteration_cap": bool(tube.iteration_cap),
         **_write_grid_tube(tube, report, out),
@@ -283,21 +210,16 @@ def _run_reach_inv(m: ModelFile, args, out: str):
     return code, report, tube
 
 
-def _run_polyapprox(m: ModelFile, args, out: str):
-    _require_kind(m, "polyapprox")
-    delta = m.grid_value("delta")
-    delta0 = m.grid_value("delta0")
-    mode = _bounds_flag(args, m)
-
-    result = overapproximate_step(m.face, m.dynamics.matrix, delta, mode=mode, delta0=delta0)
-    report = RunReport(settings={"delta": delta, "delta0": delta0, "bounds": mode})
+def _run_polyapprox(m: ModelFile, s: dict, out: str):
+    result = overapproximate_step(m.face, m.dynamics.matrix, s["delta"], mode=s["bounds"], delta0=s["delta0"])
+    report = RunReport()
     bound_rows = (
-        [s, i, *entry]
-        for s, bs in enumerate(result.bounds)
+        [k, i, *entry]
+        for k, bs in enumerate(result.bounds)
         for i, entry in enumerate(zip(bs.labels(), bs.l.tolist(), bs.l_prime.tolist()))
     )
     _write_csv(os.path.join(out, "bounds.csv"), ["step", "index", "label", "l", "l_prime"], [_csv_lines(bound_rows)])
-    items = (([s], P) for s, P in enumerate(result.polyhedra))
+    items = (([k], P) for k, P in enumerate(result.polyhedra))
     _write_polyhedra(os.path.join(out, "halfspaces.csv"), ["step"], items, m.face.dim)
     report.outputs += ["bounds.csv", "halfspaces.csv"]
     report.diagnostics = {
@@ -310,25 +232,17 @@ def _run_polyapprox(m: ModelFile, args, out: str):
     return EXIT_OK, report, result
 
 
-def _run_hybrid(m: ModelFile, args, out: str):
-    _require_kind(m, "hybrid")
+def _run_hybrid(m: ModelFile, s: dict, out: str):
     if not m.targets:
         raise ModelError("hybrid reach needs a 'target' section in the model")
-    dt = _setting(args, "dt", m.grid)
-    cell = _setting(args, "cell", m.grid)
-    tau = _setting(args, "tau", m.grid, 1.0)
-    max_k = getattr(args, "max_iters", None)
-    if max_k is None:
-        max_k = m.flag("max_k", 8)
-    max_k = int(max_k)
-    params = PostParams(dt=dt, tau=tau)
-    s1 = RegionSet.from_init(m.system, cell)
-    s2 = RegionSet.from_polyhedra(m.system, m.targets, cell)
+    params = PostParams(dt=s["dt"], tau=s["tau"])
+    s1 = RegionSet.from_init(m.system, s["cell"])
+    s2 = RegionSet.from_polyhedra(m.system, m.targets, s["cell"])
     H = m.system
-    verdict = semi_decide_reach(H, s1, s2, max_k, params)
+    verdict = semi_decide_reach(H, s1, s2, s["max_k"], params)
     reached = verdict.reached
 
-    report = RunReport(settings={"dt": dt, "cell": cell, "tau": tau, "max_k": max_k})
+    report = RunReport()
     dim = H.dim
     cells = _cell_text()
     _write_csv(
@@ -388,18 +302,18 @@ def _poly_polygon(P: Polyhedron):
         return None
 
 
-def _plot_groups(m: ModelFile, args):
+def _plot_groups(m: ModelFile, s: dict, out: str):
     """Ordered (tag, payload) pairs for the model's result geometry plus
-    the underlying run report. A payload holds either outline polygons
-    or a grid region."""
+    the run report of the command that runs the model's kind. A payload
+    holds either outline polygons or a grid region."""
+    _, rep, result = _runner(m.kind).body(m, s, out)
     if m.kind == "reach":
-        _, rep, tube = _run_reach(m, args, _outdir(args))
         groups = []
         if isinstance(m.initial, Polyhedron):
             groups.append(_polys_group("initial", [_poly_polygon(m.initial)]))
-        elif tube.initial_grid() is not None:
-            groups.append(_cells_group("initial", tube.initial_grid()))
-        for i, (_, _, payload) in enumerate(tube.segments):
+        elif result.initial_grid() is not None:
+            groups.append(_cells_group("initial", result.initial_grid()))
+        for i, (_, _, payload) in enumerate(result.segments):
             if isinstance(payload, GridRegion):
                 groups.append(_cells_group(f"segment{i}", payload))
             else:
@@ -408,20 +322,18 @@ def _plot_groups(m: ModelFile, args):
                 )
         return groups, rep
     if m.kind == "reach-inv":
-        _, rep, tube = _run_reach_inv(m, args, _outdir(args))
         groups = [_polys_group("invariant", [_poly_polygon(m.invariant)])]
-        if tube.initial_grid() is not None:
-            groups.append(_cells_group("initial", tube.initial_grid()))
-        for i, (_, _, seg) in enumerate(tube.segments):
+        if result.initial_grid() is not None:
+            groups.append(_cells_group("initial", result.initial_grid()))
+        for i, (_, _, seg) in enumerate(result.segments):
             groups.append(_cells_group(f"segment{i}", seg))
         return groups, rep
     if m.kind == "polyapprox":
-        _, rep, result = _run_polyapprox(m, args, _outdir(args))
         groups = [_polys_group("face", [_poly_polygon(m.face.as_polyhedron())])]
-        for s, P in enumerate(result.polyhedra):
-            groups.append(_polys_group(f"step{s}", [_poly_polygon(P)]))
+        for i, P in enumerate(result.polyhedra):
+            groups.append(_polys_group(f"step{i}", [_poly_polygon(P)]))
         return groups, rep
-    _, rep, (verdict, reached) = _run_hybrid(m, args, _outdir(args))
+    _, reached = result
     groups = [
         _cells_group(f"location:{q}", reached.regions[q]) for q in m.system.locations
     ]
@@ -505,18 +417,16 @@ def emit_plot(groups, path, fmt):
     return path
 
 
-def _run_plot(m: ModelFile, args, out: str):
+def _run_plot(m: ModelFile, s: dict, out: str):
     dim = m.system.dim if m.kind == "hybrid" else (
         m.face.dim if m.kind == "polyapprox" else m.initial.dim
     )
     if dim != 2:
         raise DimUnsupported(f"plotting needs a 2D model, got dimension {dim}")
-    fmt = getattr(args, "format", None) or "svg"
-    groups, sub = _plot_groups(m, args)
-    name = f"plot.{fmt}"
-    emit_plot(groups, os.path.join(out, name), fmt)
+    groups, sub = _plot_groups(m, s, out)
+    name = f"plot.{s['format']}"
+    emit_plot(groups, os.path.join(out, name), s["format"])
     report = RunReport(
-        settings={"format": fmt, **sub.settings},
         diagnostics={
             "groups": [
                 [tag, payload["region"].count() if "region" in payload else len(payload["polys"])]
@@ -533,88 +443,93 @@ def _run_plot(m: ModelFile, args, out: str):
 # argument parsing and dispatch
 
 
-def _argument(cast, text, ok, expected):
-    """text read by cast if the value is ok; else (also when cast cannot
-    read it) an argparse error that says what was expected."""
+# A model command: the model kind it runs (None: any, through the command
+# of that kind), its body, its help text, and the settings it reads, each
+# with its default or REQUIRED.
+Command = namedtuple("Command", "kind body help defaults")
+REQUIRED = object()
+
+COMMANDS = {
+    "reach": Command("reach", _run_reach, "bounded-time reach set", {
+        "tau": REQUIRED, "dt": None, "cell": 0.05, "mode": False, "bounds": "conservative", "boundary_spacing": None,
+    }),
+    "reach-inv": Command("reach-inv", _run_reach_inv, "invariant-constrained reach set", {
+        "dt": REQUIRED, "cell": 0.05, "tau": None, "mode": False, "max_iters": None, "boundary_spacing": None,
+    }),
+    "polyapprox": Command("polyapprox", _run_polyapprox, "one-step polyhedral enclosure", {
+        "delta": REQUIRED, "delta0": None, "bounds": "conservative",
+    }),
+    "hybrid-reach": Command("hybrid", _run_hybrid, "hybrid semi-decision run", {
+        "dt": REQUIRED, "cell": REQUIRED, "tau": 1.0, "max_k": 8,
+    }),
+    "plot": Command(None, _run_plot, "render a model's result geometry", {"format": "svg"}),
+}
+
+
+def _runner(kind) -> Command:
+    return next(c for c in COMMANDS.values() if c.kind == kind)
+
+
+def _settings(command, m: ModelFile, args) -> dict:
+    """The settings command reads on model m (plot: its own and those of
+    the command it runs), each from its flag, else from the model, else
+    from the command's default."""
+    cmd = COMMANDS[command]
+    defaults = cmd.defaults if cmd.kind else {**cmd.defaults, **_runner(m.kind).defaults}
+    out = {}
+    for name, default in defaults.items():
+        s = SETTINGS[name]
+        v = getattr(args, s.flag[2:].replace("-", "_")) if s.flag else None
+        if v is None and s.section:
+            v = getattr(m, s.section).get(s.key)
+        if v is None:
+            if default is REQUIRED:
+                flag = f" or {s.flag}" if s.flag else ""
+                raise ModelError(f"{command} needs {s.section}.{s.key}{flag}")
+            v = default
+        out[name] = None if v is None else s.rule.cast(v)
+    return out
+
+
+def _argument(rule: Range, text):
+    """text read by the rule's cast if the value is in range; else (also
+    when cast cannot read it) an argparse error that says what was
+    expected."""
     try:
-        v = cast(text)
+        v = rule.cast(text)
     except ValueError:
         v = None
-    if v is None or not ok(v):
-        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    if v is None or not rule.ok(v):
+        raise argparse.ArgumentTypeError(f"expected {rule.expected}, got {text!r}")
     return v
-
-
-def _positive_float(text):
-    return _argument(float, text, lambda v: 0.0 < v < np.inf, "a positive finite number")
-
-
-def _nonnegative_float(text):
-    return _argument(float, text, lambda v: 0.0 <= v < np.inf, "a nonnegative finite number")
-
-
-def _nonnegative_int(text):
-    return _argument(int, text, lambda v: v >= 0, "a nonnegative integer")
-
-
-def _add_common(sub, *names):
-    if "tau" in names:
-        sub.add_argument("--tau", type=_nonnegative_float, default=None, help="time horizon")
-    if "dt" in names:
-        sub.add_argument("--dt", type=_positive_float, default=None, help="time step")
-    if "cell" in names:
-        sub.add_argument("--cell", type=_positive_float, default=None, help="grid cell size")
-    if "under" in names:
-        sub.add_argument(
-            "--under", action="store_true", help="compute the under-approximation flavor"
-        )
-    if "bounds" in names:
-        sub.add_argument(
-            "--bounds",
-            choices=("sampled", "conservative"),
-            default=None,
-            help="bound evaluation mode",
-        )
-    if "max-iters" in names:
-        sub.add_argument(
-            "--max-iters", type=_nonnegative_int, default=None, help="iteration cap override"
-        )
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process and shared by every
     run: parse_args reads it without changing it, so callers must not
-    change it either."""
+    change it either. Each model command takes the flags of the settings
+    it reads; plot takes them all."""
     parser = argparse.ArgumentParser(
         prog="reachkit", description="face-lifted reachability toolbox"
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    def model_sub(name, helptext, *flags):
-        sub = subs.add_parser(name, help=helptext)
+    for command, cmd in COMMANDS.items():
+        sub = subs.add_parser(command, help=cmd.help)
         sub.add_argument("model", help="path to a model file")
         sub.add_argument("--out", default=None, help="output directory")
-        _add_common(sub, *flags)
-        return sub
-
-    model_sub("reach", "bounded-time reach set", "tau", "dt", "cell", "under", "bounds")
-    model_sub("reach-inv", "invariant-constrained reach set", "dt", "cell", "tau", "under", "max-iters")
-    model_sub("polyapprox", "one-step polyhedral enclosure", "bounds")
-    model_sub("hybrid-reach", "hybrid semi-decision run", "dt", "cell", "tau", "max-iters")
-    plot = model_sub("plot", "render a model's result geometry", "tau", "dt", "cell", "under", "bounds", "max-iters")
-    plot.add_argument("--format", choices=("csv", "svg"), default="svg")
+        reads = cmd.defaults if cmd.kind else {n for c in COMMANDS.values() for n in c.defaults}
+        flags = {s.flag: s for n, s in SETTINGS.items() if s.flag and n in reads}
+        for flag, s in flags.items():
+            if s.rule is UNDER:
+                how = {"action": "store_true"}
+            elif s.rule.choices:
+                how = {"choices": s.rule.choices}
+            else:
+                how = {"type": functools.partial(_argument, s.rule)}
+            sub.add_argument(flag, default=None, help=s.help, **how)
     subs.add_parser("golden", help="run the acceptance-value suite")
     return parser
-
-
-_BODIES = {
-    "reach": _run_reach,
-    "reach-inv": _run_reach_inv,
-    "polyapprox": _run_polyapprox,
-    "hybrid-reach": _run_hybrid,
-    "plot": _run_plot,
-}
 
 
 def run(argv=None) -> int:
@@ -631,9 +546,15 @@ def run(argv=None) -> int:
         # floating-point warnings would only repeat them on stderr
         with np.errstate(all="ignore"):
             model = load_model(args.model)
-            out = _outdir(args)
+            cmd = COMMANDS[args.command]
+            if cmd.kind not in (None, model.kind):
+                raise ModelError(f"model kind {model.kind!r} does not fit this command (needs {cmd.kind!r})")
+            settings = _settings(args.command, model, args)
+            out = args.out or "."
+            os.makedirs(out, exist_ok=True)
             started = time.perf_counter()
-            code, report, _ = _BODIES[args.command](model, args, out)
+            code, report, _ = cmd.body(model, settings, out)
+        report.settings = settings
         report.command, report.model, report.kind = args.command, model.path or "<memory>", model.kind
         elapsed = time.perf_counter() - started
         _write_report(report, out)

@@ -405,13 +405,14 @@ class ReplayResult:
         return bad
 
 
-def _greedy_replay(H, q, starts, witness, jumps, params, h, best):
+def _greedy_replay(H, q, starts, witness, jumps, params, h):
     """Depth-first greedy search over a whole batch of starts: flow inside
     the location, jump at each start's first guard entry per edge. Returns
-    (i, configs, steps) realized from starts[i], or None; best is a
-    1-element list tracking the closest approach seen."""
+    (found, closest): found is (i, configs, steps) realized from starts[i],
+    or None; closest is the closest approach to the witness that the
+    search saw (inf if none)."""
     if starts.shape[0] == 0:
-        return None
+        return None, math.inf
     q_w, x_w = witness
     G, dyn = H.invariants[q], H.dynamics[q]
     speed = _max_speed(dyn, starts)
@@ -425,18 +426,18 @@ def _greedy_replay(H, q, starts, witness, jumps, params, h, best):
     inside = G.contains(paths.reshape(-1, dim), tol=1e-7).reshape(m, k1)
     alive = np.logical_and.accumulate(inside, axis=1)  # prefix before leaving G
 
+    closest = math.inf
     if q == q_w:
         dist = np.where(alive, np.linalg.norm(paths - x_w, axis=2), math.inf)
-        if alive.any():
-            best[0] = min(best[0], float(dist.min()))
+        closest = float(dist.min())
         ok = dist <= 2.0 * h
         if ok.any():
             i, j = np.unravel_index(int(np.argmax(ok)), ok.shape)
             if j == 0:
-                return i, [(q, starts[i])], []
-            return i, [(q, starts[i]), (q, paths[i, j])], [("time", float(times[j]))]
+                return (i, [(q, starts[i])], []), closest
+            return (i, [(q, starts[i]), (q, paths[i, j])], [("time", float(times[j]))]), closest
     if jumps <= 0:
-        return None
+        return None, closest
 
     for e in H.edges_from(q):
         hits = e.guard.contains(paths.reshape(-1, dim), tol=1e-9).reshape(m, k1)
@@ -453,7 +454,8 @@ def _greedy_replay(H, q, starts, witness, jumps, params, h, best):
         if sel.size == 0:
             continue
         x_new = x_new[in_target]
-        tail = _greedy_replay(H, e.target, x_new, witness, jumps - 1, params, h, best)
+        tail, near = _greedy_replay(H, e.target, x_new, witness, jumps - 1, params, h)
+        closest = min(closest, near)
         if tail is None:
             continue
         local, configs, steps = tail
@@ -465,8 +467,8 @@ def _greedy_replay(H, q, starts, witness, jumps, params, h, best):
             head_cfg.append((q, paths[i, j]))
             head_steps.append(("time", float(times[j])))
         head_steps.append(("edge", e))
-        return i, head_cfg + configs, head_steps + steps
-    return None
+        return (i, head_cfg + configs, head_steps + steps), closest
+    return None, closest
 
 
 def replay_witness(
@@ -486,7 +488,7 @@ def replay_witness(
     if verdict.kind != "yes" or verdict.witness is None:
         return ReplayResult(False, [], [], math.inf, 0)
     h = s1.h
-    best = [math.inf]
+    best = math.inf
     budget = _REPLAY_MAX_STARTS
     for q in H.locations:
         region = s1.regions.get(q)
@@ -494,10 +496,11 @@ def replay_witness(
             continue
         starts = region.cell_centers()[:budget]
         budget -= starts.shape[0]
-        found = _greedy_replay(H, q, starts, verdict.witness, verdict.k, params, h, best)
+        found, closest = _greedy_replay(H, q, starts, verdict.witness, verdict.k, params, h)
+        best = min(best, closest)
         if found is not None:
             _, configs, steps = found
-            result = ReplayResult(True, configs, steps, best[0], 0)
+            result = ReplayResult(True, configs, steps, best, 0)
             result.validate(H)
             return result
-    return ReplayResult(False, [], [], best[0], 0)
+    return ReplayResult(False, [], [], best, 0)

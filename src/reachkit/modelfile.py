@@ -4,9 +4,13 @@ One format covers the four pipelines: bounded-time reach, invariant-
 constrained reach, the one-step polyhedral enclosure, and hybrid
 reachability. Sets are written as explicit halfspace rows (``[a1..an, b]``
 meaning a.x <= b) or as a box shorthand; dynamics as a matrix or as
-expression strings. Loading validates the schema and cross-checks every
-dimension before any computation starts; serializing normalizes rows to
-unit normals, so load -> save is a fixed point up to row scaling.
+expression strings. Loading validates the schema, checks each run
+setting in the grid and flags sections against its range in SETTINGS,
+and cross-checks every dimension before any computation starts; which
+settings a command needs, and their defaults, is the command table's
+decision (reachkit.cli.COMMANDS), since a flag can stand in for a
+missing one. Serializing normalizes rows to unit normals, so load ->
+save is a fixed point up to row scaling.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -32,6 +37,7 @@ __all__ = [
     "model_to_dict",
     "save_model",
     "bundled_model_path",
+    "SETTINGS",
 ]
 
 SCHEMA_VERSION = 1
@@ -51,8 +57,49 @@ _TOP_KEYS = {
     "grid",
     "flags",
 }
-_GRID_KEYS = {"tau", "dt", "cell", "boundary_spacing", "delta", "delta0"}
-_FLAG_KEYS = {"under_approximate", "bound_mode", "max_iters", "max_k"}
+
+
+def _is_number(v):
+    # an exact comparison, so NaN, +-inf and ints beyond the float range fail
+    return isinstance(v, (int, float)) and abs(v) <= sys.float_info.max
+
+
+# The values a run setting may take: ok tests a model value, or a flag's
+# text once cast has read it; cast also turns an accepted model value into
+# the run's setting; expected says in words what ok accepts.
+Range = namedtuple("Range", "expected ok cast choices", defaults=(float, ()))
+
+
+def _choice(*values):
+    return Range(" or ".join(map(repr, values)), values.__contains__, str, values)
+
+
+_FINITE = Range("a finite number", _is_number)
+_POSITIVE = Range("a positive finite number", lambda v: _is_number(v) and v > 0.0)
+_NONNEGATIVE = Range("a nonnegative finite number", lambda v: _is_number(v) and v >= 0.0)
+_COUNT = Range("a nonnegative integer", lambda v: isinstance(v, int) and v >= 0, int)
+# the one boolean setting; its flag takes no value
+UNDER = Range("a boolean", lambda v: isinstance(v, bool), lambda under: "under" if under else "over")
+
+
+# A run setting: the flag that sets it, else the model's section and key,
+# both held to one range, and the flag's help text.
+Setting = namedtuple("Setting", "flag section key rule help", defaults=(None,))
+
+# keyed by the name each run's report.json lists the setting under
+SETTINGS = {
+    "tau": Setting("--tau", "grid", "tau", _NONNEGATIVE, "time horizon"),
+    "dt": Setting("--dt", "grid", "dt", _POSITIVE, "time step"),
+    "cell": Setting("--cell", "grid", "cell", _POSITIVE, "grid cell size"),
+    "mode": Setting("--under", "flags", "under_approximate", UNDER, "compute the under-approximation flavor"),
+    "bounds": Setting("--bounds", "flags", "bound_mode", _choice("sampled", "conservative"), "bound evaluation mode"),
+    "max_iters": Setting("--max-iters", "flags", "max_iters", _COUNT, "iteration cap override"),
+    "max_k": Setting("--max-iters", "flags", "max_k", _COUNT, "iteration cap override"),
+    "format": Setting("--format", None, None, _choice("csv", "svg")),
+    "boundary_spacing": Setting(None, "grid", "boundary_spacing", _POSITIVE),
+    "delta": Setting(None, "grid", "delta", _POSITIVE),
+    "delta0": Setting(None, "grid", "delta0", _FINITE),
+}
 
 
 def _need(cond, msg):
@@ -225,13 +272,12 @@ class ModelFile:
     flags: dict = field(default_factory=dict)
     path: str = None
 
-    def grid_value(self, key, default=None):
+    def grid_value(self, key):
         v = self.grid.get(key)
-        return default if v is None else float(v)
+        return None if v is None else float(v)
 
-    def flag(self, key, default=None):
-        v = self.flags.get(key)
-        return default if v is None else v
+    def flag(self, key):
+        return self.flags.get(key)
 
 
 def _dim_of(s):
@@ -249,36 +295,15 @@ def parse_model(data, path=None) -> ModelFile:
     kind = data.get("kind")
     _need(kind in KINDS, f"unknown problem kind {kind!r}; expected one of {KINDS}")
 
-    grid = data.get("grid", {})
-    _need(isinstance(grid, dict), "grid: expected an object")
-    _check_keys(grid, _GRID_KEYS, "grid")
-    for key, val in grid.items():
-        _need(isinstance(val, (int, float)), f"grid.{key}: expected a number")
-        # an exact comparison, so NaN, +-inf and ints beyond the float range fail
-        _need(abs(val) <= sys.float_info.max, f"grid.{key}: expected a finite number")
-        if key in ("cell", "dt", "delta", "boundary_spacing"):
-            _need(val > 0.0, f"grid.{key}: expected a positive finite number")
-    flags = data.get("flags", {})
-    _need(isinstance(flags, dict), "flags: expected an object")
-    _check_keys(flags, _FLAG_KEYS, "flags")
-    if "bound_mode" in flags:
-        _need(
-            flags["bound_mode"] in ("sampled", "conservative"),
-            "flags.bound_mode: expected 'sampled' or 'conservative'",
-        )
-    for key in ("max_iters", "max_k"):
-        if flags.get(key) is not None:
-            _need(
-                isinstance(flags[key], int) and flags[key] >= 0,
-                f"flags.{key}: expected a nonnegative integer",
-            )
-    if "under_approximate" in flags:
-        _need(
-            isinstance(flags["under_approximate"], bool),
-            "flags.under_approximate: expected a boolean",
-        )
-
-    m = ModelFile(kind=kind, grid=dict(grid), flags=dict(flags), path=path)
+    m = ModelFile(kind=kind, path=path)
+    for section in ("grid", "flags"):
+        values = data.get(section, {})
+        _need(isinstance(values, dict), f"{section}: expected an object")
+        rules = {s.key: s.rule for s in SETTINGS.values() if s.section == section}
+        _check_keys(values, set(rules), section)
+        for key, val in values.items():
+            _need(rules[key].ok(val), f"{section}.{key}: expected {rules[key].expected}")
+        setattr(m, section, dict(values))
 
     if kind == "hybrid":
         locs = data.get("locations")
@@ -345,10 +370,9 @@ def parse_model(data, path=None) -> ModelFile:
             _need(P.dim == m.system.dim, f"target[{i}]: wrong dimension")
             targets.append((q, P))
         m.targets = tuple(targets)
-        _need(grid.get("dt"), "hybrid model needs grid.dt")
-        _need(grid.get("cell"), "hybrid model needs grid.cell")
+        _need("cell" in m.grid, "hybrid model needs grid.cell")
         # resets land in their target invariant (within one cell), initial sets in theirs
-        m.system.validate(float(grid["cell"]))
+        m.system.validate(m.grid_value("cell"))
         return m
 
     _need("dynamics" in data, f"{kind} model needs a 'dynamics' section")
@@ -365,7 +389,6 @@ def parse_model(data, path=None) -> ModelFile:
             m.face.dim == m.dynamics.matrix.shape[0],
             "face and matrix disagree on dimension",
         )
-        _need(grid.get("delta"), "polyapprox model needs grid.delta")
         return m
 
     _need("initial" in data, f"{kind} model needs an 'initial' section")
@@ -377,12 +400,8 @@ def parse_model(data, path=None) -> ModelFile:
         m.invariant = _poly_from_spec(data["invariant"], "invariant")
         _need(m.invariant.dim == dyn_dim, "invariant and dynamics disagree on dimension")
 
-    if kind == "reach":
-        _need(grid.get("tau") is not None, "reach model needs grid.tau")
-        _need(float(grid["tau"]) >= 0.0, "grid.tau must be nonnegative")
-    else:  # reach-inv
+    if kind == "reach-inv":
         _need(m.invariant is not None, "reach-inv model needs an 'invariant' section")
-        _need(grid.get("dt"), "reach-inv model needs grid.dt")
     return m
 
 

@@ -43,6 +43,11 @@ def model(name):
     return bundled_model_path(name)
 
 
+def bundled(name):
+    with open(model(name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def write_model(tmp_path, data, name="m.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -338,26 +343,29 @@ def test_reset_outside_target_invariant_exits_2_without_traceback(tmp_path, capf
 
 
 @pytest.mark.parametrize(
-    "key,value",
-    [("cell", -0.05), ("dt", 0.0), ("tau", -1.0), ("tau", math.inf), ("tau", math.nan)],
+    "cmd,name,key,value",
+    [
+        ("reach", "example1.json", "cell", -0.05),
+        ("reach", "example1.json", "dt", 0.0),
+        ("reach", "example1.json", "tau", -1.0),
+        ("reach", "example1.json", "tau", math.inf),
+        ("reach", "example1.json", "tau", math.nan),
+        # one range for grid.tau in every kind, whether or not the kind needs it
+        ("reach-inv", "drift_invariant.json", "tau", -1.0),
+        ("hybrid-reach", "hybrid_drift.json", "tau", -1.0),
+    ],
+    ids=["cell--0.05", "dt-0.0", "tau--1.0", "tau-inf", "tau-nan", "reach-inv-tau--1.0", "hybrid-reach-tau--1.0"],
 )
-def test_nonpositive_grid_step_exits_2_without_traceback(tmp_path, capfd, key, value):
-    grid = {"cell": 0.05, "dt": 0.5, "tau": 1.0}
-    data = {
-        "schema": 1,
-        "kind": "reach",
-        "dynamics": {"expressions": ["1", "1"]},
-        "initial": {"box": [[0.0, 0.0], [1.0, 1.0]]},
-        "grid": {**grid, key: value},
-    }
-    assert run(["reach", write_model(tmp_path, data), "--out", str(tmp_path / "o")]) == 2
+def test_nonpositive_grid_step_exits_2_without_traceback(tmp_path, capfd, cmd, name, key, value):
+    data = bundled(name)
+    data["grid"][key] = value
+    assert run([cmd, write_model(tmp_path, data), "--out", str(tmp_path / "o")]) == 2
     err = capfd.readouterr().err
     assert f"grid.{key}" in err
     assert "Traceback" not in err
     # the same value as a flag is refused while parsing the arguments
-    ok = write_model(tmp_path, {**data, "grid": grid}, name="ok.json")
     with pytest.raises(SystemExit) as exc:
-        run(["reach", ok, "--out", str(tmp_path / "o"), f"--{key}", str(value)])
+        run([cmd, model(name), "--out", str(tmp_path / "o"), f"--{key}", str(value)])
     assert exc.value.code == 2
     assert f"--{key}" in capfd.readouterr().err
 
@@ -662,6 +670,71 @@ def test_hybrid_needs_target(tmp_path):
     del data["target"]
     path = write_model(tmp_path, data)
     assert run(["hybrid-reach", path, "--out", str(tmp_path / "o")]) == 2
+
+
+# ---------------------------------------------------------------------------
+# run settings: a flag, else the model's value, else the command's default
+
+
+@pytest.mark.parametrize(
+    "cmd,name,key,value",
+    [
+        ("reach", "example1.json", "tau", "1"),
+        ("reach-inv", "drift_invariant.json", "dt", "0.25"),
+        ("hybrid-reach", "hybrid_drift.json", "dt", "0.25"),
+    ],
+)
+def test_flag_stands_in_for_a_missing_grid_value(tmp_path, capfd, cmd, name, key, value):
+    data = bundled(name)
+    del data["grid"][key]
+    path = write_model(tmp_path, data)
+    assert run([cmd, path, "--out", str(tmp_path / "o")]) == 2
+    err = capfd.readouterr().err
+    assert f"grid.{key}" in err and f"--{key}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+    # the flag gives the shipped model's run
+    code = run([cmd, model(name), "--out", str(tmp_path / "shipped")])
+    assert run([cmd, path, f"--{key}", value, "--out", str(tmp_path / "flag")]) == code
+    assert output_digests(str(tmp_path / "flag")) == output_digests(str(tmp_path / "shipped"))
+
+
+# Every flag of every model command, on a bundled model at its shipped cell:
+# (command, model, flag, model section and key, value, a different value)
+FLAG_AND_MODEL = [
+    ("reach", "example1.json", "--tau", "grid", "tau", 1.0, 2.0),
+    ("reach", "example1.json", "--dt", "grid", "dt", 0.5, 0.25),
+    ("reach", "example1.json", "--cell", "grid", "cell", 0.05, 0.1),
+    ("reach", "example1.json", "--under", "flags", "under_approximate", True, False),
+    ("reach", "example1.json", "--bounds", "flags", "bound_mode", "sampled", "conservative"),
+    ("reach-inv", "drift_invariant.json", "--tau", "grid", "tau", 2.0, 4.0),
+    ("reach-inv", "drift_invariant.json", "--dt", "grid", "dt", 0.25, 0.5),
+    ("reach-inv", "drift_invariant.json", "--cell", "grid", "cell", 0.05, 0.1),
+    ("reach-inv", "drift_invariant.json", "--under", "flags", "under_approximate", True, False),
+    ("reach-inv", "drift_invariant.json", "--max-iters", "flags", "max_iters", 3, 5),
+    ("polyapprox", "example2.json", "--bounds", "flags", "bound_mode", "sampled", "conservative"),
+    ("hybrid-reach", "hybrid_drift.json", "--tau", "grid", "tau", 4.0, 8.0),
+    ("hybrid-reach", "hybrid_drift.json", "--dt", "grid", "dt", 0.25, 0.5),
+    ("hybrid-reach", "hybrid_drift.json", "--cell", "grid", "cell", 0.05, 0.1),
+    ("hybrid-reach", "hybrid_drift.json", "--max-iters", "flags", "max_k", 4, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "cmd,name,flag,section,key,value,other",
+    FLAG_AND_MODEL,
+    ids=[f"{c[0]}{c[2]}" for c in FLAG_AND_MODEL],
+)
+def test_flag_and_model_value_give_the_same_run(tmp_path, cmd, name, flag, section, key, value, other):
+    # the flag also wins over a different value in the model
+    outs, codes = [], []
+    for tag, set_to, argv in (("flag", other, [flag] if value is True else [flag, str(value)]), ("model", value, [])):
+        data = bundled(name)
+        data.setdefault(section, {})[key] = set_to
+        outs.append(str(tmp_path / tag))
+        codes.append(run([cmd, write_model(tmp_path, data, f"{tag}.json"), *argv, "--out", outs[-1]]))
+    assert codes[0] == codes[1]
+    assert output_digests(outs[0]) == output_digests(outs[1])
 
 
 # ---------------------------------------------------------------------------

@@ -193,10 +193,8 @@ def test_malformed_reach_models_are_rejected(mutate):
 
 
 def test_reach_needs_tau_and_initial():
-    bad = reach_dict()
-    del bad["grid"]["tau"]
-    with pytest.raises(ModelError, match="tau"):
-        parse_model(bad)
+    # a missing grid.tau is the command's to refuse, since --tau can stand
+    # in for it (tests/test_cli.py)
     bad = reach_dict()
     del bad["initial"]
     with pytest.raises(ModelError, match="initial"):
@@ -208,11 +206,9 @@ def test_reach_inv_needs_invariant_and_dt():
     data["grid"] = {"dt": 0.25}
     with pytest.raises(ModelError, match="invariant"):
         parse_model(data)
+    # a missing grid.dt is the command's to refuse, since --dt can stand in
+    # for it (tests/test_cli.py)
     data["invariant"] = {"box": [[0.0, 0.0], [3.0, 1.0]]}
-    data["grid"] = {}
-    with pytest.raises(ModelError, match="dt"):
-        parse_model(data)
-    data["grid"] = {"dt": 0.25}
     assert parse_model(data).invariant is not None
 
 
@@ -255,7 +251,7 @@ def hybrid_dict():
         lambda d: d["locations"].append(dict(d["locations"][0])),
         lambda d: d["edges"][0].pop("guard"),
         lambda d: d["locations"][0].pop("dynamics"),
-        lambda d: d["grid"].pop("dt"),
+        lambda d: d["grid"].update({"tau": -1.0}),
         lambda d: d["grid"].pop("cell"),
         lambda d: d.update({"init": []}),
         lambda d: d["edges"][0].update({"reset_matrix": [[1.0, 0.0]]}),
