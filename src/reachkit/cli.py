@@ -114,38 +114,31 @@ def _coord_header(dim):
     return [f"x{j + 1}" for j in range(dim)]
 
 
-def _cell_text():
-    """A function (head, region) -> CSV text with one line per occupied
-    cell of region, in cell_centers order: head (one string, or one per
-    cell), then the cell's centre. Coordinate j of a centre depends only
-    on the cell's index along axis j, so each axis value is formatted
-    once per grid layout, with its separator."""
-    tables = {}
-
-    def lines(head, region: GridRegion):
-        key = (region.lo.tobytes(), region.h, region.shape)
-        if key not in tables:
-            seps = [","] * (region.dim - 1) + ["\n"]
-            tables[key] = [
-                np.array([repr(c) + sep for c in (lo + (np.arange(n) + 0.5) * region.h).tolist()], object)
-                for lo, n, sep in zip(region.lo, region.shape, seps)
-            ]
-        idx = np.argwhere(region.occupancy)
-        text = np.empty((idx.shape[0], region.dim + 1), object)
-        text[:, 0] = head
-        for j, table in enumerate(tables[key]):
-            text[:, j + 1] = table[idx[:, j]]
-        return "".join(text.ravel().tolist())
-
-    return lines
+def _cell_text(head, region: GridRegion):
+    """CSV text with one line per occupied cell of region, in
+    cell_centers order: head (one string, or one per cell), then the
+    cell's centre. Coordinate j of a centre depends only on the cell's
+    index along axis j, so each axis value the region occupies is
+    formatted once, with its separator."""
+    idx = region.cell_indices()
+    if idx.shape[0] == 0:
+        return ""
+    text = np.empty((idx.shape[0], region.dim + 1), object)
+    text[:, 0] = head
+    seps = [","] * (region.dim - 1) + ["\n"]
+    for j, (lo, sep) in enumerate(zip(region.lo, seps)):
+        col = idx[:, j]
+        a = col.min()
+        centres = lo + (np.arange(a, col.max() + 1) + 0.5) * region.h
+        text[:, j + 1] = np.array([repr(c) + sep for c in centres.tolist()], object)[col - a]
+    return "".join(text.ravel().tolist())
 
 
 def _write_grid_tube(tube, report: RunReport, out: str) -> dict:
     """Write a grid tube's segments.csv (a line per cell of each segment)
     and list it in the report; returns the diagnostics of reach and
     reach-inv."""
-    cells = _cell_text()
-    blocks = (cells(f"{i},{_fmt(t0)},{_fmt(t1)},", s) for i, (t0, t1, s) in enumerate(tube.segments))
+    blocks = (_cell_text(f"{i},{_fmt(t0)},{_fmt(t1)},", s) for i, (t0, t1, s) in enumerate(tube.segments))
     header = ["segment", "t0", "t1", *_coord_header(tube.region().dim)]
     _write_csv(os.path.join(out, "segments.csv"), header, blocks)
     report.outputs.append("segments.csv")
@@ -244,11 +237,10 @@ def _run_hybrid(m: ModelFile, s: dict, out: str):
 
     report = RunReport()
     dim = H.dim
-    cells = _cell_text()
     _write_csv(
         os.path.join(out, "cells.csv"),
         ["location", *_coord_header(dim)],
-        [cells(f"{q},", reached.regions[q]) for q in H.locations],
+        [_cell_text(f"{q},", reached.regions[q]) for q in H.locations],
     )
     report.outputs.append("cells.csv")
 
@@ -355,7 +347,6 @@ def emit_plot(groups, path, fmt):
     <g> element per group, in the given order.
     """
     if fmt == "csv":
-        cells = _cell_text()
         blocks = []
         for tag, payload in groups:
             polys = enumerate(payload.get("polys", []))
@@ -364,7 +355,7 @@ def emit_plot(groups, path, fmt):
             )
             if "region" in payload:
                 region = payload["region"]
-                blocks.append(cells([f"{tag},{j},0," for j in range(region.count())], region))
+                blocks.append(_cell_text([f"{tag},{j},0," for j in range(region.count())], region))
         _write_csv(path, ["group", "item", "vertex", "x1", "x2"], blocks)
         return path
     if fmt != "svg":

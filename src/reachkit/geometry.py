@@ -371,8 +371,14 @@ def is_bounded(P: Polyhedron) -> bool:
 
 def grid_points(axes) -> np.ndarray:
     """Every point of the lattice spanned by per-axis coordinates, as an
-    (N, len(axes)) array in C order (last axis fastest)."""
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    (N, len(axes)) array in C order (last axis fastest). Each axis is
+    written once, broadcast into its column."""
+    axes = [np.asarray(a) for a in axes]
+    d = len(axes)
+    out = np.empty((*(a.size for a in axes), d), np.result_type(*axes))
+    for j, a in enumerate(axes):
+        out[..., j] = a.reshape([-1 if k == j else 1 for k in range(d)])
+    return out.reshape(-1, d)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MAX_TIME_STEPS, DimMismatch, ModelError, PreconditionViolated, _within_budget
-from .facelift import GridRegion, _max_speed, reach_invariant
+from .facelift import GridRegion, _max_speed, _sum_sq, reach_invariant
 from .flow import trajectory
 from .geometry import Polyhedron, grid_points, is_empty
 
@@ -213,7 +213,7 @@ class RegionSet:
                 raise DimMismatch(f"region grids differ at location {q!r}")
             both = mine.occupancy & theirs.occupancy
             if both.any():
-                return q, mine.cell_centers(np.argwhere(both)[0])
+                return q, mine.cell_centers(mine.cell_indices(both)[0])
         return None
 
 
@@ -237,7 +237,7 @@ def _push_edge_images(region_mask, source: GridRegion, edge: Edge, target: GridR
     box is R c + r0 -+ (h/2)|R| 1; the boxes of all images are marked in
     one pass, which is exact for axis-aligned resets and conservative
     otherwise."""
-    centres = edge.apply(source.cell_centers(np.argwhere(region_mask)))
+    centres = edge.apply(source.cell_centers(source.cell_indices(region_mask)))
     half = 0.5 * source.h * np.abs(edge.reset_matrix).sum(axis=1)
     target.mark_boxes(centres - half, centres + half)
 
@@ -428,7 +428,7 @@ def _greedy_replay(H, q, starts, witness, jumps, params, h):
 
     closest = math.inf
     if q == q_w:
-        dist = np.where(alive, np.linalg.norm(paths - x_w, axis=2), math.inf)
+        dist = np.where(alive, np.sqrt(_sum_sq(paths - x_w)), math.inf)
         closest = float(dist.min())
         ok = dist <= 2.0 * h
         if ok.any():

@@ -60,8 +60,10 @@ _TOP_KEYS = {
 
 
 def _is_number(v):
-    # an exact comparison, so NaN, +-inf and ints beyond the float range fail
-    return isinstance(v, (int, float)) and abs(v) <= sys.float_info.max
+    """The one number rule of a model value: a finite JSON number. A
+    bool (an int to Python) and a numeric string are not numbers, and the
+    exact comparison fails NaN, +-inf and ints beyond the float range."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 # The values a run setting may take: ok tests a model value, or a flag's
@@ -77,7 +79,7 @@ def _choice(*values):
 _FINITE = Range("a finite number", _is_number)
 _POSITIVE = Range("a positive finite number", lambda v: _is_number(v) and v > 0.0)
 _NONNEGATIVE = Range("a nonnegative finite number", lambda v: _is_number(v) and v >= 0.0)
-_COUNT = Range("a nonnegative integer", lambda v: isinstance(v, int) and v >= 0, int)
+_COUNT = Range("a nonnegative integer", lambda v: _is_number(v) and isinstance(v, int) and v >= 0, int)
 # the one boolean setting; its flag takes no value
 UNDER = Range("a boolean", lambda v: isinstance(v, bool), lambda under: "under" if under else "over")
 
@@ -120,12 +122,16 @@ def _named(where):
 
 
 def _float_list(values, where):
-    try:
-        out = [float(v) for v in values]
-    except (TypeError, ValueError, OverflowError):
-        raise ModelError(f"{where}: expected a list of numbers") from None
-    _need(np.all(np.isfinite(out)), f"{where}: expected finite numbers")
-    return out
+    _need(isinstance(values, list) and all(map(_is_number, values)), f"{where}: expected a list of finite numbers")
+    return [float(v) for v in values]
+
+
+def _float_matrix(rows, where):
+    """A float array of a list of _float_list rows of one length."""
+    _need(isinstance(rows, list), f"{where}: expected a list of rows")
+    vals = [_float_list(row, f"{where} row {i}") for i, row in enumerate(rows)]
+    _need(len(set(map(len, vals))) < 2, f"{where}: rows differ in length")
+    return np.array(vals, float)
 
 
 def _rows_to_halfspaces(rows, where):
@@ -198,12 +204,8 @@ def _set_to_spec(s) -> dict:
 def _dyn_from_spec(spec, where):
     _need(isinstance(spec, dict), f"{where}: expected an object")
     if "matrix" in spec:
-        try:
-            M = np.array(spec["matrix"], float)
-        except (TypeError, ValueError):
-            raise ModelError(f"{where}: matrix rows must be numeric") from None
+        M = _float_matrix(spec["matrix"], f"{where}.matrix")
         _need(M.ndim == 2 and M.shape[0] == M.shape[1], f"{where}: matrix must be square")
-        _need(np.all(np.isfinite(M)), f"{where}: matrix entries must be finite")
         return LinearDynamics(M)
     _need("expressions" in spec, f"{where}: needs 'matrix' or 'expressions'")
     exprs = spec["expressions"]
@@ -289,7 +291,7 @@ def parse_model(data, path=None) -> ModelFile:
     _check_keys(data, _TOP_KEYS, "model")
     schema = data.get("schema")
     _need(
-        schema == SCHEMA_VERSION,
+        _is_number(schema) and schema == SCHEMA_VERSION,
         f"unsupported schema {schema!r}; this build reads version {SCHEMA_VERSION}",
     )
     kind = data.get("kind")
@@ -346,8 +348,8 @@ def parse_model(data, path=None) -> ModelFile:
                         guard=_poly_from_spec(spec["guard"], f"edges[{i}].guard"),
                         event=str(spec["event"]),
                         target=str(spec["to"]),
-                        reset_matrix=None if R is None else np.array(R, float),
-                        reset_offset=None if c is None else np.array(c, float),
+                        reset_matrix=None if R is None else _float_matrix(R, f"edges[{i}].reset_matrix"),
+                        reset_offset=None if c is None else np.array(_float_list(c, f"edges[{i}].reset_offset")),
                         controllable=bool(spec.get("controllable", False)),
                     )
                 )

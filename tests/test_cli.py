@@ -14,14 +14,15 @@ import sys
 import time
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reachkit
 import reachkit.golden as golden
-from reachkit.cli import run
-from reachkit.facelift import classify_boundary, reach_bounded_time
+from reachkit.cli import _cell_text, run
+from reachkit.facelift import GridRegion, classify_boundary, reach_bounded_time
 from reachkit.flow import ExpressionDynamics
 from reachkit.modelfile import bundled_model_path, load_model
 
@@ -136,6 +137,30 @@ def test_malformed_rows_exit_2(tmp_path):
         },
     )
     assert run(["reach", path, "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize(
+    "cmd,name,key,edit",
+    [
+        ("reach", "example1.json", "grid.tau", lambda d: d["grid"].update(tau=True)),
+        ("reach-inv", "rotation_cap.json", "flags.max_iters", lambda d: d["flags"].update(max_iters=True)),
+        ("reach", "example1.json", "initial box lo", lambda d: d["initial"]["box"][0].__setitem__(0, True)),
+        ("reach", "rotation_disk.json", "dynamics.matrix row 0", lambda d: d["dynamics"]["matrix"][0].__setitem__(0, "1")),
+        (
+            "hybrid-reach", "hybrid_drift.json", "edges[0].reset_matrix row 1",
+            lambda d: d["edges"][0].update(reset_matrix=[[1, 0], [0, True]]),
+        ),
+    ],
+    ids=["grid-tau", "max-iters", "box-corner", "matrix-entry", "reset-entry"],
+)
+def test_a_bool_or_a_string_is_not_a_number(tmp_path, capfd, cmd, name, key, edit):
+    # JSON true is an int to Python and float("1") reads a string: neither
+    # may stand for a number anywhere in a model
+    data = bundled(name)
+    edit(data)
+    assert run([cmd, write_model(tmp_path, data), "--out", str(tmp_path / "o")]) == 2
+    err = capfd.readouterr().err
+    assert f"error: {key}: expected " in err and "Traceback" not in err
 
 
 def test_assumption_violation_exits_3(tmp_path):
@@ -1013,6 +1038,41 @@ def test_plot_csv_is_pinned(tmp_path, name, digest):
     assert run(["plot", model(name), "--out", out, "--format", "csv"]) == 0
     with open(os.path.join(out, "plot.csv"), "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest()[:16] == digest
+
+
+def full_table_cell_text(head, region):
+    # the reference: every axis value of the grid box formatted once
+    tables = [
+        np.array([repr(c) + sep for c in (lo + (np.arange(n) + 0.5) * region.h).tolist()], object)
+        for lo, n, sep in zip(region.lo, region.shape, [","] * (region.dim - 1) + ["\n"])
+    ]
+    idx = np.argwhere(region.occupancy)
+    text = np.empty((idx.shape[0], region.dim + 1), object)
+    text[:, 0] = head
+    for j, table in enumerate(tables):
+        text[:, j + 1] = table[idx[:, j]]
+    return "".join(text.ravel().tolist())
+
+
+def test_cell_text_formats_only_the_occupied_range_as_the_full_table_did():
+    g = GridRegion([-1.3, 0.7], [0.9, 2.2], 0.1)
+    cells = {
+        "empty": [],
+        "one cell": [(5, 7)],
+        "first and last index": [(0, 0), (g.shape[0] - 1, g.shape[1] - 1), (0, g.shape[1] - 1)],
+        "scattered": [(3, 2), (3, 9), (11, 4), (20, 14)],
+    }
+    g3 = GridRegion([0.05, -2.0, 1e3], [0.65, -1.6, 1e3 + 0.3], 0.03)
+    g3.occupancy[[0, 4, 19], [13, 0, 7], [9, 2, 0]] = True
+    regions = [(name, g._like(np.zeros(g.shape, bool))) for name in cells] + [("3D", g3)]
+    for name, region in regions:
+        for i in cells.get(name, []):
+            region.occupancy[i] = True
+        n = region.count()
+        # plot writes one head per cell, the tube writers one for all
+        for head in ("2,0.5,1.0,", [f"segment3,{j},0," for j in range(n)]):
+            assert _cell_text(head, region) == full_table_cell_text(head, region), name
+        assert len(_cell_text("", region).splitlines()) == n
 
 
 def test_plot_csv_empty_tube_has_header_only_segments(tmp_path):

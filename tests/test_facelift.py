@@ -25,12 +25,14 @@ from reachkit.facelift import (
     LevelSet,
     _advect,
     _front_sweep,
+    _max_speed,
     _levelset_boundary,
     _near_shadow,
     _polyhedron_faces,
     _resample_chain,
     _segment_interior_lattice,
     _split_runs,
+    _sum_sq,
     _uniform_intervals,
     check_boundary_equivalence,
     classify_boundary,
@@ -1460,6 +1462,42 @@ def test_near_shadow_matches_dense_distances(dim):
         assert got.dtype == bool and got.shape == (n,)
         assert np.array_equal(got, d2.min(axis=1) < thr), trial
     assert ties > 0
+
+
+@pytest.mark.parametrize("dim", range(1, 10))
+def test_row_kernels_match_the_numpy_expressions_bit_for_bit(dim):
+    # d = 8 and 9 take numpy's own pairwise sum; entries span 16 decades,
+    # so a sum in any other order would show in the last bits
+    rng = np.random.default_rng(dim)
+    x = rng.standard_normal((60, dim)) * 10.0 ** rng.integers(-8, 8, (60, dim))
+    batches = {
+        "rows": x,
+        "empty": x[:0],
+        "every other row": x[::2],
+        "every other column": np.repeat(x, 2, axis=1)[:, ::2],
+        "batched": x.reshape(6, 10, dim),
+    }
+    for name, b in batches.items():
+        assert np.array_equal(_sum_sq(b), np.sum(b**2, axis=-1)), name
+        assert np.array_equal(np.sqrt(_sum_sq(b)), np.linalg.norm(b, axis=-1)), name
+    dyn = LinearDynamics(rng.standard_normal((dim, dim)))
+    assert _max_speed(dyn, x) == float(np.max(np.linalg.norm(dyn.evaluate(x), axis=1)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.integers(1, 6), min_size=1, max_size=4),
+    st.sampled_from([0.0, 0.3, 1.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_cell_indices_match_argwhere(shape, density, seed):
+    rng = np.random.default_rng(seed)
+    g = GridRegion(np.zeros(len(shape)), np.array(shape, float), 1.0)
+    g.occupancy |= rng.random(g.shape) < density
+    mask = rng.random(g.shape) < 0.5
+    for got, want in ((g.cell_indices(), np.argwhere(g.occupancy)), (g.cell_indices(mask), np.argwhere(mask))):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert got.shape == (want.shape[0], len(shape))
 
 
 def test_invariant_reach_memory_is_linear_in_front_and_shadow():

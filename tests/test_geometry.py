@@ -680,3 +680,19 @@ def test_lp_matches_the_loop_reference():
         assert (got.x is None and want.x is None) or got.x.tobytes() == want.x.tobytes(), trial
         seen[got.status] += 1
     assert min(seen.values()) > 100, seen
+
+
+@pytest.mark.parametrize(
+    "axes",
+    [
+        [np.linspace(-1.0, 1.0, 5)],
+        [np.linspace(0.0, 1.0, 4), np.arange(3)],
+        [np.arange(2), np.arange(0), np.arange(3)],
+        [np.arange(3), np.arange(2), np.arange(4), np.linspace(0.0, 1.0, 2)],
+    ],
+)
+def test_grid_points_match_the_meshgrid_stack(axes):
+    want = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    got = geometry.grid_points(axes)
+    assert got.dtype == want.dtype and got.flags.c_contiguous
+    assert got.shape == want.shape and np.array_equal(got, want)

@@ -185,6 +185,7 @@ def test_load_invalid_json_is_a_model_error(tmp_path):
         {"grid": {"tau": 1.0, "boundary_spacing": 0}},
         {"grid": {"tau": 1.0, "boundary_spacing": -1}},
         {"dynamics": {"matrix": [[math.nan, 0.0], [0.0, 1.0]]}},
+        {"schema": True},
     ],
 )
 def test_malformed_reach_models_are_rejected(mutate):
