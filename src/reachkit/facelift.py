@@ -513,8 +513,14 @@ class GridRegion:
         return np.maximum(i0, 0), np.minimum(i1, np.array(self.shape))
 
     def _mask(self, idx, hit):
+        """Grid mask holding hit over the window idx, the full C-order box
+        of index rows that _poly_window or _levelset_values lists (none:
+        an empty mask). The box runs from idx's first row to its last, so
+        hit fills it by one slice assignment."""
         mask = np.zeros(self.shape, dtype=bool)
-        mask[tuple(idx[hit].T)] = True
+        if idx.shape[0]:
+            i0, i1 = idx[0], idx[-1] + 1
+            mask[tuple(map(slice, i0, i1))] = hit.reshape(i1 - i0)
         return mask
 
     def _levelset_values(self, ls: LevelSet):
@@ -907,77 +913,18 @@ def _interior_lattice(init, spacing):
     return mesh[init.contains(mesh, tol=0.0)]
 
 
-def _near_shadow(pts, v_pts, h, thr):
-    """True for each row of pts with a shadow point of v_pts at squared
-    distance below thr (at most h²). Fixed-radius search on an h-cell
-    grid (Bentley, Stanat and Williams, 1977): the shadow is bucketed by
-    floor(v/h) and each point meets only the 3^d buckets around its own,
-    because a shadow point two buckets away differs by more than h in one
-    coordinate. Memory is linear in the candidate pairs, not pts × v_pts."""
-    n, d = pts.shape
-    kv = np.floor(v_pts / h).astype(np.int64)
-    kp = np.floor(pts / h).astype(np.int64)
-    offsets = np.indices((3,) * d).reshape(d, -1) - 1
-    keys, qk, valid, stride = 0, 0, True, 1
-    for j in range(d):
-        base = kv[:, j].min()
-        span = kv[:, j].max() - base + 1  # queries outside this box meet no bucket
-        keys = keys + (kv[:, j] - base) * stride
-        q = (kp[:, j] - base)[:, None] + offsets[j]
-        valid = valid & (q >= 0) & (q < span)
-        qk = qk + q * stride
-        stride *= span
-    order = np.argsort(keys)
-    keys = keys[order]
-    qk = np.where(valid, qk, -1)
-    lo = np.searchsorted(keys, qk, "left").ravel()
-    counts = np.searchsorted(keys, qk, "right").ravel() - lo
-    fi = np.repeat(np.arange(n), counts.reshape(n, -1).sum(axis=1))
-    first = np.cumsum(counts) - counts
-    si = order[np.arange(fi.size) + np.repeat(lo - first, counts)]
-    diff = np.empty((fi.size, d))
-    for j in range(d):
-        np.subtract(pts[:, j][fi], v_pts[:, j][si], out=diff[:, j])
-    d2 = _sum_sq(diff)
-    near = np.zeros(n, bool)
-    near[fi[d2 < thr]] = True
-    return near
-
-
-def _exit_shadow_keep(chains, flat, invariant, dyn, delta, h):
-    """One keep mask per chain: False for the front samples within h of
-    the exit shadow, the reverse-flow images of escaping tube samples.
-    flat holds every substep of every sample of the step's trajectories,
-    chain by chain, as _front_sweep stacks them. The escaping samples are
-    thinned to the first one in each h-cell (_first_rows), then to at
-    most 2000. Memory is linear in the front and shadow sizes (see
-    _near_shadow)."""
-    outside = ~invariant.contains(flat, tol=1e-9)
-    if not outside.any():
-        return [np.ones(pts.shape[0], bool) for pts, _ in chains]
-    u = flat[outside]
-    u = u[_first_rows(np.floor(u / h).astype(int))]
-    if u.shape[0] > 2000:
-        u = u[:: int(math.ceil(u.shape[0] / 2000.0))]
-    v_pts = _advect(dyn, u, -delta, h).reshape(-1, u.shape[1])
-    front = np.vstack([pts for pts, _ in chains])
-    # ties at exactly h are structural for raster-seeded fronts
-    # (cell centers sit one cell from the overhang shadow); keep them
-    near = _near_shadow(front, v_pts, h, h * h * (1.0 - 1e-9))
-    return np.split(~near, np.cumsum([pts.shape[0] for pts, _ in chains])[:-1])
-
-
 def _front_sweep(chains, init, dyn, intervals, cum, h_b, invariant=None):
     """Advect the front over each interval until it empties, adding each
     step's swept cells to cum. Yields (t0, t1, swept, kept, next_chains)
-    per step: kept holds the cells swept by the samples that survive the
-    exit-shadow prune (all of them without an invariant), swept adds to
-    kept the pruned samples' cells that touch the invariant. A sample
-    lives on when it survives the prune and its end lies neither in cum,
-    as it stood before the step, nor strictly inside init. Each chain is
-    advected on its own (_advect), so it keeps the substep count of its
-    own start speed; the step's samples are then rasterized, marked and
-    tested as one flat front. Each chain keeps its live samples
+    per step: kept holds the cells swept by the samples whose own
+    trajectory stays in the invariant (up to 1e-9) at every substep of
+    the step (all of them without an invariant), swept adds to kept the
+    other samples' cells that touch the invariant. A sample lives on
+    when it is kept and its end lies neither in cum, as it stood before
+    the step, nor strictly inside init. Each chain is advected on its
+    own (_advect), so it keeps the substep count of its own start speed;
+    the step's samples are then rasterized, marked and tested as one
+    flat front. Each chain keeps its live samples
     (_split_runs): an ordered chain splits at the dead ones and its runs
     are resampled, an unordered chain stays one chain."""
     h = cum.h
@@ -987,15 +934,15 @@ def _front_sweep(chains, init, dyn, intervals, cum, h_b, invariant=None):
             return
         delta = t1 - t0
         trajs = [_advect(dyn, pts, delta, h) for pts, _ in chains]
-        # every substep of every sample, chain by chain; ends[i] is the row
-        # of sample i's last substep
+        # every substep of every sample, chain by chain; sample i's rows
+        # run from ends[i] - rows[i] + 1 to ends[i]
         flat = np.concatenate([traj.reshape(-1, traj.shape[2]) for traj in trajs])
         rows = np.repeat([traj.shape[1] for traj in trajs], [traj.shape[0] for traj in trajs])
         ends = np.cumsum(rows) - 1
         if invariant is None:
             keep = np.ones(ends.size, bool)
         else:
-            keep = np.concatenate(_exit_shadow_keep(chains, flat, invariant, dyn, delta, h))
+            keep = np.logical_and.reduceat(invariant.contains(flat, tol=1e-9), ends - rows + 1)
         cells = cum._cells(flat)
         kept_rows = np.repeat(keep, rows)
         kept, lost = cum.blank(), cum.blank()
@@ -1219,14 +1166,15 @@ def reach_invariant(
     """Reach set of trajectories that never leave a polyhedral invariant,
     swept in repeated steps of length dt.
 
-    Front samples whose exit shadow (reverse-flow images of escaping
-    tube samples) comes within h are pruned before sweeping. The over
-    flavor keeps the pruned sweep plus every swept cell still touching
-    the invariant; under=True keeps only pruned-sweep cells certified
-    inside it. The run stops when the front empties (front_collapse) or
-    after max_iters steps (iteration_cap; ceil(tau_max/dt) + 1 by
-    default, 20 without tau_max). Raises PreconditionViolated when init
-    is not inside the invariant."""
+    A front sample is dropped in the step where its own trajectory
+    leaves the invariant (by more than 1e-9 at any substep) and is not
+    advected further. The over flavor keeps every cell swept by the kept
+    samples plus the dropped samples' cells that touch the invariant;
+    under=True keeps only the kept samples' cells certified inside it.
+    The run stops when the front empties (front_collapse) or after
+    max_iters steps (iteration_cap; ceil(tau_max/dt) + 1 by default, 20
+    without tau_max). Raises PreconditionViolated when init is not
+    inside the invariant."""
     if not isinstance(invariant, Polyhedron):
         raise TypeError("invariant must be a Polyhedron")
     if dt is None or dt <= 0:

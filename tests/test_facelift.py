@@ -27,7 +27,6 @@ from reachkit.facelift import (
     _front_sweep,
     _max_speed,
     _levelset_boundary,
-    _near_shadow,
     _polyhedron_faces,
     _resample_chain,
     _segment_interior_lattice,
@@ -1151,15 +1150,14 @@ def per_chain_front_sweep(chains, init, dyn, intervals, cum, h_b, invariant=None
             return
         delta = t1 - t0
         trajs = [_advect(dyn, pts, delta, h) for pts, _ in chains]
-        if invariant is None:
-            keeps = [np.ones(pts.shape[0], bool) for pts, _ in chains]
-        else:
-            flat = np.concatenate([traj.reshape(-1, traj.shape[2]) for traj in trajs])
-            keeps = facelift._exit_shadow_keep(chains, flat, invariant, dyn, delta, h)
         kept, lost = cum.blank(), cum.blank()
         nxt = []
-        for (pts, closed), traj, keep in zip(chains, trajs, keeps):
-            cells = cum._cells(traj.reshape(-1, pts.shape[1])).reshape(traj.shape[:2])
+        for (pts, closed), traj in zip(chains, trajs):
+            points = traj.reshape(-1, pts.shape[1])
+            keep = np.ones(pts.shape[0], bool)
+            if invariant is not None:
+                keep = invariant.contains(points, tol=1e-9).reshape(traj.shape[:2]).all(axis=1)
+            cells = cum._cells(points).reshape(traj.shape[:2])
             kept._mark_cells(cells[keep].ravel())
             lost._mark_cells(cells[~keep].ravel())
             ends = traj[:, -1]
@@ -1353,8 +1351,8 @@ def test_slide_invariant_under_flavor():
     ids=["drift-square", "rotation-square", "pendulum-disk"],
 )
 def test_vacuous_invariant_gives_bounded_time_sweep(init, dyn, box):
-    # with the whole grid box as invariant nothing escapes, so the exit
-    # shadow prunes nothing and each step sweeps the bounded-time cells
+    # with the whole grid box as invariant no trajectory leaves it, so no
+    # sample is dropped and each step sweeps the bounded-time cells
     bounded = reach_bounded_time(init, dyn, 1.0, dt=0.125, h=0.05, box=box)
     n = len(bounded.segments)
     assert n == 8
@@ -1381,9 +1379,9 @@ def test_levelset_boundary_is_sampled_once_per_invariant_reach(monkeypatch):
     inv = Polyhedron.box([0.0, 0.0], [3.0, 1.0])
     tube = reach_invariant(disk, SLIDE, inv, dt=0.25, h=0.05)
     assert calls == [0.025]  # the containment check and the front share it
-    # segment occupancy recorded when each consumer sampled the boundary itself
+    # segment occupancy of the 9 steps (1,124 cells in their union)
     occ = b"".join(seg.occupancy.tobytes() for _, _, seg in tube.segments)
-    assert hashlib.sha256(occ).hexdigest()[:16] == "2bebcaf798f5d148"
+    assert hashlib.sha256(occ).hexdigest()[:16] == "bb172f45941795d7"
 
 
 def test_invariant_precondition():
@@ -1403,65 +1401,90 @@ def test_periodic_orbit_hits_iteration_cap():
     assert tube.iterations == 10
 
 
-def test_exit_shadow_cut_loop_is_pinned(monkeypatch):
-    # a closed level-set loop that the exit shadow cuts: one split per
-    # step lists the loop's runs from another start than a split at the
-    # shadow followed by one at cum and init did, and no cell moves
+def test_loop_cut_where_its_samples_leave_the_invariant_is_pinned(monkeypatch):
+    # a closed level-set loop whose samples' trajectories leave the
+    # invariant: the step that drops them cuts the loop into open runs,
+    # and their cells that touch the invariant are swept but not kept
     cuts = []
-    shadow_keep = facelift._exit_shadow_keep
+    sweep = facelift._front_sweep
 
     def spy(chains, *args):
-        keeps = shadow_keep(chains, *args)
-        cuts.extend(c is True and not k.all() for (_, c), k in zip(chains, keeps))
-        return keeps
+        for step in sweep(chains, *args):
+            _, _, swept, kept, nxt = step
+            loop = any(closed is True for _, closed in chains)
+            cut = loop and not any(closed for _, closed in nxt)
+            cuts.append(cut and kept.count() < swept.count())
+            chains = nxt
+            yield step
 
-    monkeypatch.setattr(facelift, "_exit_shadow_keep", spy)
+    monkeypatch.setattr(facelift, "_front_sweep", spy)
     init = LevelSet("x1*x1 + x2*x2 - 0.0625", [-0.5, -0.5], [0.5, 0.5])
     inv = Polyhedron.box([-1.0, -1.0], [0.27, 0.27])
     dyn = LinearDynamics(np.diag([0.2, 0.2]))
     tube = reach_invariant(init, dyn, inv, dt=0.25, h=0.02, max_iters=12)
     assert any(cuts)
     assert tube.iterations == 12 and not tube.front_collapse
-    assert tube.combined_region().count() == 716
+    assert tube.combined_region().count() == 720
     digest = hashlib.sha256()
     for t0, t1, seg in tube.segments:
         digest.update(repr((t0, t1)).encode())
         digest.update(seg.occupancy.tobytes())
-    assert digest.hexdigest().startswith("c9c515bcc563ca33")
+    assert digest.hexdigest().startswith("7297147f1eaec163")
+
+
+def test_a_sample_dies_when_its_own_trajectory_leaves_the_invariant():
+    grid = GridRegion([-1.5, -1.5], [1.5, 1.5], 0.05)
+    inv = Polyhedron.box([-1.5, -1.5], [0.9, 1.5])
+    # under the rotation the first sample's arc (radius 0.986) crosses
+    # x1 = 0.9 and comes back within the step; the second's stays inside
+    pts = np.array([[0.85, -0.5], [-0.5, 0.0]])
+    init = Polyhedron.box([-0.1, -0.1], [0.1, 0.1])
+    traj = _advect(ROT, pts, 1.0, grid.h)
+    assert np.all(inv.contains(traj[:, [0, -1]].reshape(-1, 2), tol=0.0))
+    assert not inv.contains(traj[0], tol=1e-9).all()
+    cum = grid.blank()
+    [(_, _, swept, kept, nxt)] = _front_sweep([(pts, None)], init, ROT, [(0.0, 1.0)], cum, 0.025, inv)
+    assert len(nxt) == 1 and np.array_equal(nxt[0][0], traj[1:, -1])
+    lost = grid.blank()
+    lost.mark_points(traj[0])
+    touch = grid.cells_touching(inv)
+    assert not (kept.occupancy & lost.occupancy).any()
+    assert np.array_equal(swept.occupancy, kept.occupancy | (lost.occupancy & touch))
+    assert (lost.occupancy & touch).any() and (lost.occupancy & ~touch).any()
+    assert np.array_equal(cum.occupancy, swept.occupancy)
+
+    # sliding along the face x2 = 1 keeps a sample up to 1e-9 above it
+    inv = Polyhedron.box([0.0, 0.0], [2.0, 1.0])
+    pts = np.array([[0.2, 1.0], [0.2, 1.0 + 5e-10], [0.2, 1.0 + 1e-7], [0.4, 0.5]])
+    cum = GridRegion([-0.5, -0.5], [2.5, 1.5], 0.05)
+    [(_, _, swept, kept, nxt)] = _front_sweep([(pts, None)], init, SLIDE, [(0.0, 0.5)], cum, 0.025, inv)
+    assert np.array_equal(nxt[0][0], _advect(SLIDE, pts, 0.5, cum.h)[[0, 1, 3], -1])
+    assert kept.contains_points(pts[[0, 1, 3]]).all()
+
+
+def test_mask_of_a_window_matches_the_index_scatter():
+    # the fancy-index scatter that _mask replaced, over polyhedron and
+    # level-set windows: clipped by the grid, inside it, and empty
+    rng = np.random.default_rng(5)
+    for dim in (1, 2, 3):
+        g = GridRegion([-1.0] * dim, [1.0] * dim, 0.1)
+        far = Polyhedron.box([5.0] * dim, [6.0] * dim)
+        ball = " + ".join(f"x{j + 1}*x{j + 1}" for j in range(dim)) + " - 0.25"
+        windows = [g._poly_window(far), g._levelset_values(LevelSet(ball, [-0.7] * dim, [1.8] * dim))[0]]
+        for _ in range(10):
+            c = rng.uniform(-1.4, 1.4, dim)
+            windows.append(g._poly_window(Polyhedron.box(c - 0.3, c + 0.3)))
+        assert windows[0].shape == (0, dim)
+        for idx in windows:
+            hit = rng.random(idx.shape[0]) < 0.5
+            want = np.zeros(g.shape, bool)
+            want[tuple(idx[hit].T)] = True
+            assert np.array_equal(g._mask(idx, hit), want)
 
 
 def test_invariant_requires_step():
     with pytest.raises(ValueError):
         reach_invariant(unit_square(), SLIDE, Polyhedron.box([0, 0], [3, 1]))
-
-
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_near_shadow_matches_dense_distances(dim):
-    rng = np.random.default_rng(dim)
-    ties = 0
-    for trial in range(200):
-        h = float(rng.choice([0.01, 0.05, 0.25, 1.0]))
-        # every seventh case has a single front sample, the next a single
-        # shadow point
-        n = 1 if trial % 7 == 0 else int(rng.integers(1, 40))
-        m = 1 if trial % 7 == 1 else int(rng.integers(1, 40))
-        if trial % 2:
-            # lattice points, negative ones included: many pairs exactly h
-            # apart, front samples on cell centers or on cell edges
-            shift = 0.5 * h * (trial % 4 == 1)
-            pts = rng.integers(-5, 5, (n, dim)) * h + shift
-            v_pts = rng.integers(-5, 5, (m, dim)) * h
-        else:
-            pts = rng.uniform(-4.0 * h, 4.0 * h, (n, dim))
-            v_pts = rng.uniform(-3.0 * h, 3.0 * h, (m, dim)) + rng.uniform(-h, h, dim)
-        thr = h * h * (1.0 - 1e-9)
-        # the reference: the dense front x shadow x dim block it replaced
-        d2 = np.sum((pts[:, None, :] - v_pts[None, :, :]) ** 2, axis=2)
-        ties += int(np.sum(np.abs(d2 - h * h) < 1e-12 * h * h))
-        got = _near_shadow(pts, v_pts, h, thr)
-        assert got.dtype == bool and got.shape == (n,)
-        assert np.array_equal(got, d2.min(axis=1) < thr), trial
-    assert ties > 0
 
 
 @pytest.mark.parametrize("dim", range(1, 10))
@@ -1501,7 +1524,7 @@ def test_cell_indices_match_argwhere(shape, density, seed):
 
 
 def test_invariant_reach_memory_is_linear_in_front_and_shadow():
-    # the dense front x shadow prune peaked at about 40 MB here
+    # a dense front x escapes distance test peaked at about 40 MB here
     m = load_model(bundled_model_path("drift_invariant.json"))
     tracemalloc.start()
     try:
