@@ -2,8 +2,9 @@
 
 Exit codes: 0 clean run, 2 unusable model or arguments (also any other
 reachkit error, such as an unbounded initial set), 3 violated
-assumption (the computation refused to start or step), 4 the run hit an
-iteration cap before settling. report.json is written with sorted keys
+assumption (any reachkit.errors.AssumptionViolated: the computation
+refused to start or step), 4 the run hit an iteration cap before
+settling. report.json is written with sorted keys
 and no timing data, so repeated runs of the same model are byte
 identical; timings go to stdout only.
 """
@@ -21,19 +22,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import (
-    AssumptionA2Violated,
-    BadDeltaOrder,
-    DimUnsupported,
-    EmptyBoundary,
-    EmptyPolyhedron,
-    ModelError,
-    NonFiniteState,
-    NumericRange,
-    PreconditionViolated,
-    ReachkitError,
-    StepTooCoarse,
-)
+from .errors import AssumptionViolated, DimUnsupported, EmptyPolyhedron, ModelError, ReachkitError
 from .facelift import GridRegion, reach_bounded_time, reach_invariant
 from .geometry import Empty2D, Polyhedron, TooFewPoints, Unbounded2D, vertices_2d
 from .hybrid import PostParams, RegionSet, replay_witness, semi_decide_reach
@@ -46,18 +35,6 @@ EXIT_OK = 0
 EXIT_MODEL = 2
 EXIT_ASSUMPTION = 3
 EXIT_CAP = 4
-
-_ASSUMPTION_ERRORS = (
-    AssumptionA2Violated,
-    BadDeltaOrder,
-    EmptyBoundary,
-    EmptyPolyhedron,
-    NonFiniteState,
-    NumericRange,
-    PreconditionViolated,
-    StepTooCoarse,
-)
-
 
 @dataclass
 class RunReport:
@@ -471,14 +448,13 @@ def _settings(command, m: ModelFile, args) -> dict:
     for name, default in defaults.items():
         s = SETTINGS[name]
         v = getattr(args, s.flag[2:].replace("-", "_")) if s.flag else None
-        if v is None and s.section:
-            v = getattr(m, s.section).get(s.key)
+        v = m.setting(name) if v is None else s.rule.cast(v)
         if v is None:
             if default is REQUIRED:
                 flag = f" or {s.flag}" if s.flag else ""
                 raise ModelError(f"{command} needs {s.section}.{s.key}{flag}")
-            v = default
-        out[name] = None if v is None else s.rule.cast(v)
+            v = None if default is None else s.rule.cast(default)
+        out[name] = v
     return out
 
 
@@ -552,7 +528,7 @@ def run(argv=None) -> int:
     except (ModelError, DimUnsupported) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL
-    except _ASSUMPTION_ERRORS as exc:
+    except AssumptionViolated as exc:
         print(f"assumption violated: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ASSUMPTION
     except ReachkitError as exc:

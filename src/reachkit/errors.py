@@ -1,5 +1,9 @@
 """Exception and warning types shared across the package, and the size
-budget that BudgetExceeded enforces."""
+budget that BudgetExceeded enforces.
+
+AssumptionViolated is the family of errors that mean a procedure's
+assumption does not hold (the computation refused to start or step); the
+command line exits 3 on any of them and 2 on every other ReachkitError."""
 
 # the size budget, checked in floats before numpy allocates: a grid has at
 # most MAX_GRID_CELLS cells and a sample lattice as many points; a list of
@@ -10,6 +14,11 @@ MAX_TIME_STEPS = 1_000_000
 
 class ReachkitError(Exception):
     """Base class for all errors raised by this package."""
+
+
+class AssumptionViolated(ReachkitError):
+    """Base class of the errors that say an assumption of the computation
+    does not hold, rather than that its input is unusable."""
 
 
 class DimMismatch(ReachkitError):
@@ -24,7 +33,7 @@ class DegenerateNormal(ReachkitError):
     """A normal vector vanished where a nonzero one is required."""
 
 
-class EmptyPolyhedron(ReachkitError):
+class EmptyPolyhedron(AssumptionViolated):
     """Polyhedron is empty where a nonempty one is required."""
 
 
@@ -40,11 +49,11 @@ class TooFewPoints(ReachkitError):
     """Hull construction needs at least three points."""
 
 
-class NumericRange(ReachkitError):
+class NumericRange(AssumptionViolated):
     """A numeric computation left the representable/trustworthy range."""
 
 
-class NonFiniteState(ReachkitError):
+class NonFiniteState(AssumptionViolated):
     """Integration produced a NaN or infinite state."""
 
 
@@ -56,19 +65,19 @@ class ExpressionError(ReachkitError):
     """Expression string does not conform to the supported grammar."""
 
 
-class EmptyBoundary(ReachkitError):
+class EmptyBoundary(AssumptionViolated):
     """Boundary sampling produced no usable samples."""
 
 
-class StepTooCoarse(ReachkitError):
+class StepTooCoarse(AssumptionViolated):
     """A front sample moved more than two cells in one substep."""
 
 
-class PreconditionViolated(ReachkitError):
+class PreconditionViolated(AssumptionViolated):
     """A documented procedure precondition does not hold."""
 
 
-class AssumptionA2Violated(ReachkitError):
+class AssumptionA2Violated(AssumptionViolated):
     """The outward-flow lower bound over a face is not positive.
 
     Carries ``delta``, the offending minimum of the directional derivative.
@@ -79,7 +88,7 @@ class AssumptionA2Violated(ReachkitError):
         super().__init__(message or f"outward-flow minimum over the face is {delta:.6g} (needs > 0)")
 
 
-class BadDeltaOrder(ReachkitError):
+class BadDeltaOrder(AssumptionViolated):
     """delta0 >= delta where delta0 < delta is required."""
 
 

@@ -207,13 +207,10 @@ class ExpressionDynamics:
     """
 
     components: tuple
-    dim: int
     constant: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
-        if len(self.components) != self.dim:
-            raise ValueError("need one component per dimension")
         value = None
         if all(_expr.is_constant(c) for c in self.components):
             with np.errstate(all="ignore"):
@@ -221,11 +218,14 @@ class ExpressionDynamics:
             value.flags.writeable = False
         object.__setattr__(self, "constant", value)
 
+    @property
+    def dim(self) -> int:
+        return len(self.components)
+
     @classmethod
     def parse(cls, strings) -> "ExpressionDynamics":
         strings = list(strings)
-        dim = len(strings)
-        return cls(tuple(_expr.parse(s, dim) for s in strings), dim)
+        return cls(tuple(_expr.parse(s, len(strings)) for s in strings))
 
     def evaluate(self, points):
         pts = np.asarray(points, float)
@@ -233,9 +233,6 @@ class ExpressionDynamics:
         for j, comp in enumerate(self.components):
             out[..., j] = comp.eval(pts)
         return out
-
-    def negated(self) -> "ExpressionDynamics":
-        return ExpressionDynamics(tuple(_expr.neg(c) for c in self.components), self.dim)
 
 
 Dynamics = LinearDynamics | ExpressionDynamics
@@ -306,7 +303,7 @@ def flow(dyn: Dynamics, x0, t: float, tol: float = 1e-8) -> np.ndarray:
     exact (expm) for linear dynamics, RK4 otherwise.
 
     x0 may be one point (n,) or a batch (m, n); the result matches.
-    Negative t integrates the reversed field for |t|.
+    Negative t flows backward by trajectory's signed steps.
     """
     x0 = np.asarray(x0, float)
     return trajectory(dyn, np.atleast_2d(x0), t, 1, tol)[:, -1].reshape(x0.shape)
@@ -320,9 +317,11 @@ def trajectory(dyn: Dynamics, x0, t: float, nsub: int, tol: float = 1e-8) -> np.
     one e^{A t/nsub} per step (the same floats as chained flow calls);
     expression dynamics take ceil(|dt| / tol^(1/4)) RK4 steps per lattice
     step dt, and a constant one fills the whole lattice in one accumulate.
-    Negative t integrates the reversed field for |t|. When a step goes
-    non-finite the NonFiniteState raised carries the positions up to that
-    lattice time as its ``partial`` attribute.
+    Negative t flows backward: every RK4 step has the signed length
+    dt / nsteps, which gives the bits of the reversed field stepped
+    forward, since IEEE products and sums are exact under negation. When
+    a step goes non-finite the NonFiniteState raised carries the
+    positions up to that lattice time as its ``partial`` attribute.
     """
     x0 = np.asarray(x0, float)
     if not np.all(np.isfinite(x0)):
@@ -343,17 +342,16 @@ def trajectory(dyn: Dynamics, x0, t: float, nsub: int, tol: float = 1e-8) -> np.
             return x
 
     else:
-        fwd = dyn if t > 0 else dyn.negated()
         per_step = abs(dt) / tol**0.25  # RK4 steps per lattice step, before rounding up
         _within_budget(nsub * float(np.ceil(per_step)), MAX_TIME_STEPS, "RK4 steps")
         nsteps = max(1, int(math.ceil(per_step)))
-        if fwd.constant is not None:
+        if dyn.constant is not None:
             # a blow-up is reported by the finiteness check, not by numpy warnings
             with np.errstate(over="ignore", invalid="ignore"):
-                return _constant_lattice(out, fwd.constant, abs(dt) / nsteps, nsteps)
+                return _constant_lattice(out, dyn.constant, dt / nsteps, nsteps)
 
         def step(x):
-            return rk4(fwd, x, abs(dt), nsteps)
+            return rk4(dyn, x, dt, nsteps)
 
     cur = x0
     # a blow-up is reported by the finiteness check, not by numpy warnings

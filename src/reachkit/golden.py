@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from .errors import ModelError
+from .errors import AssumptionA2Violated, ModelError
 from .facelift import (
     check_boundary_equivalence,
     classify_boundary,
@@ -86,7 +86,7 @@ GOLD_VERTICES = np.array(
 def _example2_problem():
     m = load_model(bundled_model_path("example2.json"))
     return StepProblem.build(
-        m.face, m.dynamics.matrix, m.grid_value("delta"), delta0=m.grid_value("delta0")
+        m.face, m.dynamics.matrix, m.setting("delta"), delta0=m.setting("delta0")
     )
 
 
@@ -116,7 +116,7 @@ def _random_problem(rng):
         )
         try:
             d = check_A2(face, A)
-        except Exception:
+        except AssumptionA2Violated:
             continue
         if d < 0.05:
             continue
@@ -125,6 +125,17 @@ def _random_problem(rng):
         if delta < 1e-3:
             continue
         return face, A, delta, d0
+
+
+def _sweep_problems():
+    """A5's and A6's 51 problems, each with its conservative enclosure:
+    example2, then 50 random ones drawn with seed 1207."""
+    problems = [_example2_problem()]
+    rng = np.random.default_rng(1207)
+    while len(problems) < 51:
+        face, A, delta, d0 = _random_problem(rng)
+        problems.append(StepProblem.build(face, A, delta, delta0=d0))
+    return [(p, assemble_polyhedron(p, conservative_bounds(p))) for p in problems]
 
 
 # ---------------------------------------------------------------------------
@@ -201,16 +212,9 @@ def check_a4():
 
 def check_a5():
     started = time.perf_counter()
-    prob = _example2_problem()
-    cases = [(prob.face, prob.matrix, prob.delta, prob.delta0)]
-    rng = np.random.default_rng(1207)
-    while len(cases) < 51:
-        cases.append(_random_problem(rng))
     worst = -math.inf
-    for face, A, delta, d0 in cases:
-        p = StepProblem.build(face, A, delta, delta0=d0)
-        P = assemble_polyhedron(p, conservative_bounds(p))
-        pts = tube_lattice(face, A, delta, 300, 300).reshape(-1, face.dim)
+    for p, P in _sweep_problems():
+        pts = tube_lattice(p.face, p.matrix, p.delta, 300, 300).reshape(-1, p.face.dim)
         worst = max(worst, _max_residual(P, pts))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-9 and elapsed < 30.0
@@ -221,14 +225,7 @@ def check_a5():
 
 
 def check_a6():
-    prob = _example2_problem()
-    cases = [prob]
-    rng = np.random.default_rng(1207)
-    while len(cases) < 51:
-        face, A, delta, d0 = _random_problem(rng)
-        cases.append(StepProblem.build(face, A, delta, delta0=d0))
-    for i, p in enumerate(cases):
-        P = assemble_polyhedron(p, conservative_bounds(p))
+    for i, (p, P) in enumerate(_sweep_problems()):
         if not is_bounded(Polyhedron(tuple(P.ineqs[: p.k + 1]))):
             return False, f"subsystem unbounded on instance {i}"
     return True, "start-side rotation/support/cap subsystem bounded on all 51 instances"
@@ -265,9 +262,9 @@ def check_a8():
 
 def check_a9():
     m = load_model(bundled_model_path("drift_invariant.json"))
-    dt = m.grid_value("dt")
+    dt = m.setting("dt")
     tube = reach_invariant(
-        m.initial, m.dynamics, m.invariant, dt=dt, h=m.grid_value("cell")
+        m.initial, m.dynamics, m.invariant, dt=dt, h=m.setting("cell")
     )
     cap_iters = int(math.ceil(3.0 / dt)) + 1
     if not tube.front_collapse or tube.iteration_cap or tube.iterations > cap_iters:
@@ -280,9 +277,9 @@ def check_a9():
         r.initial,
         r.dynamics,
         r.invariant,
-        dt=r.grid_value("dt"),
-        h=r.grid_value("cell"),
-        max_iters=r.flag("max_iters"),
+        dt=r.setting("dt"),
+        h=r.setting("cell"),
+        max_iters=r.setting("max_iters"),
     )
     if not rtube.iteration_cap or rtube.front_collapse:
         return False, "periodic orbit did not hit the iteration cap cleanly"
@@ -305,9 +302,9 @@ def check_a10():
         tube = reach_bounded_time(
             m.initial,
             m.dynamics,
-            m.grid_value("tau"),
-            dt=m.grid_value("dt"),
-            h=m.grid_value("cell"),
+            m.setting("tau"),
+            dt=m.setting("dt"),
+            h=m.setting("cell"),
             under=True,
         )
         under, over = _under_over_masks(tube)
@@ -320,10 +317,10 @@ def check_a10():
             m.initial,
             m.dynamics,
             m.invariant,
-            dt=m.grid_value("dt"),
-            h=m.grid_value("cell"),
+            dt=m.setting("dt"),
+            h=m.setting("cell"),
             under=True,
-            max_iters=m.flag("max_iters"),
+            max_iters=m.setting("max_iters"),
         )
         under, over = _under_over_masks(tube)
         if np.any(under & ~over):
@@ -388,11 +385,11 @@ def check_a11():
 
 def check_a12():
     m = load_model(bundled_model_path("hybrid_drift.json"))
-    params = PostParams(dt=m.grid_value("dt"), tau=m.grid_value("tau"))
-    cell = m.grid_value("cell")
+    params = PostParams(dt=m.setting("dt"), tau=m.setting("tau"))
+    cell = m.setting("cell")
     s1 = RegionSet.from_init(m.system, cell)
     s2 = RegionSet.from_polyhedra(m.system, m.targets, cell)
-    verdict = semi_decide_reach(m.system, s1, s2, int(m.flag("max_k")), params)
+    verdict = semi_decide_reach(m.system, s1, s2, m.setting("max_k"), params)
     if verdict.kind != "yes" or verdict.k != 1:
         return False, f"drift example: expected yes(1), got {verdict.kind}({verdict.k})"
     rep = replay_witness(m.system, RegionSet.from_init(m.system, cell), verdict, params)
@@ -403,16 +400,16 @@ def check_a12():
             "by the step classifier"
         )
     d = load_model(bundled_model_path("hybrid_disjoint.json"))
-    dparams = PostParams(dt=d.grid_value("dt"), tau=d.grid_value("tau"))
+    dparams = PostParams(dt=d.setting("dt"), tau=d.setting("tau"))
     dv = semi_decide_reach(
         d.system,
-        RegionSet.from_init(d.system, d.grid_value("cell")),
-        RegionSet.from_polyhedra(d.system, d.targets, d.grid_value("cell")),
-        int(d.flag("max_k")),
+        RegionSet.from_init(d.system, d.setting("cell")),
+        RegionSet.from_polyhedra(d.system, d.targets, d.setting("cell")),
+        d.setting("max_k"),
         dparams,
     )
-    if dv.kind != "unknown" or dv.k != int(d.flag("max_k")):
-        return False, f"disjoint example: expected unknown({d.flag('max_k')}), got {dv.kind}({dv.k})"
+    if dv.kind != "unknown" or dv.k != d.setting("max_k"):
+        return False, f"disjoint example: expected unknown({d.setting('max_k')}), got {dv.kind}({dv.k})"
     return True, (
         f"drift: yes(1), replay distance {rep.distance:.4f}, all steps certified; "
         f"disjoint: unknown at k={dv.k}"

@@ -351,10 +351,10 @@ def classify_step(H: HybridSystem, c1, c2, t_or_edge):
     x2 = np.asarray(x2, float)
 
     if isinstance(t_or_edge, Edge):
-        return "edge-step" if _edge_step_ok(H, q1, x1, q2, x2, t_or_edge) else "none"
+        return "edge-step" if _edge_step_ok(q1, x1, q2, x2, t_or_edge) else "none"
     if isinstance(t_or_edge, str):
         for e in H.edges:
-            if e.event == t_or_edge and _edge_step_ok(H, q1, x1, q2, x2, e):
+            if e.event == t_or_edge and _edge_step_ok(q1, x1, q2, x2, e):
                 return "sigma-step"
         return "none"
 
@@ -374,7 +374,7 @@ def classify_step(H: HybridSystem, c1, c2, t_or_edge):
     return "time-step"
 
 
-def _edge_step_ok(H, q1, x1, q2, x2, e: Edge) -> bool:
+def _edge_step_ok(q1, x1, q2, x2, e: Edge) -> bool:
     if e.source != q1 or e.target != q2:
         return False
     if not bool(e.guard.contains(x1, tol=_STEP_TOL)):

@@ -274,16 +274,12 @@ class ModelFile:
     flags: dict = field(default_factory=dict)
     path: str = None
 
-    def grid_value(self, key):
-        v = self.grid.get(key)
-        return None if v is None else float(v)
-
-    def flag(self, key):
-        return self.flags.get(key)
-
-
-def _dim_of(s):
-    return s.dim
+    def setting(self, name):
+        """The model's value of the run setting name (a key of SETTINGS),
+        cast by the setting's rule, or None when the model does not set it."""
+        s = SETTINGS[name]
+        v = getattr(self, s.section).get(s.key) if s.section else None
+        return None if v is None else s.rule.cast(v)
 
 
 def parse_model(data, path=None) -> ModelFile:
@@ -374,7 +370,7 @@ def parse_model(data, path=None) -> ModelFile:
         m.targets = tuple(targets)
         _need("cell" in m.grid, "hybrid model needs grid.cell")
         # resets land in their target invariant (within one cell), initial sets in theirs
-        m.system.validate(m.grid_value("cell"))
+        m.system.validate(m.setting("cell"))
         return m
 
     _need("dynamics" in data, f"{kind} model needs a 'dynamics' section")
@@ -396,7 +392,7 @@ def parse_model(data, path=None) -> ModelFile:
     _need("initial" in data, f"{kind} model needs an 'initial' section")
     m.initial = _set_from_spec(data["initial"], "initial")
     dyn_dim = m.dynamics.dim
-    _need(_dim_of(m.initial) == dyn_dim, "initial set and dynamics disagree on dimension")
+    _need(m.initial.dim == dyn_dim, "initial set and dynamics disagree on dimension")
 
     if "invariant" in data:
         m.invariant = _poly_from_spec(data["invariant"], "invariant")

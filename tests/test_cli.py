@@ -20,8 +20,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reachkit
+import reachkit.cli as cli
 import reachkit.golden as golden
 from reachkit.cli import _cell_text, run
+from reachkit.errors import AssumptionA2Violated, AssumptionViolated, DimUnsupported, ModelError, ReachkitError
 from reachkit.facelift import GridRegion, classify_boundary, reach_bounded_time
 from reachkit.flow import ExpressionDynamics
 from reachkit.modelfile import bundled_model_path, load_model
@@ -161,6 +163,35 @@ def test_a_bool_or_a_string_is_not_a_number(tmp_path, capfd, cmd, name, key, edi
     assert run([cmd, write_model(tmp_path, data), "--out", str(tmp_path / "o")]) == 2
     err = capfd.readouterr().err
     assert f"error: {key}: expected " in err and "Traceback" not in err
+
+
+def error_classes(cls=ReachkitError):
+    """cls and every class below it."""
+    return [cls, *(c for sub in cls.__subclasses__() for c in error_classes(sub))]
+
+
+def test_exit_3_family_is_pinned():
+    # moving a class in or out of exit 3 is a deliberate edit of this list
+    assert sorted(c.__name__ for c in error_classes(AssumptionViolated)[1:]) == [
+        "AssumptionA2Violated", "BadDeltaOrder", "EmptyBoundary", "EmptyPolyhedron",
+        "NonFiniteState", "NumericRange", "PreconditionViolated", "StepTooCoarse",
+    ]
+
+
+@pytest.mark.parametrize("cls", error_classes(), ids=lambda c: c.__name__)
+def test_every_error_exits_with_its_documented_line(tmp_path, capfd, monkeypatch, cls):
+    def body(m, s, out):
+        raise cls(0.0, "msg") if cls is AssumptionA2Violated else cls("msg")
+
+    monkeypatch.setitem(cli.COMMANDS, "reach", cli.COMMANDS["reach"]._replace(body=body))
+    code = run(["reach", model("example1.json"), "--out", str(tmp_path)])
+    if cls in (ModelError, DimUnsupported):
+        want = 2, "error: msg"
+    elif issubclass(cls, AssumptionViolated):
+        want = 3, f"assumption violated: {cls.__name__}: msg"
+    else:
+        want = 2, f"error: {cls.__name__}: msg"
+    assert (code, capfd.readouterr().err) == (want[0], want[1] + "\n")
 
 
 def test_assumption_violation_exits_3(tmp_path):

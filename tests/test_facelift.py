@@ -1532,11 +1532,11 @@ def test_invariant_reach_memory_is_linear_in_front_and_shadow():
             m.initial,
             m.dynamics,
             m.invariant,
-            dt=m.grid_value("dt"),
+            dt=m.setting("dt"),
             h=0.02,
-            max_iters=m.flag("max_iters"),
-            tau_max=m.grid_value("tau"),
-            h_b=m.grid_value("boundary_spacing"),
+            max_iters=m.setting("max_iters"),
+            tau_max=m.setting("tau"),
+            h_b=m.setting("boundary_spacing"),
         )
         peak = tracemalloc.get_traced_memory()[1]
     finally:

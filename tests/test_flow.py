@@ -1,19 +1,21 @@
 """Flow-layer tests: the matrix exponential against a long Taylor sum and
 scipy, RK4 against closed-form orbits and an order check, operator norm
 against the SVD, the trajectory kernel against chained flow calls and
-closed-form orbits, and the constant-field shortcut against a
-stage-by-stage RK4 loop and its accumulate kernel against a step-by-step
-increment loop, byte for byte."""
+closed-form orbits, and the constant-field shortcut and backward flow
+against a stage-by-stage RK4 loop (of the reversed field for t < 0) and
+the accumulate kernel against a step-by-step increment loop, byte for
+byte."""
 
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reachkit.errors import NonFiniteState, NumericRange, StepTooCoarse, UnboundedFace
+import reachkit.expr as expr
 import reachkit.facelift as facelift
 import reachkit.flow as flow_module
 from reachkit.facelift import _advect
@@ -348,15 +350,21 @@ def test_trajectory_constant_field_moves_exactly():
         assert np.max(np.abs(traj[:, s] - want)) <= 1e-12
 
 
+def reversed_field(dyn):
+    """Reference: the field -f, one negated tree per component."""
+    return ExpressionDynamics(tuple(expr.neg(c) for c in dyn.components))
+
+
 def stage_trajectory(dyn, x0, t, nsub, tol=1e-8):
-    """Reference: trajectory's expression path, every RK4 stage evaluated."""
+    """Reference: trajectory's expression path, every RK4 stage evaluated;
+    a negative t steps the reversed field forward for |t|."""
     out = np.empty((x0.shape[0], nsub + 1, x0.shape[1]))
     out[:, 0] = x0
     dt = t / nsub
     if dt == 0.0:
         out[:, 1:] = x0[:, None]
         return out
-    fwd = dyn if t > 0 else dyn.negated()
+    fwd = dyn if t > 0 else reversed_field(dyn)
     nsteps = max(1, int(math.ceil(abs(dt) / tol**0.25)))
     h = abs(dt) / nsteps
     x = x0
@@ -414,12 +422,45 @@ def constant_problems(draw):
 @given(case=constant_problems())
 def test_constant_field_matches_stage_rk4_bytewise(case):
     dyn, x0, t, nsub, tol = case
-    assert dyn.constant is not None
+    assert dyn.constant is not None and not dyn.constant.flags.writeable
     assert outcome(trajectory, dyn, x0, t, nsub, tol) == outcome(stage_trajectory, dyn, x0, t, nsub, tol)
     want = outcome(lambda: stage_trajectory(dyn, x0, t, 1, tol)[:, -1])
     assert outcome(flow, dyn, x0, t, tol) == want
     if want[0] == "ok":
         assert np.array_equal(flow(dyn, x0[0], t, tol), stage_trajectory(dyn, x0[:1], t, 1, tol)[0, -1])
+
+
+@st.composite
+def backward_problems(draw):
+    """A field that reads a variable, through sin, cos, exp and division,
+    and a batch flowed backward over t in (-3, 0)."""
+    dim = draw(st.integers(1, 3))
+    leaf = st.one_of(_LITERAL, st.sampled_from([f"x{j + 1}" for j in range(dim)]))
+    text = st.recursive(
+        leaf,
+        lambda inner: st.one_of(
+            st.tuples(st.sampled_from(["sin", "cos", "exp", "-"]), inner).map(lambda a: f"{a[0]}({a[1]})"),
+            st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda a: f"({a[0]} {a[1]} {a[2]})"),
+        ),
+        max_leaves=5,
+    )
+    dyn = ExpressionDynamics.parse(draw(st.lists(text, min_size=dim, max_size=dim)))
+    assume(dyn.constant is None)
+    m = draw(st.integers(1, 29))
+    x0 = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=m * dim, max_size=m * dim)))
+    t = -draw(st.floats(0.0, 3.0, exclude_min=True, exclude_max=True))
+    nsub = draw(st.integers(1, 11))
+    tol = 10.0 ** draw(st.floats(-6.0, -2.0))
+    return dyn, x0.reshape(m, dim), t, nsub, tol
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=backward_problems())
+def test_backward_flow_matches_the_reversed_field_bytewise(case):
+    # a signed RK4 step evaluates exactly the negations of the reversed field
+    dyn, x0, t, nsub, tol = case
+    assert outcome(trajectory, dyn, x0, t, nsub, tol) == outcome(stage_trajectory, dyn, x0, t, nsub, tol)
+    assert outcome(flow, dyn, x0, t, tol) == outcome(lambda: stage_trajectory(dyn, x0, t, 1, tol)[:, -1])
 
 
 def test_constant_field_skips_field_evaluation(monkeypatch):
@@ -442,14 +483,6 @@ def test_constant_field_skips_field_evaluation(monkeypatch):
     # four stages per RK4 step, ceil(0.0625 / 0.01) = 7 steps per lattice step
     assert len(calls) == 4 * 12 * 7
     assert np.array_equal(traj, stage_trajectory(reads, x0, 0.75, 12))
-
-
-def test_negated_constant_field_stays_constant():
-    dyn = ExpressionDynamics.parse(["1", "-(2/3)", "exp(0.1) - 1"])
-    neg = dyn.negated()
-    assert np.array_equal(neg.constant, -dyn.constant)
-    assert not dyn.constant.flags.writeable
-    assert ExpressionDynamics.parse(["1", "x1"]).negated().constant is None
 
 
 def test_constant_overflow_raises_with_the_stage_partial():
@@ -482,7 +515,7 @@ def loop_constant_trajectory(dyn, x0, t, nsub, tol=1e-8):
     if dt == 0.0:
         out[:, 1:] = x0[:, None]
         return out
-    fwd = dyn if t > 0 else dyn.negated()
+    fwd = dyn if t > 0 else reversed_field(dyn)
     nsteps = max(1, int(math.ceil(abs(dt) / tol**0.25)))
     x = x0.copy()
     with np.errstate(all="ignore"):

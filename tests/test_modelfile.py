@@ -122,7 +122,7 @@ def test_example2_face_is_orthonormal():
     m = load_model(bundled_model_path("example2.json"))
     assert m.face.orthonormal
     assert m.face.k == 3
-    assert m.grid_value("delta") == pytest.approx(math.pi / 6.0)
+    assert m.setting("delta") == pytest.approx(math.pi / 6.0)
 
 
 def test_hybrid_sections_build_the_system():
@@ -134,7 +134,7 @@ def test_hybrid_sections_build_the_system():
     np.testing.assert_allclose(H.edges[0].reset_matrix, np.eye(2))
     assert len(m.targets) == 1 and m.targets[0][0] == "handoff"
     assert isinstance(m.targets[0][1], Polyhedron)
-    assert int(m.flag("max_k")) == 4
+    assert m.setting("max_k") == 4
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +278,7 @@ def test_flags_and_grid_survive_roundtrip(tmp_path):
     path = tmp_path / "f.json"
     save_model(m, path)
     m2 = load_model(path)
-    assert m2.flag("under_approximate") is True
-    assert m2.flag("bound_mode") == "sampled"
-    assert m2.grid_value("boundary_spacing") == pytest.approx(0.01)
+    assert m2.setting("mode") == "under"
+    assert m2.setting("bounds") == "sampled"
+    assert m2.setting("boundary_spacing") == pytest.approx(0.01)
+    assert m2.setting("max_iters") is None

@@ -26,6 +26,7 @@ from reachkit.errors import (
 )
 from reachkit.flow import expm, expm_stack, max_norm_over_face, operator_norm
 from reachkit.geometry import Face, GeometryWarning, Polyhedron, lp_maximize, vertices_2d
+from reachkit.golden import _random_problem as random_segment_problem
 from reachkit.polyapprox import (
     BoundSet,
     StepProblem,
@@ -777,37 +778,6 @@ def _polygon_area(verts):
 
 # ---------------------------------------------------------------------------
 # randomized soundness sweep
-
-
-def random_segment_problem(rng):
-    while True:
-        A = rng.uniform(-1.5, 1.5, (2, 2))
-        na = operator_norm(A)
-        if na < 0.1:
-            continue
-        th = rng.uniform(0.0, 2.0 * math.pi)
-        ak = np.array([math.cos(th), math.sin(th)])
-        u = np.array([-ak[1], ak[0]])
-        c = rng.uniform(-2.0, 2.0) * u + rng.uniform(0.5, 2.0) * ak
-        half = rng.uniform(0.3, 1.5)
-        face = Face(
-            np.array([u, -u]),
-            np.array([float(u @ c) + half, -float(u @ c) + half]),
-            ak,
-            float(ak @ c),
-            orthonormal=True,
-        )
-        try:
-            d = check_A2(face, A)
-        except AssumptionA2Violated:
-            continue
-        if d < 0.05:
-            continue
-        d0 = 0.5 * d
-        delta = min(0.9 * select_delta(max_norm_over_face(face), na, d, d0), 0.6)
-        if delta < 1e-3:
-            continue
-        return face, A, delta, d0
 
 
 def test_random_problems_stay_enclosed():
