@@ -877,8 +877,8 @@ def _inside_init_strict(init, pts):
 
 
 def _init_box(init):
-    """Coordinate box of an initial set: a level set's or a cell set's own
-    box, a polyhedron's bounding box (which raises when it is empty or
+    """Coordinate box of an initial set: a level set's own box, a
+    polyhedron's bounding box (which raises when it is empty or
     unbounded)."""
     if isinstance(init, Polyhedron):
         return init.bounding_box()
@@ -1174,7 +1174,9 @@ def reach_invariant(
     The run stops when the front empties (front_collapse) or after
     max_iters steps (iteration_cap; ceil(tau_max/dt) + 1 by default, 20
     without tau_max). Raises PreconditionViolated when init is not
-    inside the invariant."""
+    inside the invariant. A cell set (GridRegion) is swept on its own
+    grid; box (auto-sized when omitted) and h size the grid only for a
+    polytope or level-set start."""
     if not isinstance(invariant, Polyhedron):
         raise TypeError("invariant must be a Polyhedron")
     if dt is None or dt <= 0:
@@ -1182,22 +1184,22 @@ def reach_invariant(
     dt = float(dt)
     if max_iters is None:
         max_iters = 20 if tau_max is None else int(math.ceil(tau_max / dt)) + 1
+    if isinstance(init, GridRegion):
+        h = init.h
     h_b = h_b if h_b is not None else h / 2.0
     # a level set's boundary samples serve both the check and the front
     boundary = _levelset_boundary(init, h_b) if isinstance(init, LevelSet) else None
     _check_inside_invariant(init, invariant, h_b, boundary)
-    if box is None:
-        box = _invariant_box(init, invariant, dyn, dt, h)
-    lo, hi = box
-
     if isinstance(init, GridRegion):
-        # restart from a cell set: its rim cells are the front, unordered
+        # restart from a cell set on its grid: its rim cells are the front, unordered
+        cum = init.blank()
         bnd = init.boundary_cell_centers()
         chains = [(bnd, None)] if bnd.shape[0] else []
     else:
+        lo, hi = box if box is not None else _invariant_box(init, invariant, dyn, dt, h)
         chains = classify_boundary(init, dyn, h_b, boundary).front_chains()
+        cum = GridRegion(lo, hi, h)
     intervals = _step_intervals(dt, max_iters)
-    cum = GridRegion(lo, hi, h)
     tube = _sweep_tube(init, dyn, chains, intervals, cum, h_b, invariant, under)
     tube.iteration_cap = not tube.front_collapse
     return tube

@@ -2,8 +2,8 @@
 
 Linear dynamics flow exactly through the matrix exponential (scaling and
 squaring with a degree-13 Pade approximant); expression dynamics advect
-with fixed-step RK4. Both paths are deterministic: step counts derive
-from the requested tolerance, never from adaptive error control.
+with fixed-step RK4 at one tolerance, tol = 1e-8. Both paths are
+deterministic: step counts derive from tol, never from adaptive error control.
 
 Every exponential goes through one stack kernel, ``_expm_batch``, which
 takes a (T, n, n) stack of matrices A t and returns e^{A t} per slice
@@ -244,6 +244,7 @@ Dynamics = LinearDynamics | ExpressionDynamics
 
 # elements of one accumulate block of a constant flow (512 KiB of float64)
 _ACCUMULATE_BLOCK = 1 << 16
+_RK4_TOL = 1e-8  # the one RK4 tolerance: ceil(|dt| / tol^(1/4)) steps per lattice step
 
 
 def _constant_lattice(out, c, h, nsteps):
@@ -298,7 +299,7 @@ def rk4(dyn: Dynamics, x0, t: float, nsteps: int) -> np.ndarray:
     return x
 
 
-def flow(dyn: Dynamics, x0, t: float, tol: float = 1e-8) -> np.ndarray:
+def flow(dyn: Dynamics, x0, t: float) -> np.ndarray:
     """Flow map phi(x0, t), the end point of trajectory(dyn, x0, t, 1):
     exact (expm) for linear dynamics, RK4 otherwise.
 
@@ -306,17 +307,18 @@ def flow(dyn: Dynamics, x0, t: float, tol: float = 1e-8) -> np.ndarray:
     Negative t flows backward by trajectory's signed steps.
     """
     x0 = np.asarray(x0, float)
-    return trajectory(dyn, np.atleast_2d(x0), t, 1, tol)[:, -1].reshape(x0.shape)
+    return trajectory(dyn, np.atleast_2d(x0), t, 1)[:, -1].reshape(x0.shape)
 
 
-def trajectory(dyn: Dynamics, x0, t: float, nsub: int, tol: float = 1e-8) -> np.ndarray:
+def trajectory(dyn: Dynamics, x0, t: float, nsub: int) -> np.ndarray:
     """Positions of a batch x0 (m, n) at the nsub+1 even lattice times on
     [0, t], as an (m, nsub+1, n) array whose row 0 is x0.
 
     The batch is integrated once across the lattice: linear dynamics apply
     one e^{A t/nsub} per step (the same floats as chained flow calls);
     expression dynamics take ceil(|dt| / tol^(1/4)) RK4 steps per lattice
-    step dt, and a constant one fills the whole lattice in one accumulate.
+    step dt, with tol fixed at 1e-8, and a constant one fills the whole
+    lattice in one accumulate.
     Negative t flows backward: every RK4 step has the signed length
     dt / nsteps, which gives the bits of the reversed field stepped
     forward, since IEEE products and sums are exact under negation. When
@@ -342,7 +344,7 @@ def trajectory(dyn: Dynamics, x0, t: float, nsub: int, tol: float = 1e-8) -> np.
             return x
 
     else:
-        per_step = abs(dt) / tol**0.25  # RK4 steps per lattice step, before rounding up
+        per_step = abs(dt) / _RK4_TOL**0.25  # RK4 steps per lattice step, before rounding up
         _within_budget(nsub * float(np.ceil(per_step)), MAX_TIME_STEPS, "RK4 steps")
         nsteps = max(1, int(math.ceil(per_step)))
         if dyn.constant is not None:

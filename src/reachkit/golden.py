@@ -393,7 +393,7 @@ def check_a12():
     if verdict.kind != "yes" or verdict.k != 1:
         return False, f"drift example: expected yes(1), got {verdict.kind}({verdict.k})"
     rep = replay_witness(m.system, RegionSet.from_init(m.system, cell), verdict, params)
-    bad = rep.validate(m.system)
+    bad = rep.invalid_steps
     if not rep.success or bad != 0:
         return False, (
             f"witness replay success={rep.success}, {bad} steps uncertified "

@@ -47,8 +47,7 @@ __all__ = [
 @dataclass(frozen=True)
 class Edge:
     """Guarded transition. The reset is x -> R x + c; both default to the
-    identity so a plain jump only changes the location. controllable is
-    parsed and saved with the model but never read."""
+    identity so a plain jump only changes the location."""
 
     source: str
     guard: Polyhedron
@@ -56,7 +55,6 @@ class Edge:
     target: str
     reset_matrix: np.ndarray = None
     reset_offset: np.ndarray = None
-    controllable: bool = False
 
     def __post_init__(self):
         n = self.guard.dim
@@ -126,7 +124,7 @@ class HybridSystem:
     def edges_from(self, q):
         return [e for e in self.edges if e.source == q]
 
-    def validate(self, h: float = 0.05):
+    def validate(self, h: float):
         """Sample-check the model invariants: resets land inside the target
         invariant (within one cell), initial regions sit inside theirs."""
         for e in self.edges:
@@ -228,7 +226,7 @@ class PostParams:
     dt at most."""
 
     dt: float
-    tau: float = 1.0
+    tau: float
 
 
 def _push_edge_images(region_mask, source: GridRegion, edge: Edge, target: GridRegion):
@@ -246,11 +244,11 @@ def post(H: HybridSystem, S: RegionSet, params: PostParams) -> RegionSet:
     """One-step successor of a region set.
 
     Each location's region is closed under flow restricted to the
-    invariant (bounded by params.tau); regions of reach that touch
-    an outgoing guard are pushed through the edge reset into the target
-    location. The input is always contained in the result. Locations
-    whose continuous reach ran out of iterations are recorded in the
-    result's capped set rather than raising.
+    invariant (bounded by params.tau), on the region's own grid; regions
+    of reach that touch an outgoing guard are pushed through the edge
+    reset into the target location. The input is always contained in
+    the result. Locations whose continuous reach ran out of iterations
+    are recorded in the result's capped set rather than raising.
     """
     out = S.copy()
     touch_inv = {}
@@ -263,8 +261,6 @@ def post(H: HybridSystem, S: RegionSet, params: PostParams) -> RegionSet:
             H.dynamics[q],
             H.invariants[q],
             dt=params.dt,
-            h=region.h,
-            box=(region.lo, region.hi),
             tau_max=float(params.tau),
         )
         R_q = tube.combined_region()

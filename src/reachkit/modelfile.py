@@ -328,6 +328,7 @@ def parse_model(data, path=None) -> ModelFile:
         edges = []
         for i, spec in enumerate(data.get("edges", [])):
             _need(isinstance(spec, dict), f"edges[{i}]: expected an object")
+            # "controllable" is accepted and ignored, so models that carry it still load
             _check_keys(
                 spec,
                 {"from", "to", "event", "guard", "reset_matrix", "reset_offset", "controllable"},
@@ -346,7 +347,6 @@ def parse_model(data, path=None) -> ModelFile:
                         target=str(spec["to"]),
                         reset_matrix=None if R is None else _float_matrix(R, f"edges[{i}].reset_matrix"),
                         reset_offset=None if c is None else np.array(_float_list(c, f"edges[{i}].reset_offset")),
-                        controllable=bool(spec.get("controllable", False)),
                     )
                 )
         init = []
@@ -443,7 +443,6 @@ def model_to_dict(m: ModelFile) -> dict:
                 "guard": _poly_to_spec(e.guard),
                 "reset_matrix": e.reset_matrix.tolist(),
                 "reset_offset": e.reset_offset.tolist(),
-                "controllable": e.controllable,
             }
             for e in H.edges
         ]

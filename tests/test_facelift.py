@@ -40,7 +40,7 @@ from reachkit.facelift import (
 )
 from reachkit.flow import ExpressionDynamics, LinearDynamics, expm, flow
 from reachkit.flow import trajectory as flow_trajectory
-from reachkit.geometry import Face, Halfspace, Polyhedron, convex_hull_2d, is_empty
+from reachkit.geometry import Face, Halfspace, Polyhedron, convex_hull_2d, intersect, is_empty, vertices_2d
 from reachkit.modelfile import bundled_model_path, load_model
 
 ROT = LinearDynamics(np.array([[0.0, -1.0], [1.0, 0.0]]))
@@ -1542,6 +1542,48 @@ def test_invariant_reach_memory_is_linear_in_front_and_shadow():
     finally:
         tracemalloc.stop()
     assert peak < 10e6
+
+
+# ---------------------------------------------------------------------------
+# exact cells of constant-field reach
+
+
+def exact_cells(grid, reach):
+    """cells_touching of the exact reach polytope with every row moved in
+    by 1e-7, so that a cell meeting it only at an edge or a corner does
+    not count."""
+    rows = tuple(Halfspace(r.normal, r.offset - 1e-7 * np.linalg.norm(r.normal)) for r in reach.ineqs)
+    return grid.cells_touching(Polyhedron(rows))
+
+
+def cell_gaps(over, exact):
+    """(missing, extra, exact) cell counts of an over set's mask."""
+    return int((exact & ~over).sum()), int((over & ~exact).sum()), int(exact.sum())
+
+
+def test_example1_over_set_holds_every_exact_cell():
+    # under x' = c, Reach([0, tau]) = conv(X0 u (X0 + tau c))
+    m = load_model(bundled_model_path("example1.json"))
+    tau = m.setting("tau")
+    over = reach_bounded_time(m.initial, m.dynamics, tau, dt=m.setting("dt"), h=m.setting("cell")).combined_region()
+    X0 = vertices_2d(m.initial)
+    reach = convex_hull_2d(np.vstack([X0, X0 + tau * m.dynamics.constant]))
+    assert cell_gaps(over.occupancy, exact_cells(over, reach)) == (0, 0, 1261)
+
+
+def test_drift_invariant_over_set_holds_every_exact_cell():
+    # inside a convex invariant I, Reach^G = (X0 + [0, T] c) n I once T
+    # carries X0 across I; T = 10 does for the [0, 3] x [0, 1] invariant
+    m = load_model(bundled_model_path("drift_invariant.json"))
+    tube = reach_invariant(m.initial, m.dynamics, m.invariant, dt=m.setting("dt"), h=m.setting("cell"))
+    over = tube.combined_region()
+    X0 = vertices_2d(m.initial)
+    reach = intersect([convex_hull_2d(np.vstack([X0, X0 + 10.0 * m.dynamics.constant])), m.invariant])
+    missing, extra, exact = cell_gaps(over.occupancy, exact_cells(over, reach))
+    assert (missing, exact) == (0, 1200)
+    # 64 extra cells come from the closed-cell raster of X0, 20 from the
+    # column past x1 = 3 whose cells touch the invariant
+    assert extra <= 84
 
 
 # ---------------------------------------------------------------------------

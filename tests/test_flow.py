@@ -274,7 +274,7 @@ def test_rk4_rotation_accuracy_and_order():
     err = {n: np.linalg.norm(rk4(dyn, x0, t, n) - exact) for n in (32, 64)}
     ratio = err[32] / err[64]
     assert 12.0 <= ratio <= 20.0  # fourth order: halving h divides error by about 16
-    assert np.linalg.norm(flow(dyn, x0, t, tol=1e-8) - exact) <= 1e-7
+    assert np.linalg.norm(flow(dyn, x0, t) - exact) <= 1e-7
 
 
 def test_flow_semigroup_property():
@@ -333,7 +333,7 @@ def test_trajectory_rotation_matches_closed_form_both_signs():
     x0 = np.array([[1.0, 0.0], [0.3, -0.7]])
     for t in (1.3, -1.3):
         nsub = 40
-        traj = trajectory(dyn, x0, t, nsub, tol=1e-8)
+        traj = trajectory(dyn, x0, t, nsub)
         for s in range(nsub + 1):
             th = t * s / nsub
             rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
@@ -423,11 +423,13 @@ def constant_problems(draw):
 def test_constant_field_matches_stage_rk4_bytewise(case):
     dyn, x0, t, nsub, tol = case
     assert dyn.constant is not None and not dyn.constant.flags.writeable
-    assert outcome(trajectory, dyn, x0, t, nsub, tol) == outcome(stage_trajectory, dyn, x0, t, nsub, tol)
     want = outcome(lambda: stage_trajectory(dyn, x0, t, 1, tol)[:, -1])
-    assert outcome(flow, dyn, x0, t, tol) == want
-    if want[0] == "ok":
-        assert np.array_equal(flow(dyn, x0[0], t, tol), stage_trajectory(dyn, x0[:1], t, 1, tol)[0, -1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow_module, "_RK4_TOL", tol)
+        assert outcome(trajectory, dyn, x0, t, nsub) == outcome(stage_trajectory, dyn, x0, t, nsub, tol)
+        assert outcome(flow, dyn, x0, t) == want
+        if want[0] == "ok":
+            assert np.array_equal(flow(dyn, x0[0], t), stage_trajectory(dyn, x0[:1], t, 1, tol)[0, -1])
 
 
 @st.composite
@@ -459,8 +461,10 @@ def backward_problems(draw):
 def test_backward_flow_matches_the_reversed_field_bytewise(case):
     # a signed RK4 step evaluates exactly the negations of the reversed field
     dyn, x0, t, nsub, tol = case
-    assert outcome(trajectory, dyn, x0, t, nsub, tol) == outcome(stage_trajectory, dyn, x0, t, nsub, tol)
-    assert outcome(flow, dyn, x0, t, tol) == outcome(lambda: stage_trajectory(dyn, x0, t, 1, tol)[:, -1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow_module, "_RK4_TOL", tol)
+        assert outcome(trajectory, dyn, x0, t, nsub) == outcome(stage_trajectory, dyn, x0, t, nsub, tol)
+        assert outcome(flow, dyn, x0, t) == outcome(lambda: stage_trajectory(dyn, x0, t, 1, tol)[:, -1])
 
 
 def test_constant_field_skips_field_evaluation(monkeypatch):
@@ -575,7 +579,8 @@ def test_constant_accumulate_matches_the_step_loop(case):
     assert dyn.constant is not None
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(flow_module, "_ACCUMULATE_BLOCK", block)  # blocks may split a lattice step
-        got = outcome(trajectory, dyn, x0, t, nsub, tol)
+        mp.setattr(flow_module, "_RK4_TOL", tol)
+        got = outcome(trajectory, dyn, x0, t, nsub)
         batches = (x0, x0[0]) if len(x0) else (x0,)  # rk4 takes one point too
         with np.errstate(all="ignore"):
             got_rk4 = [rk4_outcome(rk4, dyn, x, t, nsteps) for x in batches]
@@ -589,14 +594,15 @@ def test_constant_overflow_past_a_block_gets_the_full_scan_partial(monkeypatch):
     # 1e307/6 to x1: the second point passes the largest double at step 12,
     # lattice row 4 of 8, in the third block of 5 steps (30 // (3 * 2))
     monkeypatch.setattr(flow_module, "_ACCUMULATE_BLOCK", 30)
+    tol = 0.2**4
+    monkeypatch.setattr(flow_module, "_RK4_TOL", tol)
     dyn = ExpressionDynamics.parse(["1e307", "0"])
     x0 = np.array([[0.0, 1.0], [1.6e308, -2.0], [-3.0, 0.5]])
-    tol = 0.2**4
     with pytest.raises(NonFiniteState) as info:
-        trajectory(dyn, x0, 4.0, 8, tol)
+        trajectory(dyn, x0, 4.0, 8)
     assert info.value.partial.shape == (3, 4, 2)
     want = outcome(loop_constant_trajectory, dyn, x0, 4.0, 8, tol)
-    assert outcome(trajectory, dyn, x0, 4.0, 8, tol) == want
+    assert outcome(trajectory, dyn, x0, 4.0, 8) == want
 
 
 def rk4_outcome(fn, *args):

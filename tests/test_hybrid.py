@@ -1,15 +1,18 @@
 """Hybrid model construction, the successor operator and the decision loop."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
+import reachkit.cli as cli
 from reachkit.errors import BudgetExceeded, DimMismatch, ModelError, PreconditionViolated
 from reachkit.flow import ExpressionDynamics
-from reachkit.facelift import GridRegion
+from reachkit.facelift import GridRegion, reach_invariant
 from reachkit.geometry import Polyhedron
+from reachkit.modelfile import bundled_model_path, parse_model
 from reachkit.hybrid import (
     Edge,
     HybridSystem,
@@ -510,7 +513,7 @@ def test_replay_with_a_zero_step_is_over_budget():
     s1 = RegionSet.from_init(H, H_CELL)
     witness = Verdict("yes", 0, ("cruise", np.array([0.5, 0.5])))
     with pytest.raises(BudgetExceeded, match="replay steps exceed the budget"):
-        replay_witness(H, s1, witness, PostParams(dt=0.0))
+        replay_witness(H, s1, witness, PostParams(dt=0.0, tau=1.0))
 
 
 def test_replay_ignores_non_yes_verdicts():
@@ -518,3 +521,57 @@ def test_replay_ignores_non_yes_verdicts():
     s1 = RegionSet.from_init(H, H_CELL)
     rep = replay_witness(H, s1, Verdict("unknown", 3), params())
     assert not rep.success and rep.trajectory == []
+
+
+# ---------------------------------------------------------------------------
+# translated models
+
+
+def translated(name, offset):
+    """A bundled hybrid model (no resets) moved by s = (offset, ..., offset):
+    boxes move by s, and a row a.x <= b becomes a.x <= b + a.s."""
+    with open(bundled_model_path(name), encoding="utf-8") as fh:
+        data = json.load(fh)
+
+    def move(spec):
+        if "box" in spec:
+            return {"box": [[v + offset for v in corner] for corner in spec["box"]]}
+        assert set(spec) == {"rows"}
+        return {"rows": [[*r[:-1], r[-1] + offset * sum(r[:-1])] for r in spec["rows"]]}
+
+    for loc in data["locations"]:
+        loc["invariant"] = move(loc["invariant"])
+    for e in data["edges"]:
+        assert "reset_matrix" not in e and "reset_offset" not in e
+        e["guard"] = move(e["guard"])
+    for part in data["init"] + data["target"]:
+        part["set"] = move(part["set"])
+    return data
+
+
+@pytest.mark.parametrize("offset", [-98765.0, 12345.0, 1e6])
+@pytest.mark.parametrize(
+    "name, code, verdict, k, cells",
+    [("hybrid_drift.json", 0, "yes", 1, 1822), ("hybrid_disjoint.json", 4, "unknown", 3, 264)],
+)
+def test_translated_hybrid_models_keep_their_verdicts(tmp_path, capsys, name, code, verdict, k, cells, offset):
+    # away from the origin a grid rebuilt from its floats (lo, hi, h) can
+    # take another shape; a cell set swept on its own grid cannot
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(translated(name, offset)), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.run(["hybrid-reach", str(path), "--out", str(out)]) == code, capsys.readouterr().err
+    diag = json.loads((out / "report.json").read_text(encoding="utf-8"))["diagnostics"]
+    assert (diag["verdict"]["verdict"], diag["verdict"]["k"], diag["cells"]) == (verdict, k, cells)
+
+
+def test_a_cell_set_is_swept_on_its_own_grid():
+    m = parse_model(translated("hybrid_drift.json", 12345.0))
+    H = m.system
+    start = RegionSet.from_init(H, m.setting("cell")).regions["cruise"]
+    # the layout that rebuilding from lo, hi and h would change
+    assert GridRegion(start.lo, start.hi, start.h).shape != start.shape
+    tube = reach_invariant(start, H.dynamics["cruise"], H.invariants["cruise"], dt=0.25, tau_max=4.0)
+    reach = tube.combined_region()
+    assert reach.compatible(start)
+    assert not (start.occupancy & ~reach.occupancy).any()
