@@ -151,7 +151,7 @@ def _run_reach(m: ModelFile, s: dict, out: str):
         bounds=s["bounds"], h_b=s["boundary_spacing"],
     )
     report = RunReport()
-    if tube.occupancy is not None or tube.under_occupancy is not None:
+    if tube.occupancy is not None:
         report.diagnostics = {"path": "front", **_write_grid_tube(tube, report, out)}
     else:
         items = (([i, t0, t1, j], P) for i, (t0, t1, ps) in enumerate(tube.segments) for j, P in enumerate(ps))
@@ -237,7 +237,7 @@ def _run_hybrid(m: ModelFile, s: dict, out: str):
         }
     report.diagnostics = diagnostics
     code = EXIT_OK if verdict.kind == "yes" else EXIT_CAP
-    return code, report, (verdict, reached)
+    return code, report, verdict
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +280,7 @@ def _plot_groups(m: ModelFile, s: dict, out: str):
         groups = []
         if isinstance(m.initial, Polyhedron):
             groups.append(_polys_group("initial", [_poly_polygon(m.initial)]))
-        elif result.initial_grid() is not None:
+        else:
             groups.append(_cells_group("initial", result.initial_grid()))
         for i, (_, _, payload) in enumerate(result.segments):
             if isinstance(payload, GridRegion):
@@ -292,8 +292,7 @@ def _plot_groups(m: ModelFile, s: dict, out: str):
         return groups, rep
     if m.kind == "reach-inv":
         groups = [_polys_group("invariant", [_poly_polygon(m.invariant)])]
-        if result.initial_grid() is not None:
-            groups.append(_cells_group("initial", result.initial_grid()))
+        groups.append(_cells_group("initial", result.initial_grid()))
         for i, (_, _, seg) in enumerate(result.segments):
             groups.append(_cells_group(f"segment{i}", seg))
         return groups, rep
@@ -302,9 +301,8 @@ def _plot_groups(m: ModelFile, s: dict, out: str):
         for i, P in enumerate(result.polyhedra):
             groups.append(_polys_group(f"step{i}", [_poly_polygon(P)]))
         return groups, rep
-    _, reached = result
     groups = [
-        _cells_group(f"location:{q}", reached.regions[q]) for q in m.system.locations
+        _cells_group(f"location:{q}", result.reached.regions[q]) for q in m.system.locations
     ]
     groups.append(_polys_group("target", [_poly_polygon(P) for _, P in m.targets]))
     return groups, rep

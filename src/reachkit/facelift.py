@@ -221,8 +221,8 @@ def _first_rows(key):
 
 
 def _levelset_boundary_2d(ls: LevelSet, h_b: float):
-    """Zero-set samples: sign changes on a scan grid, refined by normal
-    projection, ordered by angle around their centroid (one closed chain)."""
+    """(zero-set samples, samples dropped): sign changes on a scan grid,
+    refined by normal projection; those that kept their gradient."""
     span = float(np.max(ls.hi - ls.lo))
     n = int(np.clip(math.ceil(2.0 * span / h_b), 32, 512))
     xs = np.linspace(ls.lo[0], ls.hi[0], n)
@@ -250,16 +250,12 @@ def _levelset_boundary_2d(ls: LevelSet, h_b: float):
     dropped = int(np.sum(~ok))
     if dropped == pts.shape[0]:
         raise EmptyBoundary("every boundary sample lost its gradient")
-    pts = pts[ok]
-
-    # dedupe on an h_b/2 bucket grid, then order around the centroid
-    pts = pts[_first_rows(np.round(pts / (h_b / 2.0)).astype(int))]
-    c = pts.mean(axis=0)
-    ang = np.arctan2(pts[:, 1] - c[1], pts[:, 0] - c[0])
-    return pts[np.argsort(ang, kind="stable")], dropped
+    return pts[ok], dropped
 
 
 def _levelset_boundary_nd(ls: LevelSet, h_b: float):
+    """(zero-set samples, samples dropped): lattice points projected onto
+    the zero set, those that reached it within h_b of the box."""
     _lattice_budget(ls.lo, ls.hi, h_b)
     mesh = grid_points([np.arange(ls.lo[j], ls.hi[j] + 1e-12, h_b) for j in range(ls.dim)])
     pts, ok = _newton_project(ls, mesh, 8)
@@ -272,16 +268,22 @@ def _levelset_boundary_nd(ls: LevelSet, h_b: float):
         keep &= (pts[:, j] >= ls.lo[j] - h_b) & (pts[:, j] <= ls.hi[j] + h_b)
     if not keep.any():
         raise EmptyBoundary("no projected lattice point reached the zero set")
-    pts = pts[keep]
-    return pts[_first_rows(np.round(pts / (h_b / 2.0)).astype(int))], dropped
+    return pts[keep], dropped
 
 
 def _levelset_boundary(ls: LevelSet, h_b: float):
     """(zero-set samples, samples dropped): one closed chain in 2D,
-    unordered points in higher dimensions."""
+    unordered points in higher dimensions. The front is finished here
+    for both scans: one sample per h_b/2 bucket, its first, and in 2D
+    those ordered by angle around their centroid."""
+    scan = _levelset_boundary_2d if ls.dim == 2 else _levelset_boundary_nd
+    pts, dropped = scan(ls, h_b)
+    pts = pts[_first_rows(np.round(pts / (h_b / 2.0)).astype(int))]
     if ls.dim == 2:
-        return _levelset_boundary_2d(ls, h_b)
-    return _levelset_boundary_nd(ls, h_b)
+        c = pts.mean(axis=0)
+        ang = np.arctan2(pts[:, 1] - c[1], pts[:, 0] - c[0])
+        pts = pts[np.argsort(ang, kind="stable")]
+    return pts, dropped
 
 
 def _split_runs(keep, closed):
@@ -769,26 +771,21 @@ class ReachTube:
         return self.under_initial_region
 
     def combined_region(self) -> GridRegion:
-        """Cumulative cells including the rasterized initial set."""
+        """Cumulative cells including the rasterized initial set (every
+        grid tube has one)."""
         reg = self.region().copy()
-        init = self.initial_grid()
-        if init is not None:
-            reg.include(init)
+        reg.include(self.initial_grid())
         return reg
 
     def contains(self, pts):
+        """Whether each point lies in the reach set. A grid tube answers
+        from its own union, combined_region(); a polyhedral tube (always
+        started from a Polyhedron) tests the start and every payload
+        polyhedron up to 1e-9."""
         pts = np.atleast_2d(np.asarray(pts, float))
-        if self.occupancy is not None or self.under_occupancy is not None:
-            hit = self.region().contains_points(pts)
-            init = self.initial_grid()
-            if init is not None:
-                hit |= init.contains_points(pts)
-            return hit
-        hit = (
-            self.initial.contains(pts, tol=1e-9)
-            if isinstance(self.initial, Polyhedron)
-            else np.zeros(pts.shape[0], bool)
-        )
+        if self.occupancy is not None:
+            return self.combined_region().contains_points(pts)
+        hit = self.initial.contains(pts, tol=1e-9)
         for _, _, payload in self.segments:
             for P in payload:
                 hit |= P.contains(pts, tol=1e-9)

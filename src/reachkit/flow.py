@@ -36,14 +36,17 @@ horizon does not allocate one row per step. The increments are copied in
 from one contiguous (rows, n) block of inc, which numpy copies as one run
 per sample rather than n floats at a time.
 
-Finiteness is read off the last lattice row alone. That is exact: a
-finite increment never makes a non-finite state finite again (inf plus a
-finite number stays inf, NaN stays NaN), and a non-finite increment makes
-the state non-finite at the first step and keeps it so, because every
-step adds the same inc. So every state of the lattice is finite exactly
-when its last row is. Only a lattice that fails this check is scanned
-row by row, and the first non-finite lattice row is where a step-by-step
-loop raises.
+Every kernel of ``trajectory`` fills the whole lattice, and one check
+reads finiteness off its last row; only a lattice that fails it is
+scanned for the first non-finite row, and the rows before it, where a
+step-by-step loop raises, are the NonFiniteState's ``partial``. The last
+row decides because no kernel makes a non-finite state finite again. A
+linear step multiplies by e^{A dt}, and one non-finite entry makes every
+entry of the product non-finite (inf times 0 is NaN). A constant field
+adds the same inc at every step: inf plus a finite number stays inf and
+NaN stays NaN, and a non-finite inc spoils the first step. ``rk4``
+raises at its first non-finite state, and ``trajectory`` sets that row
+and every later one to NaN.
 
 ``trajectory`` refuses, before any step runs, an expression flow of more
 than MAX_TIME_STEPS RK4 steps in all (nsub times the steps per lattice
@@ -250,8 +253,8 @@ _RK4_TOL = 1e-8  # the one RK4 tolerance: ceil(|dt| / tol^(1/4)) steps per latti
 def _constant_lattice(out, c, h, nsteps):
     """Fill the lattice out (m, L, n) of the constant field c, whose row 0
     holds the start points: row s is the state after s * nsteps RK4 steps
-    of length h (see the module docstring). Raises NonFiniteState at the
-    first non-finite row, with the rows before it as ``partial``."""
+    of length h (see the module docstring). It raises nothing: a blow-up
+    is left in the lattice for trajectory's finiteness check."""
     inc = (h / 6.0) * (c + 2.0 * c + 2.0 * c + c)
     m, rows, n = out.shape
     total = (rows - 1) * nsteps
@@ -272,12 +275,6 @@ def _constant_lattice(out, c, h, nsteps):
             row = (done + first) // nsteps
             out[:, row : row + lattice.shape[1]] = lattice
             buf[:, 0] = block[:, -1]
-    if not np.isfinite(out[:, -1]).all():
-        finite = np.isfinite(out).all(axis=(0, 2))
-        exc = NonFiniteState("integration produced a non-finite state")
-        exc.partial = out[:, : int(np.argmin(finite))]
-        raise exc
-    return out
 
 
 def rk4(dyn: Dynamics, x0, t: float, nsteps: int) -> np.ndarray:
@@ -321,9 +318,10 @@ def trajectory(dyn: Dynamics, x0, t: float, nsub: int) -> np.ndarray:
     lattice in one accumulate.
     Negative t flows backward: every RK4 step has the signed length
     dt / nsteps, which gives the bits of the reversed field stepped
-    forward, since IEEE products and sums are exact under negation. When
-    a step goes non-finite the NonFiniteState raised carries the
-    positions up to that lattice time as its ``partial`` attribute.
+    forward, since IEEE products and sums are exact under negation. The
+    whole lattice is filled before one finiteness check of its last row
+    (module docstring); a blow-up raises NonFiniteState whose ``partial``
+    holds the rows before the first non-finite one.
     """
     x0 = np.asarray(x0, float)
     if not np.all(np.isfinite(x0)):
@@ -336,35 +334,33 @@ def trajectory(dyn: Dynamics, x0, t: float, nsub: int) -> np.ndarray:
         return out
     if isinstance(dyn, LinearDynamics):
         step_map = expm(dyn.matrix, dt).T
-
-        def step(x):
-            x = x @ step_map
-            if not np.all(np.isfinite(x)):
-                raise NonFiniteState("integration produced a non-finite state")
-            return x
-
     else:
         per_step = abs(dt) / _RK4_TOL**0.25  # RK4 steps per lattice step, before rounding up
         _within_budget(nsub * float(np.ceil(per_step)), MAX_TIME_STEPS, "RK4 steps")
         nsteps = max(1, int(math.ceil(per_step)))
-        if dyn.constant is not None:
-            # a blow-up is reported by the finiteness check, not by numpy warnings
-            with np.errstate(over="ignore", invalid="ignore"):
-                return _constant_lattice(out, dyn.constant, dt / nsteps, nsteps)
-
-        def step(x):
-            return rk4(dyn, x, dt, nsteps)
-
-    cur = x0
-    # a blow-up is reported by the finiteness check, not by numpy warnings
+    # a blow-up is reported by the finiteness check below, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for s in range(nsub):
-            try:
-                cur = step(cur)
-            except NonFiniteState as exc:
-                exc.partial = out[:, : s + 1]  # the finite positions reached so far
-                raise
-            out[:, s + 1] = cur
+        if isinstance(dyn, LinearDynamics):
+            cur = x0
+            for s in range(nsub):
+                cur = cur @ step_map
+                out[:, s + 1] = cur
+        elif dyn.constant is not None:
+            _constant_lattice(out, dyn.constant, dt / nsteps, nsteps)
+        else:
+            cur = x0
+            for s in range(nsub):
+                try:
+                    cur = rk4(dyn, cur, dt, nsteps)
+                except NonFiniteState:
+                    out[:, s + 1 :] = np.nan
+                    break
+                out[:, s + 1] = cur
+    if not np.isfinite(out[:, -1]).all():
+        finite = np.isfinite(out).all(axis=(0, 2))
+        exc = NonFiniteState("integration produced a non-finite state")
+        exc.partial = out[:, : int(np.argmin(finite))]  # the finite positions reached so far
+        raise exc
     return out
 
 

@@ -309,6 +309,65 @@ def test_empty_initial_polytope_exits_3_on_both_paths(tmp_path, capfd):
         assert "EmptyPolyhedron" in capfd.readouterr().err
 
 
+def test_under_run_from_a_start_with_no_interior_lattice_point_exits_0(tmp_path, capfd):
+    # a disk of radius 0.005 holds no point of the cell-0.05 interior
+    # lattice, so the under flavour flows an empty sample batch
+    spec = {
+        "schema": 1,
+        "kind": "reach",
+        "dynamics": {"expressions": ["1", "0.5"]},
+        "initial": {
+            "levelset": "(x1-0.03)*(x1-0.03) + (x2-0.03)*(x2-0.03) - 0.000025",
+            "lo": [0.0, 0.0],
+            "hi": [0.04, 0.04],
+        },
+        "grid": {"cell": 0.05, "dt": 0.25, "tau": 1.0},
+    }
+    out = str(tmp_path / "o")
+    assert run(["reach", write_model(tmp_path, spec), "--under", "--out", out]) == 0
+    assert capfd.readouterr().err == ""
+    assert read_report(out)["diagnostics"]["segments"] == 4
+
+
+INVARIANT_PRECONDITIONS = {
+    "empty-polytope": (
+        {"rows": [[1, 0, 1], [-1, 0, -2], [0, 1, 1], [0, -1, 1]]},
+        {"box": [[-5.0, -5.0], [5.0, 5.0]]},
+        "initial polyhedron is empty",
+    ),
+    # the inequality rows hold the unit square; the equality row x2 = 0.5 does not
+    "equality-row": (
+        {"box": [[0.0, 0.0], [1.0, 1.0]]},
+        {"rows": [[1, 0, 3], [-1, 0, 1], [0, 1, 3], [0, -1, 1]], "eq_rows": [[0, 1, 0.5]]},
+        "initial set is not contained in the invariant",
+    ),
+    "levelset-samples": (
+        {"levelset": "x1*x1 + x2*x2 - 1", "lo": [-1.4, -1.4], "hi": [1.4, 1.4]},
+        {"box": [[0.0, -2.0], [3.0, 2.0]]},
+        "initial set samples leave the invariant",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(INVARIANT_PRECONDITIONS))
+def test_reach_inv_start_outside_the_invariant_exits_3(tmp_path, capfd, case):
+    initial, invariant, reason = INVARIANT_PRECONDITIONS[case]
+    spec = {
+        "schema": 1,
+        "kind": "reach-inv",
+        "dynamics": {"expressions": ["1", "0"]},
+        "initial": initial,
+        "invariant": invariant,
+        "grid": {"dt": 0.25},
+    }
+    assert run(["reach-inv", write_model(tmp_path, spec), "--out", str(tmp_path / "o")]) == 3
+    assert capfd.readouterr().err == f"assumption violated: PreconditionViolated: {reason}\n"
+    if case == "equality-row":
+        # without the equality row the same start runs, and its front collapses
+        del spec["invariant"]["eq_rows"]
+        assert run(["reach-inv", write_model(tmp_path, spec), "--out", str(tmp_path / "o")]) == 0
+
+
 @pytest.mark.parametrize("path_kind", ["front", "polyhedral"])
 def test_redundant_parallel_row_is_not_a_face(tmp_path, path_kind):
     # x1 <= 1 is implied by 2 x1 <= 1: the face on it is never tight

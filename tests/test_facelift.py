@@ -1391,6 +1391,18 @@ def test_invariant_precondition():
         reach_invariant(square, SLIDE, inv, dt=0.25, h=0.1)
 
 
+def test_invariant_precondition_of_a_cell_set():
+    # one marked cell centre lies 0.95 beyond the invariant, more than the
+    # half-diagonal overhang a raster may have
+    cells = GridRegion([0.0, 0.0], [2.0, 1.0], 0.1)
+    cells.mark_boxes([[0.05, 0.05]], [[0.45, 0.45]])
+    inv = Polyhedron.box([0.0, 0.0], [1.0, 1.0])
+    assert reach_invariant(cells, SLIDE, inv, dt=0.25, max_iters=1).iterations == 1
+    cells.mark_points([[1.95, 0.05]])
+    with pytest.raises(PreconditionViolated, match="^initial region has cells outside the invariant$"):
+        reach_invariant(cells, SLIDE, inv, dt=0.25)
+
+
 def test_periodic_orbit_hits_iteration_cap():
     inv = Polyhedron.box([-2.0, -2.0], [2.0, 2.0])
     tube = reach_invariant(

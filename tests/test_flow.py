@@ -624,6 +624,20 @@ def test_linear_overflow_raises_with_the_finite_partial():
     assert np.array_equal(trajectory(dyn, [[1e300, 0.0]], 1.0, 2)[0, 0], [1e300, 0.0])
 
 
+def test_linear_partial_stops_at_the_first_non_finite_row_of_any_sample():
+    # 1e307 e^{3 * 0.5 * 2} overflows at row 3 while 1e300 stays finite to
+    # the end: the partial holds rows 0-2 of both samples, the chained
+    # products with e^{A dt}
+    dyn = LinearDynamics(2.0 * np.eye(2))
+    x0 = np.array([[1e300, -3.0], [1e307, 1.0]])
+    with pytest.raises(NonFiniteState) as info:
+        trajectory(dyn, x0, 4.0, 8)
+    step = expm(dyn.matrix, 0.5).T
+    rows = [x0, x0 @ step, (x0 @ step) @ step]
+    assert info.value.partial.shape == (2, 3, 2)
+    assert np.array_equal(info.value.partial, np.stack(rows, axis=1))
+
+
 def test_trajectory_shape_and_start_row():
     x0 = np.array([[0.5, 1.0], [2.0, -1.0], [0.0, 0.0]])
     for dyn in (LinearDynamics(ROT), ExpressionDynamics.parse(["x1*x2", "cos(x1)"])):
